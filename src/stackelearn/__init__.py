@@ -60,7 +60,6 @@ from .learning import (
     boltzmann_strategy,
     conjecture_adjust,
     leader_expected_utility,
-    noncoop_q_update,
     q_update,
     rla2_estimated_expected_utility,
     sample_action,

@@ -9,6 +9,7 @@ infeasibility, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -69,6 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError("run --seed: must fit in an unsigned 64-bit integer")
         config.seeds.base_seed = args.seed
     if args.out is not None:
         config.output.directory = args.out
@@ -116,6 +119,8 @@ def _cmd_sweep(args) -> int:
         if args.points < 2 or args.to_db <= args.from_db:
             raise ConfigError("sweep: need --points >= 2 and --to > --from")
         grid = list(np.linspace(args.from_db, args.to_db, args.points))
+    if args.replicates is not None and args.replicates < 1:
+        raise ConfigError("sweep --replicates: must be >= 1")
     results = sweep_gamma0(config, grid_db=grid, replicates=args.replicates)
     path = os.path.join(config.output.directory, "sweep_gamma0.csv")
     emit_sweep_csv(results, path)
@@ -148,6 +153,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     config = load_config(args.config)
+    if not (math.isfinite(args.step_size) and args.step_size > 0):
+        raise ConfigError("dynamics --step-size: must be finite and > 0")
     if args.out is not None:
         config.output.directory = args.out
     prepared = build_game(config)

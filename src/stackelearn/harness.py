@@ -256,39 +256,42 @@ def sweep_gamma0(
     """Terminal expected FU SINRs versus the leader's SINR target.
 
     For each grid point and replicate the learned terminal strategies are
-    evaluated by exact enumeration over joint actions; silenced femtocells
-    contribute zero SINR.
+    evaluated by exact enumeration over joint actions and averaged over the
+    replicates actually run: the first ``replicates`` entries of
+    ``seeds.replicate_offsets`` (all of ``range(replicates)`` when unset).
+    Silenced femtocells contribute zero SINR.
     """
     if grid_db is None:
         grid_db = config.sweep.gamma0_grid_db
     if replicates is None:
         replicates = config.sweep.replicates
-    offsets = config.seeds.replicate_offsets or tuple(range(replicates))
+    offsets = (config.seeds.replicate_offsets or tuple(range(replicates)))[:replicates]
     settings = learner_settings(config)
     results = []
     for gamma0_db in grid_db:
         prepared = build_game(config, gamma0_db=gamma0_db)
         n_fu_total = config.network.num_femtocells
         for algo in algorithms:
+            # the replicates of one (point, algorithm) advance in lockstep
+            engine = StackelbergLearning(
+                prepared.game,
+                algo,
+                [learning_rng(config.seeds.base_seed, algo, replicate=r) for r in offsets],
+                settings=settings,
+            )
+            engine.run(config.learning.num_steps, log_every=config.learning.num_steps)
             sums = np.zeros(n_fu_total)
-            for r in offsets[:replicates]:
-                engine = StackelbergLearning(
-                    prepared.game,
-                    algo,
-                    learning_rng(config.seeds.base_seed, algo, replicate=r),
-                    settings=settings,
-                )
-                engine.run(config.learning.num_steps, log_every=config.learning.num_steps)
+            for strategies in engine.strategies:
                 for reduced_idx in range(1, prepared.game.num_users):
                     original = prepared.user_ids[reduced_idx]
                     sums[original - 1] += full_expected_utility(
-                        engine.sinr_tensors[reduced_idx], engine.strategies
+                        engine.sinr_tensors[reduced_idx], strategies
                     )
             results.append(
                 SweepResult(
                     gamma0_db=float(gamma0_db),
                     algo=algo,
-                    fu_expected_sinr_lin=tuple(sums / replicates),
+                    fu_expected_sinr_lin=tuple(sums / len(offsets)),
                     active=prepared.active,
                     active_count=sum(prepared.active),
                 )

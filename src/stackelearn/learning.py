@@ -14,6 +14,10 @@ Three schemes share one step loop:
 * ``noncoop`` -- every user, leader included, does bandit Q-learning on the
   raw realized utility with no information exchange.
 
+One ``StackelbergLearning`` engine advances R independent replicates of a
+scheme in lockstep, each bitwise equal to a run on its own; the scalar
+helpers below are the reference semantics it is tested against.
+
 Each user's utilities are rescaled by that user's own maximum pure-profile
 utility before learning, so one default temperature works across users and
 instances (leader and follower utilities differ by orders of magnitude);
@@ -67,11 +71,6 @@ def q_update(q: np.ndarray, action: int, target: float, alpha: float) -> np.ndar
     out = q.copy()
     out[action] += alpha * (target - out[action])
     return out
-
-
-def noncoop_q_update(q: np.ndarray, action: int, realized_utility: float, alpha: float) -> np.ndarray:
-    """Myopic variant: the target is the raw realized utility sample."""
-    return q_update(q, action, realized_utility, alpha)
 
 
 class JointEstimate:
@@ -211,11 +210,47 @@ class TraceRecord:
     strategies: list[np.ndarray]
 
 
-class StackelbergLearning:
-    """Sequential learning run of one scheme on one game instance.
+@dataclass
+class _BeliefGroup:
+    """rla2 followers with a nonzero belief factor and beliefs of one size B."""
 
-    Owns its RNG stream and all agent state; distinct runs are independent.
+    users: slice | np.ndarray  # the G members' user indices
+    deltas: np.ndarray  # (G,) belief factors
+    # flat positions in the stacked normalized utilities of member g's
+    # (leader, other followers) block at own action 0, (G, M0 * B); its
+    # own action a adds a * strides[g]
+    positions: np.ndarray
+    strides: np.ndarray  # (G,)
+    beliefs: np.ndarray  # (R, G, B)
+
+
+class StackelbergLearning:
+    """Learning runs of one scheme on one game instance, R replicates in lockstep.
+
+    ``seed_or_rng`` is one generator (or a seed for one), giving a single
+    run, or a list or tuple of R generators, one per replicate.  Each
+    replicate draws only from its own generator, one uniform per user per
+    step in user order, so its results do not depend on the replicates run
+    beside it.
+
+    Agent state carries a leading replicate axis and is padded to the
+    largest action set M: ``q_batch`` and ``strategy_batch`` are (R, n, M),
+    ``u_hat_batch`` and ``count_batch`` (R, n-1, M, M0).  The properties
+    ``q``, ``strategies``, ``estimates`` and ``beliefs`` give copies per user
+    for a single run, and one such list per replicate for a batch.
+
+    Each replicate is bitwise equal to a run of the scalar helpers
+    (``sample_action``, ``q_update``, ``JointEstimate``,
+    ``conjecture_adjust``, ``leader_expected_utility``,
+    ``rla2_estimated_expected_utility``, ``boltzmann_strategy``).  To keep
+    it so, every batched contraction is the same BLAS call per replicate
+    as the scalar one: a dot per follower estimate and per final
+    expectation, matrix-vector products along the chains.
     """
+
+    # Uniforms drawn per replicate at once by ``run``: memory stays bounded
+    # and a run never draws past its last step.
+    DRAW_BLOCK = 1024
 
     def __init__(
         self,
@@ -230,112 +265,329 @@ class StackelbergLearning:
         self.game = game
         self.algorithm = algorithm
         self.settings = settings or LearnerSettings()
-        if isinstance(seed_or_rng, np.random.Generator):
-            self.rng = seed_or_rng
+        self.batched = isinstance(seed_or_rng, (list, tuple))
+        if self.batched:
+            if not seed_or_rng:
+                raise ValueError("at least one replicate generator is required")
+            if not all(isinstance(g, np.random.Generator) for g in seed_or_rng):
+                raise TypeError("a replicate batch takes numpy Generator instances")
+            self.rngs = list(seed_or_rng)
+        elif isinstance(seed_or_rng, np.random.Generator):
+            self.rngs = [seed_or_rng]
         else:
-            self.rng = np.random.default_rng(seed_or_rng)
+            self.rngs = [np.random.default_rng(seed_or_rng)]
 
         n = game.num_users
-        self.dims = game.action_dims
-        self.u_phys = [utility_tensor(game, i) for i in range(n)]
-        self.sinr_tensors = [sinr_tensor(game, i) for i in range(n)]
+        k = game.num_followers
+        r = self.num_replicates = len(self.rngs)
+        self.dims = dims = game.action_dims
+        m = max(dims)
+        m0 = dims[0]
+        # per-user tensors are views into stacked (n, *dims) arrays
+        u_phys = self._stacked(utility_tensor)
+        sinr = self._stacked(sinr_tensor)
+        self.u_phys = list(u_phys)
+        self.sinr_tensors = list(sinr)
         self.u_max = [max(float(t.max()), 0.0) or 1.0 for t in self.u_phys]
-        self.u_norm = [t / m for t, m in zip(self.u_phys, self.u_max)]
+        u_norm = np.empty_like(u_phys)
+        for i in range(n):
+            np.divide(u_phys[i], self.u_max[i], out=u_norm[i])
+        u_norm.setflags(write=False)
+        self.u_norm = list(u_norm)
+        self._u_phys_all = u_phys[None]  # broadcasts over replicates
+        # (profile, user) tables of realized values
+        self._u_norm_by_profile = u_norm.reshape(n, -1).T
+        self._u_phys_by_profile = u_phys.reshape(n, -1).T
+        self._sinr_by_profile = sinr.reshape(n, -1).T
+        self._profile_strides = np.array([math.prod(dims[i + 1 :]) for i in range(n)])
+        self._powers_dbm = [
+            [watt_to_dbm(p) for p in user.action_set.levels_w] for user in game.users
+        ]
 
         tau = self.settings.temperature
         if tau is None:
             tau = AUTO_TEMPERATURE_FRACTION  # normalized utilities peak at 1
-        self.temperatures = [tau] * n
+        self.temperature = tau
 
         if belief_factors is None:
-            belief_factors = [self.settings.belief_factor] * game.num_followers
-        if len(belief_factors) != game.num_followers:
+            belief_factors = [self.settings.belief_factor] * k
+        if len(belief_factors) != k:
             raise ValueError("one belief factor per follower is required")
         self.belief_factors = [float(d) for d in belief_factors]
 
-        self.q = [np.zeros(m) for m in self.dims]
-        self.strategies = [boltzmann_strategy(qi, t) for qi, t in zip(self.q, self.temperatures)]
-        self.prev_strategies = [s.copy() for s in self.strategies]
-        self.estimates = [JointEstimate(self.dims[i], self.dims[0]) for i in range(1, n)]
-        self.beliefs = [
-            np.full(self._other_dims(i), 1.0 / max(1, int(np.prod(self._other_dims(i)))))
-            for i in range(1, n)
-        ]
+        self._ragged = any(d != m for d in dims)
+        self._last_action = np.array(dims) - 1
+        self.q_batch = np.zeros((r, n, m))
+        self.strategy_batch = self._boltzmann(self.q_batch)
+        self._prev_strategy_batch = self.strategy_batch
+        self.u_hat_batch = np.zeros((r, k, m, m0))
+        self.count_batch = np.zeros((r, k, m, m0), dtype=np.int64)
+        self._belief_groups = self._make_belief_groups() if algorithm == RLA2 else []
+        self._u_norm_flat = u_norm.reshape(-1)
+        # uniforms drawn ahead by ``run``, (steps, R, n, 1), and the next one
+        self._uniforms = np.empty((0, r, n, 1))
+        self._next_uniform = 0
+        self._leader_columns = self._chain_columns(first=1, lead=1)
+        self._expect_columns = self._chain_columns(first=0, lead=2)
+
+        # flat offsets of every (replicate, user) row, for one-gather updates
+        self._q_base = (np.arange(r * n) * m).reshape(r, n)
+        self._row_base = (np.arange(r * k) * m).reshape(r, k)
         self.t = 0
+
+    def _stacked(self, tensor) -> np.ndarray:
+        out = np.empty((self.game.num_users,) + self.game.action_dims)
+        for i in range(self.game.num_users):
+            out[i] = tensor(self.game, i)
+        out.setflags(write=False)
+        return out
 
     def _other_dims(self, follower: int) -> tuple[int, ...]:
         return tuple(m for j, m in enumerate(self.dims) if j not in (0, follower))
 
-    def step(self) -> TraceRecord:
-        """One iteration: sample, realize utilities, update estimators and
-        Q-values, regenerate every strategy from the new Q-values."""
-        game = self.game
-        n = game.num_users
-        alpha = self.settings.alpha
-        y = self.strategies
+    def _make_belief_groups(self) -> list[_BeliefGroup]:
+        by_size: dict[int, list[int]] = {}
+        for i in range(1, self.game.num_users):
+            if self.belief_factors[i - 1] != 0.0:
+                by_size.setdefault(math.prod(self._other_dims(i)), []).append(i)
+        profiles = math.prod(self.dims)
+        groups = []
+        for size, users in by_size.items():
+            positions = [
+                i * profiles + np.moveaxis(np.arange(profiles).reshape(self.dims), i, 0)[0].ravel()
+                for i in users
+            ]
+            contiguous = users == list(range(users[0], users[-1] + 1))
+            groups.append(
+                _BeliefGroup(
+                    users=slice(users[0], users[-1] + 1) if contiguous else np.array(users),
+                    deltas=np.array([self.belief_factors[i - 1] for i in users]),
+                    positions=np.array(positions),
+                    strides=self._profile_strides[users],
+                    beliefs=np.full((self.num_replicates, len(users), size), 1.0 / size),
+                )
+            )
+        return groups
 
-        actions = tuple(sample_action(y[i], self.rng) for i in range(n))
-        realized_norm = [float(self.u_norm[i][actions]) for i in range(n)]
+    def _chain_columns(self, first: int, lead: int) -> list[tuple]:
+        """Indices into ``strategy_batch`` giving the column of user j, for
+        j = n-1 down to ``first``, shaped to multiply a tensor with ``lead``
+        leading axes and user axes ``first`` to j (see ``_contract``)."""
+        columns = []
+        for j in range(self.game.num_users - 1, first - 1, -1):
+            ndim = lead + (j - first + 1 if j > first else 2)
+            columns.append((slice(None),) + (None,) * (ndim - 3) + (j, slice(0, self.dims[j]), None))
+        return columns
 
-        record = TraceRecord(
-            step=self.t,
-            actions=actions,
-            powers_dbm=tuple(
-                watt_to_dbm(game.users[i].action_set.levels_w[actions[i]]) for i in range(n)
-            ),
-            sinr_lin=tuple(float(self.sinr_tensors[i][actions]) for i in range(n)),
-            utilities=tuple(float(self.u_phys[i][actions]) for i in range(n)),
-            expected_utilities=tuple(
-                full_expected_utility(self.u_phys[i], y) for i in range(n)
-            ),
-            strategies=[s.copy() for s in y],
-        )
+    @property
+    def temperatures(self) -> list[float]:
+        """Current per-user temperatures (one shared value)."""
+        return [self.temperature] * self.game.num_users
 
-        if self.algorithm == NONCOOP:
-            for i in range(n):
-                self.q[i] = noncoop_q_update(self.q[i], actions[i], realized_norm[i], alpha)
-        else:
-            leader_target = leader_expected_utility(actions[0], y[1:], u0=self.u_norm[0])
-            self.q[0] = q_update(self.q[0], actions[0], leader_target, alpha)
-            for i in range(1, n):
-                est = self.estimates[i - 1]
-                est.update(actions[i], actions[0], realized_norm[i])
-                delta = self.belief_factors[i - 1]
-                if self.algorithm == RLA2 and delta != 0.0:
-                    dy_new = float(y[i][actions[i]])
-                    dy_old = float(self.prev_strategies[i][actions[i]])
-                    belief = conjecture_adjust(self.beliefs[i - 1], delta, dy_new, dy_old)
-                    self.beliefs[i - 1] = belief
-                    target = rla2_estimated_expected_utility(
-                        actions[i], i, y[0], belief, self.u_norm[i]
-                    )
-                else:
-                    target = est.estimate(actions[i], y[0])
-                self.q[i] = q_update(self.q[i], actions[i], target, alpha)
+    def _per_replicate(self, per_user) -> list:
+        runs = [per_user(r) for r in range(self.num_replicates)]
+        return runs if self.batched else runs[0]
 
-        self.prev_strategies = y
-        decay = self.settings.temperature_decay
-        if decay != 1.0:
-            self.temperatures = [t * decay for t in self.temperatures]
-        self.strategies = [
-            boltzmann_strategy(qi, t) for qi, t in zip(self.q, self.temperatures)
-        ]
-        self.t += 1
-        return record
+    @property
+    def strategies(self) -> list:
+        """Current strategies: per user, per replicate for a batch."""
+        y = self.strategy_batch
+        return self._per_replicate(lambda r: [y[r, i, :m].copy() for i, m in enumerate(self.dims)])
 
-    def run(self, num_steps: int, log_every: int = 1) -> list[TraceRecord]:
-        """Run ``num_steps`` iterations, keeping every ``log_every``-th record
-        plus the final one."""
-        if num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
+    @property
+    def q(self) -> list:
+        """Current Q-values: per user, per replicate for a batch."""
+        q = self.q_batch
+        return self._per_replicate(lambda r: [q[r, i, :m].copy() for i, m in enumerate(self.dims)])
+
+    @property
+    def estimates(self) -> list:
+        """Follower utility estimates as ``JointEstimate`` copies."""
+
+        def per_follower(r):
+            out = []
+            for i in range(1, self.game.num_users):
+                est = JointEstimate(self.dims[i], self.dims[0])
+                est.u_hat[...] = self.u_hat_batch[r, i - 1, : self.dims[i]]
+                est.counts[...] = self.count_batch[r, i - 1, : self.dims[i]]
+                out.append(est)
+            return out
+
+        return self._per_replicate(per_follower)
+
+    @property
+    def beliefs(self) -> list:
+        """rla2 contention beliefs, one axis per other follower; followers
+        that never update theirs keep the uniform one."""
+        uniform = [np.full(self._other_dims(i), 1.0 / math.prod(self._other_dims(i)))
+                   for i in range(1, self.game.num_users)]
+
+        def per_follower(r):
+            out = [b.copy() for b in uniform]
+            for group in self._belief_groups:
+                users = np.arange(self.game.num_users)[group.users]
+                for g, i in enumerate(users):
+                    out[i - 1] = group.beliefs[r, g].reshape(self._other_dims(i)).copy()
+            return out
+
+        return self._per_replicate(per_follower)
+
+    def _boltzmann(self, q: np.ndarray) -> np.ndarray:
+        """``boltzmann_strategy`` of every (replicate, user) row; padding
+        entries of a smaller action set get probability 0."""
+        if self._ragged:
+            y = np.zeros_like(q)
+            for i, m in enumerate(self.dims):
+                y[:, i, :m] = _softmax_rows(q[:, i, :m], self.temperature)
+            return y
+        return _softmax_rows(q, self.temperature)
+
+    def _draw(self, steps: int) -> np.ndarray:
+        """Uniforms for ``steps`` steps, shaped (steps, R, n, 1)."""
+        n = self.game.num_users
+        return np.stack([g.random((steps, n)) for g in self.rngs], axis=1)[..., None]
+
+    def _sample(self, u: np.ndarray) -> np.ndarray:
+        """``sample_action`` for every (replicate, user): the action is the
+        number of inner CDF points at or below the uniform."""
+        cdf = self.strategy_batch.cumsum(axis=-1)
+        actions = np.add.reduce(cdf[..., :-1] <= u, axis=-1)
+        if self._ragged:
+            np.minimum(actions, self._last_action, out=actions)
+        return actions
+
+    def _contract(self, out: np.ndarray, columns: list[tuple]) -> np.ndarray:
+        """Contract the trailing user axes of ``out`` with the current
+        strategies, last user first.  Like the scalar ``out @ y_j`` chain,
+        each product is one matrix-vector product per block and the last
+        one a dot, so every replicate gets the scalar chain's bits."""
+        if not columns:
+            return out
+        y = self.strategy_batch
+        for col in columns[:-1]:
+            out = np.matmul(out, y[col])[..., 0]
+        return np.matmul(out[..., None, :], y[columns[-1]])[..., 0, 0]
+
+    def _records(self, actions: np.ndarray) -> list[TraceRecord]:
+        """One record per replicate for the step about to be taken."""
+        flat = actions @ self._profile_strides
+        sinr = self._sinr_by_profile[flat].tolist()
+        utilities = self._u_phys_by_profile[flat].tolist()
+        expected = self._contract(self._u_phys_all, self._expect_columns).tolist()
+        y = self.strategy_batch
         records = []
-        for t in range(num_steps):
-            rec = self.step()
-            if t % log_every == 0 or t == num_steps - 1:
-                records.append(rec)
+        for r, row in enumerate(actions.tolist()):
+            records.append(
+                TraceRecord(
+                    step=self.t,
+                    actions=tuple(row),
+                    powers_dbm=tuple(dbm[a] for dbm, a in zip(self._powers_dbm, row)),
+                    sinr_lin=tuple(sinr[r]),
+                    utilities=tuple(utilities[r]),
+                    expected_utilities=tuple(expected[r]),
+                    strategies=[y[r, i, :m].copy() for i, m in enumerate(self.dims)],
+                )
+            )
         return records
 
+    def _update(self, actions: np.ndarray) -> None:
+        """Realize utilities, update estimators and Q-values, then regenerate
+        every strategy from the new Q-values."""
+        y = self.strategy_batch
+        m0 = self.dims[0]
+        realized = self._u_norm_by_profile[actions @ self._profile_strides]  # (R, n)
+        q_cells = self._q_base + actions
 
-def learning_step(engine: StackelbergLearning) -> TraceRecord:
-    """Functional alias for one engine iteration."""
-    return engine.step()
+        if self.algorithm == NONCOOP:
+            targets = realized
+        else:
+            targets = np.empty_like(realized)
+            targets[:, 0] = self._contract(self.u_norm[0][actions[:, 0]], self._leader_columns)
+            if self.game.num_followers:
+                rows = self._row_base + actions[:, 1:]  # (R, K) rows of M0 cells
+                cells = rows * m0 + actions[:, :1]
+                u_hat = self.u_hat_batch.reshape(-1)
+                counts = self.count_batch.reshape(-1)
+                visits = counts[cells] + 1
+                old = u_hat[cells]
+                u_hat[cells] = old + (realized[:, 1:] - old) / visits
+                counts[cells] = visits
+                estimates = self.u_hat_batch.reshape(-1, 1, m0)[rows]  # (R, K, 1, M0)
+                targets[:, 1:] = np.matmul(estimates, y[:, None, 0, :m0, None])[..., 0, 0]
+            if self._belief_groups:
+                change = y.reshape(-1)[q_cells] - self._prev_strategy_batch.reshape(-1)[q_cells]
+                for group in self._belief_groups:
+                    targets[:, group.users] = self._belief_targets(group, actions, change)
+
+        q = self.q_batch.reshape(-1)
+        old = q[q_cells]
+        q[q_cells] = old + self.settings.alpha * (targets - old)
+
+        self._prev_strategy_batch = y
+        decay = self.settings.temperature_decay
+        if decay != 1.0:
+            self.temperature *= decay
+        self.strategy_batch = self._boltzmann(self.q_batch)
+        self.t += 1
+
+    def _belief_targets(self, group: _BeliefGroup, actions, change) -> np.ndarray:
+        """``conjecture_adjust`` the group's beliefs, then return
+        ``rla2_estimated_expected_utility`` of each member's action."""
+        shift = group.deltas * change[:, group.users]  # (R, G)
+        clipped = np.clip(group.beliefs - shift[..., None], 0.0, 1.0)
+        total = np.add.reduce(clipped, axis=-1, keepdims=True)
+        if not total.all():  # clipped entries are >= 0, so this is total <= 0
+            empty = total[..., 0] <= 0
+            clipped[empty] = 1.0 / clipped.shape[-1]
+            total[empty] = 1.0
+        group.beliefs = clipped / total
+        m0 = self.dims[0]
+        own = (actions[:, group.users] * group.strides)[..., None]
+        sub = self._u_norm_flat[group.positions + own]  # (R, G, M0 * B)
+        sub = sub.reshape(sub.shape[:2] + (m0, -1))
+        over_leader = np.matmul(sub, group.beliefs[..., None])  # (R, G, M0, 1)
+        y0 = self.strategy_batch[:, None, None, 0, :m0]
+        return np.matmul(y0, over_leader)[..., 0, 0]
+
+    def step(self, record: bool = True):
+        """One iteration.  Returns its ``TraceRecord`` (a list of R records,
+        one per replicate, for a batch); ``record=False`` builds none and
+        returns None."""
+        if self._next_uniform == len(self._uniforms):
+            self._uniforms, self._next_uniform = self._draw(1), 0
+        actions = self._sample(self._uniforms[self._next_uniform])
+        self._next_uniform += 1
+        records = self._records(actions) if record else None
+        self._update(actions)
+        if records is None or self.batched:
+            return records
+        return records[0]
+
+    def run(self, num_steps: int, log_every: int = 1) -> list:
+        """Run ``num_steps`` iterations, keeping every ``log_every``-th record
+        plus the final one; records are only built for kept steps.  A batch
+        returns one such list per replicate."""
+        if num_steps < 1:
+            raise ValueError("num_steps must be >= 1")
+        last = num_steps - 1
+        kept = []
+        for start in range(0, num_steps, self.DRAW_BLOCK):
+            # ``step`` has used up its draws, so the stream stays in order
+            self._uniforms = self._draw(min(self.DRAW_BLOCK, num_steps - start))
+            self._next_uniform = 0
+            for t in range(start, start + len(self._uniforms)):
+                keep = t % log_every == 0 or t == last
+                records = self.step(record=keep)
+                if keep:
+                    kept.append(records)
+        if self.batched:
+            return [list(run) for run in zip(*kept)]
+        return kept
+
+
+def _softmax_rows(q: np.ndarray, temperature: float) -> np.ndarray:
+    """``boltzmann_strategy`` along the last axis, with the same operations."""
+    z = q / temperature
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)

@@ -20,6 +20,7 @@ from stackelearn.harness import (
     sweep_gamma0,
 )
 from stackelearn.game import best_response, sinr, utility
+from stackelearn.learning import full_expected_utility
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +271,45 @@ def test_sweep_replicate_offsets():
     assert a[0].fu_expected_sinr_lin == b[0].fu_expected_sinr_lin
 
 
+def test_sweep_averages_over_the_replicates_it_ran():
+    # one offset for three requested replicates: the sweep runs one replicate
+    # and must report its value, not a third of it
+    short = default_config(
+        learning={"num_steps": 50},
+        sweep={"gamma0_grid_db": [3.0], "replicates": 3},
+        seeds={"replicate_offsets": [0]},
+    )
+    single = default_config(
+        learning={"num_steps": 50},
+        sweep={"gamma0_grid_db": [3.0], "replicates": 1},
+    )
+    got = sweep_gamma0(short, algorithms=(sl.RLA1,))[0].fu_expected_sinr_lin
+    want = sweep_gamma0(single, algorithms=(sl.RLA1,))[0].fu_expected_sinr_lin
+    assert got == want
+    assert any(x > 0 for x in got)
+
+
+def test_sweep_replicates_match_separate_runs():
+    cfg = default_config(
+        learning={"num_steps": 80},
+        sweep={"gamma0_grid_db": [0.0], "replicates": 2},
+        seeds={"replicate_offsets": [4, 7]},
+    )
+    prepared = build_game(cfg, gamma0_db=0.0)
+    sums = np.zeros(cfg.network.num_femtocells)
+    for r in (4, 7):
+        engine = sl.StackelbergLearning(
+            prepared.game, sl.RLA2, learning_rng(cfg.seeds.base_seed, sl.RLA2, replicate=r)
+        )
+        engine.run(80, log_every=80)
+        for reduced in range(1, prepared.game.num_users):
+            sums[prepared.user_ids[reduced] - 1] += full_expected_utility(
+                engine.sinr_tensors[reduced], engine.strategies
+            )
+    result = sweep_gamma0(cfg, algorithms=(sl.RLA2,))[0]
+    assert result.fu_expected_sinr_lin == tuple(sums / 2)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -360,3 +400,22 @@ def test_cli_dynamics(tmp_path):
     lines = (tmp_path / "outd" / "dynamics.csv").read_text().strip().split("\n")
     assert lines[0] == "step,time,user,y_0,y_1,y_2"
     assert len(lines) == 1 + 21 * 3
+
+
+def test_cli_run_negative_seed_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, learning={"num_steps": 10}, output={"directory": str(tmp_path / "o")})
+    assert cli_main(["run", "--config", cfg, "--seed", "-1"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step_size", ["0", "-0.5", "nan"])
+def test_cli_dynamics_bad_step_size_is_config_error(tmp_path, capsys, step_size):
+    cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
+    assert cli_main(["dynamics", "--config", cfg, "--step-size", step_size]) == 1
+    assert "--step-size" in capsys.readouterr().err
+
+
+def test_cli_sweep_zero_replicates_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
+    assert cli_main(["sweep", "--config", cfg, "--replicates", "0"]) == 1
+    assert "--replicates" in capsys.readouterr().err

@@ -16,7 +16,6 @@ from stackelearn.learning import (
     conjecture_adjust,
     full_expected_utility,
     leader_expected_utility,
-    noncoop_q_update,
     q_update,
     rla2_estimated_expected_utility,
     sample_action,
@@ -80,7 +79,8 @@ def test_q_update_hand_computed():
     assert out[1] == 2.0
     # the input array is not mutated
     assert q[0] == 0.0
-    out2 = noncoop_q_update(q, 1, 4.0, 0.25)
+    # the noncoop scheme's target is the raw realized utility sample
+    out2 = q_update(q, 1, 4.0, 0.25)
     assert out2[1] == pytest.approx(2.5)
 
 
