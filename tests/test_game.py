@@ -19,6 +19,7 @@ from stackelearn.game import (
     utility,
     utility_tensor,
 )
+from stackelearn.harness import complete_information_reference
 
 from conftest import random_game, random_simplex
 
@@ -223,3 +224,111 @@ def test_feasibility_adjust_noop_when_feasible(desk_game):
     assert out.rounds_applied == 0
     assert out.feasible
     assert out.game is g
+
+
+# ---------------------------------------------------------------------------
+# no-pure-NE fallback
+#
+# Thresholded energy efficiency has increasing best responses (more
+# interference never lowers the best power), so physical games always have a
+# pure follower NE and never reach the fallback.  These tests swap in random
+# integer payoff tables, with many ties, through every binding the oracle and
+# the reference read payoffs from.
+
+
+def _table_game(tables):
+    levels = sl.ActionSet.from_dbm((20.0, 25.0, 30.0))
+    users = tuple(sl.UserParams(1.0, 0.01, levels) for _ in tables)
+    gains = np.full((len(tables), len(tables)), 1e-9)
+    return sl.GameInstance(gains=gains, users=users, bandwidth_hz=1e6, noise_power_w=1e-14)
+
+
+def _install_tables(monkeypatch, tables):
+    import stackelearn.game as game_mod
+    import stackelearn.harness as harness_mod
+
+    def table_utility(i, powers_w, game):
+        idx = tuple(u.action_set.levels_w.index(p) for u, p in zip(game.users, powers_w))
+        return float(tables[i][idx])
+
+    def table_tensor(game, i):
+        out = tables[i].copy()
+        out.setflags(write=False)
+        return out
+
+    for mod in (game_mod, harness_mod):
+        monkeypatch.setattr(mod, "utility", table_utility, raising=False)
+        monkeypatch.setattr(mod, "utility_tensor", table_tensor, raising=False)
+
+
+def _table_best_response(tables, i, profile):
+    vals = [float(tables[i][profile[:i] + (a,) + profile[i + 1 :]]) for a in range(3)]
+    return vals.index(max(vals))
+
+
+def _table_ibr(tables, start, movers):
+    profile = list(start)
+    visited = [tuple(profile)]
+    for _ in range(1000):
+        for i in movers:
+            profile[i] = _table_best_response(tables, i, tuple(profile))
+        key = tuple(profile)
+        if key == visited[-1]:
+            return visited, True
+        if key in visited:
+            return visited, False
+        visited.append(key)
+    return visited, False
+
+
+def _table_follower_nash(tables, p0):
+    def stable(profile, i):
+        deviations = (profile[:i] + (a,) + profile[i + 1 :] for a in range(3))
+        return tables[i][profile] == max(tables[i][d] for d in deviations)
+
+    return [
+        fol
+        for fol in itertools.product(range(3), repeat=2)
+        if stable((p0,) + fol, 1) and stable((p0,) + fol, 2)
+    ]
+
+
+def test_oracle_and_reference_fall_back_without_pure_nash(monkeypatch):
+    rng = np.random.default_rng(31)
+    fallbacks, cycled, converged = 0, 0, 0
+    for _ in range(150):
+        tables = [rng.integers(0, 6, size=(3, 3, 3)).astype(float) for _ in range(3)]
+        nes = [_table_follower_nash(tables, p0) for p0 in range(3)]
+        if all(nes):
+            continue
+        fallbacks += 1
+        best = None
+        for p0 in range(3):
+            if nes[p0]:
+                response = max(nes[p0], key=lambda f: (tables[0][(p0,) + f], tuple(-a for a in f)))
+                profile = (p0,) + response
+            else:
+                visited, _ = _table_ibr(tables, (p0, 0, 0), (1, 2))
+                profile = max(visited, key=lambda p: tables[0][p])
+            if best is None or tables[0][profile] > tables[0][best]:
+                best = profile
+        visited, done = _table_ibr(tables, (0, 0, 0), (0, 1, 2))
+        if done:
+            want_ref = visited[-1]
+            converged += 1
+        else:
+            want_ref = max(visited, key=lambda p: sum(float(t[p]) for t in tables))
+            cycled += 1
+
+        with monkeypatch.context() as mp:
+            _install_tables(mp, tables)
+            game = _table_game(tables)
+            se = stackelberg_oracle(game)
+            ref = complete_information_reference(game)
+        assert se.is_pure_se is False
+        assert (se.leader_action_index,) + se.follower_action_indices == best
+        assert se.utilities == tuple(float(t[best]) for t in tables)
+        assert ref.action_indices == want_ref
+        assert ref.converged is done
+        assert ref.utilities == tuple(float(t[want_ref]) for t in tables)
+    assert fallbacks >= 10 and cycled and converged
