@@ -14,7 +14,6 @@ from .config import ConfigError, ExperimentConfig, default_config, load_config, 
 from .dynamics import (
     DynamicsDivergence,
     integrate_dynamics,
-    normalized_utility_tensors,
     stationarity_check,
     strategy_derivative,
     total_variation,
@@ -30,6 +29,7 @@ from .game import (
     expected_utility,
     feasibility_adjust,
     follower_pure_nash,
+    normalized_utility_tensors,
     sinr,
     sinr_tensor,
     stackelberg_oracle,
@@ -59,7 +59,7 @@ from .learning import (
     TraceRecord,
     boltzmann_strategy,
     conjecture_adjust,
-    leader_expected_utility,
+    full_expected_utility,
     q_update,
     rla2_estimated_expected_utility,
     sample_action,

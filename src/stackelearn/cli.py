@@ -17,8 +17,8 @@ import numpy as np
 
 from .channel import watt_to_dbm
 from .config import ConfigError, load_config
-from .dynamics import integrate_dynamics, normalized_utility_tensors
-from .game import stackelberg_oracle
+from .dynamics import integrate_dynamics
+from .game import normalized_utility_tensors, stackelberg_oracle
 from .harness import (
     build_game,
     compare_summary,
@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sweep the leader SINR target")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--param", choices=["gamma0"], default="gamma0")
     sweep.add_argument("--from", dest="from_db", type=float, default=None)
     sweep.add_argument("--to", dest="to_db", type=float, default=None)
     sweep.add_argument("--points", type=int, default=None)
@@ -155,6 +154,8 @@ def _cmd_dynamics(args) -> int:
     config = load_config(args.config)
     if not (math.isfinite(args.step_size) and args.step_size > 0):
         raise ConfigError("dynamics --step-size: must be finite and > 0")
+    if args.steps < 1:
+        raise ConfigError("dynamics --steps: must be >= 1")
     if args.out is not None:
         config.output.directory = args.out
     prepared = build_game(config)

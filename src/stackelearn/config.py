@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .channel import NetworkConfig, db_to_linear, dbm_to_watt
+from .channel import NetworkConfig, dbm_to_watt
 from .learning import ALGORITHMS
 
 
@@ -74,10 +74,6 @@ class ExperimentConfig:
     feasibility: FeasibilityConfig = field(default_factory=FeasibilityConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
-    def sinr_target_lin(self, user_index: int) -> float:
-        db = self.users.mu_sinr_target_db if user_index == 0 else self.users.fu_sinr_target_db
-        return db_to_linear(db)
-
 
 _NETWORK_DEFAULTS = {
     "bandwidth_hz": 1e6,
@@ -106,12 +102,28 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def _finite(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     try:
         value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+    except OverflowError:
+        raise ConfigError(f"{path}: must be finite") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
+    return value
+
+
+def _int(value, path: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{path}: must be >= {minimum}")
+    return value
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
     return value
 
 
@@ -133,15 +145,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         network = NetworkConfig(
             bandwidth_hz=_finite(net_raw["bandwidth_hz"], "network.bandwidth_hz"),
             noise_power_w=dbm_to_watt(_finite(net_raw["noise_power_dbm"], "network.noise_power_dbm")),
-            num_femtocells=int(net_raw["num_femtocells"]),
+            num_femtocells=_int(net_raw["num_femtocells"], "network.num_femtocells", 1),
             macro_radius_m=_finite(net_raw["macro_radius_m"], "network.macro_radius_m"),
             femto_radius_m=_finite(net_raw["femto_radius_m"], "network.femto_radius_m"),
             path_loss_exponent=_finite(net_raw["path_loss_exponent"], "network.path_loss_exponent"),
-            rng_seed=int(net_raw["rng_seed"]),
+            rng_seed=_int(net_raw["rng_seed"], "network.rng_seed", 0),
             min_separation_m=_finite(net_raw["min_separation_m"], "network.min_separation_m"),
             shadowing_sigma_db=_finite(net_raw["shadowing_sigma_db"], "network.shadowing_sigma_db"),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"network: {exc}") from None
 
     users = UserConfig()
@@ -203,21 +215,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if learning.belief_factor < 0:
             raise ConfigError("learning.belief_factor: must be >= 0")
     if "num_steps" in section:
-        learning.num_steps = int(section["num_steps"])
-        if learning.num_steps < 1:
-            raise ConfigError("learning.num_steps: must be >= 1")
+        learning.num_steps = _int(section["num_steps"], "learning.num_steps", 1)
     if "algorithms" in section:
         algos = section["algorithms"]
         if isinstance(algos, str):
             algos = [algos]
+        if not isinstance(algos, list):
+            raise ConfigError("learning.algorithms: expected a name or a list of names")
         for a in algos:
             if a not in ALGORITHMS:
                 raise ConfigError(f"learning.algorithms: unknown algorithm {a!r}")
         learning.algorithms = tuple(algos)
     if "trace_decimation" in section:
-        learning.trace_decimation = int(section["trace_decimation"])
-        if learning.trace_decimation < 1:
-            raise ConfigError("learning.trace_decimation: must be >= 1")
+        learning.trace_decimation = _int(section["trace_decimation"], "learning.trace_decimation", 1)
 
     sweep = SweepConfig()
     section = _section(raw, "sweep")
@@ -230,46 +240,44 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if any(b <= a for a, b in zip(sweep.gamma0_grid_db, sweep.gamma0_grid_db[1:])):
             raise ConfigError("sweep.gamma0_grid_db: must be strictly increasing")
     if "replicates" in section:
-        sweep.replicates = int(section["replicates"])
-        if sweep.replicates < 1:
-            raise ConfigError("sweep.replicates: must be >= 1")
+        sweep.replicates = _int(section["replicates"], "sweep.replicates", 1)
 
     seeds = SeedConfig()
     section = _section(raw, "seeds")
     _check_keys(section, ("base_seed", "replicate_offsets"), "seeds")
     if "base_seed" in section:
-        seeds.base_seed = int(section["base_seed"])
-        if not 0 <= seeds.base_seed < 2**64:
+        seeds.base_seed = _int(section["base_seed"], "seeds.base_seed", 0)
+        if seeds.base_seed >= 2**64:
             raise ConfigError("seeds.base_seed: must fit in an unsigned 64-bit integer")
     if "replicate_offsets" in section and section["replicate_offsets"] is not None:
         offsets = section["replicate_offsets"]
         if not isinstance(offsets, list):
             raise ConfigError("seeds.replicate_offsets: expected a list")
-        seeds.replicate_offsets = tuple(int(x) for x in offsets)
+        seeds.replicate_offsets = tuple(_int(x, "seeds.replicate_offsets", 0) for x in offsets)
 
     feasibility = FeasibilityConfig()
     section = _section(raw, "feasibility")
     _check_keys(section, ("enabled", "reduction_factor", "max_rounds"), "feasibility")
     if "enabled" in section:
-        feasibility.enabled = bool(section["enabled"])
+        feasibility.enabled = _bool(section["enabled"], "feasibility.enabled")
     if "reduction_factor" in section:
         feasibility.reduction_factor = _finite(section["reduction_factor"], "feasibility.reduction_factor")
         if not 0 < feasibility.reduction_factor < 1:
             raise ConfigError("feasibility.reduction_factor: must lie in (0, 1)")
     if "max_rounds" in section:
-        feasibility.max_rounds = int(section["max_rounds"])
-        if feasibility.max_rounds < 1:
-            raise ConfigError("feasibility.max_rounds: must be >= 1")
+        feasibility.max_rounds = _int(section["max_rounds"], "feasibility.max_rounds", 1)
 
     output = OutputConfig()
     section = _section(raw, "output")
     _check_keys(section, ("directory", "emit_trace", "emit_summary"), "output")
     if "directory" in section:
-        output.directory = str(section["directory"])
+        output.directory = section["directory"]
+        if not isinstance(output.directory, str):
+            raise ConfigError("output.directory: expected a string")
     if "emit_trace" in section:
-        output.emit_trace = bool(section["emit_trace"])
+        output.emit_trace = _bool(section["emit_trace"], "output.emit_trace")
     if "emit_summary" in section:
-        output.emit_summary = bool(section["emit_summary"])
+        output.emit_summary = _bool(section["emit_summary"], "output.emit_summary")
 
     return ExperimentConfig(
         network=network,

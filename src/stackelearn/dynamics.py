@@ -15,11 +15,9 @@ scale the learners use, so residuals are comparable to learner temperatures.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .game import GameInstance, utility_tensor
+from .game import GameInstance, normalized_utility_tensors
 from .learning import action_expected_utilities
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
@@ -45,13 +43,6 @@ def _as_temperatures(temperatures, n: int) -> list[float]:
     if any(t <= 0 for t in temps):
         raise ValueError("temperatures must be > 0")
     return temps
-
-
-def normalized_utility_tensors(game: GameInstance) -> list[np.ndarray]:
-    """Per-user joint-utility tensors, each rescaled by that user's own
-    maximum pure-profile utility (matching the learners' scale)."""
-    tensors = [utility_tensor(game, i) for i in range(game.num_users)]
-    return [t / (max(float(t.max()), 0.0) or 1.0) for t in tensors]
 
 
 def _floor_profile(profile) -> list[np.ndarray]:
@@ -108,6 +99,8 @@ def integrate_dynamics(
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
+    if num_steps < 1:
+        raise ValueError("num_steps must be >= 1")
     if utilities is None:
         utilities = normalized_utility_tensors(game)
 

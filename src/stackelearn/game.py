@@ -7,7 +7,10 @@ finite power grids, so equilibria can be found by exhaustive enumeration.
 
 Scalar operations (`sinr`, `energy_efficiency`, `utility`) are deliberately
 written in plain Python with a fixed summation order so that independent
-re-enumerations reproduce them bit-for-bit.
+re-enumerations reproduce them bit-for-bit.  They are the reference
+semantics: `sinr_tensor` and `utility_tensor` broadcast the same operations
+over the joint action grid, and every game query (best response, follower
+equilibria, the oracle) reads those tensors.
 """
 
 from __future__ import annotations
@@ -144,22 +147,55 @@ def joint_action_space(game: GameInstance):
     return itertools.product(*(range(m) for m in game.action_dims))
 
 
-def utility_tensor(game: GameInstance, i: int) -> np.ndarray:
-    """Utility of user i tabulated over the full joint action grid."""
-    out = np.empty(game.action_dims)
-    for idx in joint_action_space(game):
-        out[idx] = utility(i, game.powers_from_indices(idx), game)
-    out.setflags(write=False)
-    return out
+def _power_grids(game: GameInstance) -> list[np.ndarray]:
+    """Each user's power levels, shaped to broadcast along that user's axis
+    of the joint action grid."""
+    n = game.num_users
+    return [
+        np.array(u.action_set.levels_w).reshape((-1,) + (1,) * (n - 1 - i))
+        for i, u in enumerate(game.users)
+    ]
 
 
 def sinr_tensor(game: GameInstance, i: int) -> np.ndarray:
-    """Linear SINR of user i tabulated over the full joint action grid."""
-    out = np.empty(game.action_dims)
-    for idx in joint_action_space(game):
-        out[idx] = sinr(i, game.powers_from_indices(idx), game)
+    """Linear SINR of user i tabulated over the full joint action grid.
+
+    Broadcasts `sinr` over the grid with the same operations in the same
+    order, so every entry equals the scalar value bit for bit.
+    """
+    h = game.gains
+    powers = _power_grids(game)
+    interference = 0.0
+    for j in range(game.num_users):
+        if j != i:
+            interference = interference + h[j, i] * powers[j]
+    out = h[i, i] * powers[i] / (interference + game.noise_power_w)
     out.setflags(write=False)
     return out
+
+
+def utility_tensor(game: GameInstance, i: int) -> np.ndarray:
+    """Utility of user i tabulated over the full joint action grid.
+
+    Bit-exact to `utility`: the logarithm is `math.log2` per entry, because
+    `np.log2` can differ from it in the last ulp.
+    """
+    gamma = sinr_tensor(game, i)
+    user = game.users[i]
+    out = np.fromiter(map(math.log2, (1.0 + gamma).flat), float, gamma.size).reshape(gamma.shape)
+    out *= game.bandwidth_hz
+    out /= user.circuit_power_w + _power_grids(game)[i]
+    out[gamma < user.sinr_target_lin] = 0.0
+    out.setflags(write=False)
+    return out
+
+
+def normalized_utility_tensors(game: GameInstance) -> list[np.ndarray]:
+    """Per-user utility tensors, each rescaled by that user's own maximum
+    pure-profile utility (by 1 when that maximum is 0), the one scale the
+    learners and the dynamics share."""
+    tensors = (utility_tensor(game, i) for i in range(game.num_users))
+    return [t / (max(float(t.max()), 0.0) or 1.0) for t in tensors]
 
 
 def expected_utility(i: int, strategies: Sequence[np.ndarray], game: GameInstance) -> float:
@@ -188,72 +224,62 @@ def best_response(i: int, actions: Sequence[int], game: GameInstance) -> int:
 
     ``actions[i]`` is ignored.  Ties break toward the lowest power index.
     """
-    trial = list(actions)
-    best_idx, best_val = 0, -math.inf
-    for a in range(game.action_dims[i]):
-        trial[i] = a
-        val = utility(i, game.powers_from_indices(trial), game)
-        if val > best_val:
-            best_idx, best_val = a, val
-    return best_idx
+    return _best_response(utility_tensor(game, i), i, actions)
+
+
+def _best_response(u_i: np.ndarray, i: int, profile: Sequence[int]) -> int:
+    index = list(profile)
+    index[i] = slice(None)
+    return int(np.argmax(u_i[tuple(index)]))  # the first maximum
+
+
+def iterated_best_response(
+    utilities: Sequence[np.ndarray],
+    start: Sequence[int],
+    movers: Sequence[int],
+    max_sweeps: int = 1000,
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Gauss-Seidel best-response sweeps over the users in ``movers``.
+
+    From ``start``, each sweep moves every mover in turn to its best
+    response against the current profile.  Stops when a sweep ends where it
+    began (a fixed point) or on a profile seen before (a cycle), or after
+    ``max_sweeps``.  Returns the distinct profiles visited, ``start`` first,
+    and whether it stopped at a fixed point, which is then the last of them.
+    """
+    profile = list(start)
+    visited = [tuple(profile)]
+    for _ in range(max_sweeps):
+        for i in movers:
+            profile[i] = _best_response(utilities[i], i, profile)
+        key = tuple(profile)
+        if key == visited[-1]:
+            return visited, True
+        if key in visited:
+            break
+        visited.append(key)
+    return visited, False
+
+
+def _follower_nash_mask(utilities: Sequence[np.ndarray]) -> np.ndarray:
+    """Joint profiles where no follower has a strictly improving deviation."""
+    mask = np.ones(utilities[0].shape, dtype=bool)
+    for i in range(1, len(utilities)):
+        mask &= utilities[i] == utilities[i].max(axis=i, keepdims=True)
+    return mask
 
 
 def follower_pure_nash(leader_action: int, game: GameInstance) -> list[tuple[int, ...]]:
-    """All pure Nash equilibria of the follower game for a fixed leader action.
+    """All pure Nash equilibria of the follower game for a fixed leader action,
+    in lexicographic order.
 
     A follower profile qualifies when no follower has a strictly improving
     unilateral deviation.  May be empty: the discretized game need not have
     a pure NE.
     """
-    dims = game.action_dims
-    equilibria = []
-    for followers in itertools.product(*(range(m) for m in dims[1:])):
-        profile = (leader_action,) + followers
-        powers = game.powers_from_indices(profile)
-        stable = True
-        for i in range(1, game.num_users):
-            u_here = utility(i, powers, game)
-            trial = list(profile)
-            for a in range(dims[i]):
-                if a == profile[i]:
-                    continue
-                trial[i] = a
-                if utility(i, game.powers_from_indices(trial), game) > u_here:
-                    stable = False
-                    break
-            trial[i] = profile[i]
-            if not stable:
-                break
-        if stable:
-            equilibria.append(followers)
-    return equilibria
-
-
-def _iterated_best_response_followers(
-    leader_action: int, game: GameInstance, max_sweeps: int = 1000
-) -> tuple[int, ...]:
-    """Fallback follower profile when no pure NE exists.
-
-    Sweeps best responses from the all-min profile; on a cycle (or sweep
-    cap) returns the visited profile maximizing the leader's utility.
-    """
-    followers = [0] * game.num_followers
-    seen: dict[tuple[int, ...], int] = {tuple(followers): 0}
-    visited = [tuple(followers)]
-    for sweep in range(max_sweeps):
-        for i in range(1, game.num_users):
-            profile = [leader_action] + followers
-            followers[i - 1] = best_response(i, profile, game)
-        key = tuple(followers)
-        if key in seen:
-            break
-        seen[key] = sweep + 1
-        visited.append(key)
-
-    def leader_value(fol: tuple[int, ...]) -> float:
-        return utility(0, game.powers_from_indices((leader_action,) + fol), game)
-
-    return max(visited, key=leader_value)
+    utilities = [utility_tensor(game, i) for i in range(game.num_users)]
+    nash = _follower_nash_mask(utilities)[leader_action]
+    return [tuple(int(a) for a in fol) for fol in np.argwhere(nash)]
 
 
 def stackelberg_oracle(game: GameInstance) -> EquilibriumResult:
@@ -262,50 +288,49 @@ def stackelberg_oracle(game: GameInstance) -> EquilibriumResult:
     For each leader action the follower response is the pure NE maximizing
     the leader's utility (optimistic convention, lexicographic tie-break);
     leader actions without a pure follower NE fall back to iterated best
-    response and clear ``is_pure_se``.
+    response from the all-min followers, taking the visited profile best for
+    the leader, and clear ``is_pure_se``.
     """
-    best: tuple[float, int, tuple[int, ...]] | None = None
+    utilities = [utility_tensor(game, i) for i in range(game.num_users)]
+    u0 = utilities[0]
+    nash = _follower_nash_mask(utilities)
+    followers = range(1, game.num_users)
+    best: tuple[int, ...] | None = None
     all_pure = True
     for p0 in range(game.action_dims[0]):
-        nes = follower_pure_nash(p0, game)
-        if nes:
-            response = max(
-                nes,
-                key=lambda fol: (
-                    utility(0, game.powers_from_indices((p0,) + fol), game),
-                    tuple(-a for a in fol),
-                ),
-            )
+        nes = np.argwhere(nash[p0])  # lexicographic order, as is u0[p0][nash[p0]]
+        if len(nes):
+            response = nes[int(np.argmax(u0[p0][nash[p0]]))]
+            profile = (p0,) + tuple(int(a) for a in response)
         else:
             all_pure = False
-            response = _iterated_best_response_followers(p0, game)
-        u0 = utility(0, game.powers_from_indices((p0,) + response), game)
-        if best is None or u0 > best[0]:
-            best = (u0, p0, response)
+            start = (p0,) + (0,) * game.num_followers
+            visited, _ = iterated_best_response(utilities, start, followers)
+            profile = max(visited, key=lambda p: u0[p])
+        if best is None or u0[profile] > u0[best]:
+            best = profile
     assert best is not None
-    _, p0, response = best
-    profile = (p0,) + response
-    powers = game.powers_from_indices(profile)
-    utilities = tuple(utility(i, powers, game) for i in range(game.num_users))
     return EquilibriumResult(
-        leader_action_index=p0,
-        follower_action_indices=response,
-        utilities=utilities,
+        leader_action_index=best[0],
+        follower_action_indices=best[1:],
+        utilities=tuple(float(u[best]) for u in utilities),
         is_pure_se=all_pure,
     )
 
 
-def leader_worst_case_feasible(game: GameInstance) -> bool:
-    """Can the leader meet its SINR target at max power while every
-    follower also transmits at max power?"""
-    powers = [u.action_set.levels_w[-1] for u in game.users]
+def leader_feasible(game: GameInstance, follower_level: int) -> bool:
+    """Can the leader meet its SINR target at max power while every follower
+    transmits at power level index ``follower_level`` (-1: its max)?"""
+    powers = [game.users[0].action_set.levels_w[-1]]
+    powers += [u.action_set.levels_w[follower_level] for u in game.users[1:]]
     return sinr(0, powers, game) >= game.users[0].sinr_target_lin
 
 
 def feasibility_adjust(
     game: GameInstance, reduction_factor: float, max_rounds: int
 ) -> FeasibilityOutcome:
-    """Scale follower SINR targets down while the leader's worst-case check fails.
+    """Scale follower SINR targets down while the leader fails its target with
+    every follower at max power.
 
     Mirrors the protocol where the macro base station asks femtocells to
     relax their QoS targets whenever the macro target is infeasible.  A run
@@ -316,7 +341,7 @@ def feasibility_adjust(
         raise ValueError("reduction_factor must lie in (0, 1)")
     current = game
     rounds = 0
-    while rounds < max_rounds and not leader_worst_case_feasible(current):
+    while rounds < max_rounds and not leader_feasible(current, -1):
         users = [current.users[0]]
         users += [
             replace(u, sinr_target_lin=u.sinr_target_lin * reduction_factor)
@@ -326,6 +351,6 @@ def feasibility_adjust(
         rounds += 1
     return FeasibilityOutcome(
         game=current,
-        feasible=leader_worst_case_feasible(current),
+        feasible=leader_feasible(current, -1),
         rounds_applied=rounds,
     )

@@ -9,7 +9,6 @@ iterated-best-response profile and the brute-force Stackelberg equilibrium.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -24,14 +23,13 @@ from .game import (
     FeasibilityOutcome,
     GameInstance,
     UserParams,
-    best_response,
     feasibility_adjust,
-    sinr,
+    iterated_best_response,
+    leader_feasible,
     stackelberg_oracle,
-    utility,
+    utility_tensor,
 )
 from .learning import (
-    ALGORITHMS,
     NONCOOP,
     RLA1,
     RLA2,
@@ -91,14 +89,6 @@ class SweepResult:
     active_count: int
 
 
-def _leader_best_case_feasible(game: GameInstance) -> bool:
-    # Most favorable operating point for the leader: it transmits at max
-    # power while every follower sits at its minimum level.
-    powers = [game.users[0].action_set.levels_w[-1]]
-    powers += [u.action_set.levels_w[0] for u in game.users[1:]]
-    return sinr(0, powers, game) >= game.users[0].sinr_target_lin
-
-
 def _reduced_game(game: GameInstance, keep: list[int]) -> GameInstance:
     gains = game.gains[np.ix_(keep, keep)].copy()
     return GameInstance(
@@ -149,7 +139,7 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
     active = [True] * n_fu
     keep = list(range(game.num_users))
     reduced = game
-    while not _leader_best_case_feasible(reduced) and any(active):
+    while not leader_feasible(reduced, 0) and any(active):
         # silence the active femtocell whose user interferes most at the MBS
         candidates = [k for k in range(n_fu) if active[k]]
         worst = max(candidates, key=lambda k: game.gains[k + 1, 0])
@@ -157,7 +147,7 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
         keep = [0] + [k + 1 for k in range(n_fu) if active[k]]
         reduced = _reduced_game(game, keep)
 
-    unresolved = not _leader_best_case_feasible(reduced)
+    unresolved = not leader_feasible(reduced, 0)
     return PreparedGame(
         game=reduced,
         topology=topology,
@@ -175,30 +165,14 @@ def complete_information_reference(game: GameInstance, max_sweeps: int = 1000) -
     sweep cycles, the visited profile with the highest total utility is
     returned and ``converged`` is cleared.
     """
-    profile = [0] * game.num_users
-    visited = [tuple(profile)]
-    seen = {tuple(profile)}
-    for _ in range(max_sweeps):
-        for i in range(game.num_users):
-            profile[i] = best_response(i, profile, game)
-        key = tuple(profile)
-        if key == visited[-1]:
-            utilities = tuple(
-                utility(i, game.powers_from_indices(key), game) for i in range(game.num_users)
-            )
-            return CompleteInfoResult(key, utilities, converged=True)
-        if key in seen:
-            break
-        seen.add(key)
-        visited.append(key)
-
-    def total(p):
-        powers = game.powers_from_indices(p)
-        return sum(utility(i, powers, game) for i in range(game.num_users))
-
-    key = max(visited, key=total)
-    utilities = tuple(utility(i, game.powers_from_indices(key), game) for i in range(game.num_users))
-    return CompleteInfoResult(key, utilities, converged=False)
+    utilities = [utility_tensor(game, i) for i in range(game.num_users)]
+    n = game.num_users
+    visited, converged = iterated_best_response(utilities, (0,) * n, range(n), max_sweeps)
+    if converged:
+        key = visited[-1]
+    else:
+        key = max(visited, key=lambda p: sum(float(u[p]) for u in utilities))
+    return CompleteInfoResult(key, tuple(float(u[key]) for u in utilities), converged)
 
 
 def learning_rng(base_seed: int, algorithm: str, replicate: int = 0) -> np.random.Generator:

@@ -19,20 +19,20 @@ scheme in lockstep, each bitwise equal to a run on its own; the scalar
 helpers below are the reference semantics it is tested against.
 
 Each user's utilities are rescaled by that user's own maximum pure-profile
-utility before learning, so one default temperature works across users and
-instances (leader and follower utilities differ by orders of magnitude);
-traces report physical units.
+utility before learning (``normalized_utility_tensors``), so one default
+temperature works across users and instances (leader and follower utilities
+differ by orders of magnitude); traces report physical units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import watt_to_dbm
-from .game import GameInstance, sinr_tensor, utility_tensor
+from .game import GameInstance, normalized_utility_tensors, sinr_tensor, utility_tensor
 
 RLA1 = "rla1"
 RLA2 = "rla2"
@@ -132,40 +132,23 @@ def rla2_estimated_expected_utility(
     return float(leader_strategy @ over_leader)
 
 
-def _contract_over_others(tensor: np.ndarray, strategies, axis: int) -> np.ndarray:
-    """Expected value of ``tensor`` over everyone's strategies except ``axis``,
-    returning a vector over that axis."""
+def action_expected_utilities(tensor: np.ndarray, strategies, user: int) -> np.ndarray:
+    """U_i(a, Y_{-i}) for every action a of ``user``: the expected value of
+    ``tensor`` over everyone's strategies except the user's own."""
     out = tensor
     # contract trailing axes first so earlier axis numbers stay valid
     for j in range(len(strategies) - 1, -1, -1):
-        if j == axis:
+        if j == user:
             continue
-        out = np.tensordot(out, strategies[j], axes=([j if j < axis else out.ndim - 1], [0]))
+        out = np.tensordot(out, strategies[j], axes=([j if j < user else out.ndim - 1], [0]))
     return out
 
 
-def action_expected_utilities(tensor: np.ndarray, strategies, user: int) -> np.ndarray:
-    """U_i(a, Y_{-i}) for every action a of ``user``."""
-    return _contract_over_others(tensor, strategies, user)
-
-
-def leader_expected_utility(
-    j0: int, follower_strategies, game: GameInstance | None = None, u0: np.ndarray | None = None
-) -> float:
-    """Exact expected leader utility of action ``j0`` given all follower
-    strategies (the leader receives them over the uplink)."""
-    if u0 is None:
-        if game is None:
-            raise ValueError("either a game or a precomputed leader tensor is required")
-        u0 = utility_tensor(game, 0)
-    out = u0[j0]
-    for s in reversed(follower_strategies):
-        out = out @ s
-    return float(out)
-
-
 def full_expected_utility(tensor: np.ndarray, strategies) -> float:
-    """Expected value of a joint-action tensor under a full strategy profile."""
+    """Expected value of a joint-action tensor under a full strategy profile.
+
+    ``full_expected_utility(u0[j0], follower_strategies)`` is the leader's
+    exact expected utility of action ``j0``, the rla1/rla2 leader target."""
     out = tensor
     for s in reversed(strategies):
         out = out @ s
@@ -241,7 +224,7 @@ class StackelbergLearning:
 
     Each replicate is bitwise equal to a run of the scalar helpers
     (``sample_action``, ``q_update``, ``JointEstimate``,
-    ``conjecture_adjust``, ``leader_expected_utility``,
+    ``conjecture_adjust``, ``full_expected_utility``,
     ``rla2_estimated_expected_utility``, ``boltzmann_strategy``).  To keep
     it so, every batched contraction is the same BLAS call per replicate
     as the scalar one: a dot per follower estimate and per final
@@ -288,10 +271,7 @@ class StackelbergLearning:
         sinr = self._stacked(sinr_tensor)
         self.u_phys = list(u_phys)
         self.sinr_tensors = list(sinr)
-        self.u_max = [max(float(t.max()), 0.0) or 1.0 for t in self.u_phys]
-        u_norm = np.empty_like(u_phys)
-        for i in range(n):
-            np.divide(u_phys[i], self.u_max[i], out=u_norm[i])
+        u_norm = np.stack(normalized_utility_tensors(game))
         u_norm.setflags(write=False)
         self.u_norm = list(u_norm)
         self._u_phys_all = u_phys[None]  # broadcasts over replicates

@@ -20,7 +20,6 @@ from stackelearn.learning import (
     boltzmann_strategy,
     conjecture_adjust,
     full_expected_utility,
-    leader_expected_utility,
     q_update,
     rla2_estimated_expected_utility,
     sample_action,
@@ -66,7 +65,7 @@ class ReferenceLearner:
             for i in range(n):
                 self.q[i] = q_update(self.q[i], actions[i], realized[i], alpha)
         else:
-            target = leader_expected_utility(actions[0], y[1:], u0=self.u_norm[0])
+            target = full_expected_utility(self.u_norm[0][actions[0]], y[1:])
             self.q[0] = q_update(self.q[0], actions[0], target, alpha)
             for i in range(1, n):
                 est = self.estimates[i - 1]

@@ -119,6 +119,9 @@ def test_integrate_returns_full_trajectory(desk_game):
             assert abs(y.sum() - 1.0) < 1e-9
     with pytest.raises(ValueError):
         integrate_dynamics(initial, desk_game, 0.1, 0.05, step_size=0.0)
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="num_steps"):
+            integrate_dynamics(initial, desk_game, 0.1, 0.05, num_steps=steps)
 
 
 def test_integration_settles_to_stationary_point(desk_game):

@@ -12,7 +12,7 @@ from stackelearn.game import (
     feasibility_adjust,
     follower_pure_nash,
     joint_action_space,
-    leader_worst_case_feasible,
+    leader_feasible,
     sinr,
     sinr_tensor,
     stackelberg_oracle,
@@ -102,15 +102,35 @@ def test_game_instance_validation():
         _two_user_game(gains=np.ones((3, 3)) * 1e-6)
 
 
+def _ragged(game):
+    """The game with action sets of 4, 2, 3, ... levels, user by user."""
+    sizes = [4, 2, 3, 2, 3][: game.num_users]
+    users = tuple(
+        sl.UserParams(u.sinr_target_lin, u.circuit_power_w,
+                      sl.ActionSet.from_dbm(tuple(np.linspace(18.0, 30.0, m))))
+        for u, m in zip(game.users, sizes)
+    )
+    return sl.GameInstance(gains=game.gains, users=users,
+                           bandwidth_hz=game.bandwidth_hz, noise_power_w=game.noise_power_w)
+
+
 def test_utility_tensor_matches_scalar_op(desk_game):
-    g = desk_game
-    for i in range(g.num_users):
-        t = utility_tensor(g, i)
-        s = sinr_tensor(g, i)
-        for idx in joint_action_space(g):
-            powers = g.powers_from_indices(idx)
-            assert t[idx] == utility(i, powers, g)
-            assert s[idx] == sinr(i, powers, g)
+    rng = np.random.default_rng(12)
+    games = [desk_game]
+    for n in (3, 5):
+        # enough 5-level grids that np.log2 in place of math.log2 shows
+        games += [random_game(rng, num_users=n, num_actions=n) for _ in range(3)]
+        games.append(_ragged(random_game(rng, num_users=n)))
+    for g in games:
+        for i in range(g.num_users):
+            want_u = np.empty(g.action_dims)
+            want_s = np.empty(g.action_dims)
+            for idx in joint_action_space(g):
+                powers = g.powers_from_indices(idx)
+                want_u[idx] = utility(i, powers, g)
+                want_s[idx] = sinr(i, powers, g)
+            assert utility_tensor(g, i).tobytes() == want_u.tobytes()
+            assert sinr_tensor(g, i).tobytes() == want_s.tobytes()
 
 
 def test_expected_utility_degenerate_matches_pure(desk_game):
@@ -205,7 +225,7 @@ def test_oracle_leader_cannot_improve(desk_game):
 def test_feasibility_adjust_reduces_targets_only():
     gains = np.array([[1e-12, 1e-8], [1e-8, 1e-6]])  # leader is badly served
     g = _two_user_game(gains=gains, targets=(1e6, 1.0))
-    assert not leader_worst_case_feasible(g)
+    assert not leader_feasible(g, -1)
     out = feasibility_adjust(g, reduction_factor=0.5, max_rounds=3)
     assert out.rounds_applied == 3
     # the input game is untouched
@@ -213,13 +233,13 @@ def test_feasibility_adjust_reduces_targets_only():
     assert out.game.users[1].sinr_target_lin == pytest.approx(0.125)
     # the leader's own target is never touched
     assert out.game.users[0].sinr_target_lin == g.users[0].sinr_target_lin
-    assert out.feasible == leader_worst_case_feasible(out.game)
+    assert out.feasible == leader_feasible(out.game, -1)
 
 
 def test_feasibility_adjust_noop_when_feasible(desk_game):
-    assert leader_worst_case_feasible(desk_game) in (True, False)
+    assert leader_feasible(desk_game, -1) in (True, False)
     g = _two_user_game()  # symmetric strong diagonal: trivially feasible
-    assert leader_worst_case_feasible(g)
+    assert leader_feasible(g, -1)
     out = feasibility_adjust(g, reduction_factor=0.5, max_rounds=3)
     assert out.rounds_applied == 0
     assert out.feasible
@@ -232,8 +252,8 @@ def test_feasibility_adjust_noop_when_feasible(desk_game):
 # Thresholded energy efficiency has increasing best responses (more
 # interference never lowers the best power), so physical games always have a
 # pure follower NE and never reach the fallback.  These tests swap in random
-# integer payoff tables, with many ties, through every binding the oracle and
-# the reference read payoffs from.
+# integer payoff tables, with many ties, as the utility tensors the oracle
+# and the reference read.
 
 
 def _table_game(tables):
@@ -247,18 +267,13 @@ def _install_tables(monkeypatch, tables):
     import stackelearn.game as game_mod
     import stackelearn.harness as harness_mod
 
-    def table_utility(i, powers_w, game):
-        idx = tuple(u.action_set.levels_w.index(p) for u, p in zip(game.users, powers_w))
-        return float(tables[i][idx])
-
     def table_tensor(game, i):
         out = tables[i].copy()
         out.setflags(write=False)
         return out
 
     for mod in (game_mod, harness_mod):
-        monkeypatch.setattr(mod, "utility", table_utility, raising=False)
-        monkeypatch.setattr(mod, "utility_tensor", table_tensor, raising=False)
+        monkeypatch.setattr(mod, "utility_tensor", table_tensor)
 
 
 def _table_best_response(tables, i, profile):

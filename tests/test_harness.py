@@ -4,12 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stackelearn as sl
 from stackelearn.cli import main as cli_main
 from stackelearn.config import ConfigError, default_config, load_config, parse_config
 from stackelearn.harness import (
-    _leader_best_case_feasible,
     build_game,
     compare_summary,
     complete_information_reference,
@@ -19,7 +20,7 @@ from stackelearn.harness import (
     run_experiment,
     sweep_gamma0,
 )
-from stackelearn.game import best_response, sinr, utility
+from stackelearn.game import best_response, leader_feasible, utility
 from stackelearn.learning import full_expected_utility
 
 
@@ -40,8 +41,9 @@ def test_default_config_values(default_cfg):
     assert cfg.learning.num_steps == 5000
     assert cfg.sweep.replicates == 3
     assert cfg.feasibility.enabled is False
-    assert cfg.sinr_target_lin(0) == pytest.approx(sl.db_to_linear(3.0))
-    assert cfg.sinr_target_lin(1) == pytest.approx(sl.db_to_linear(5.0))
+    users = build_game(cfg).game.users
+    assert users[0].sinr_target_lin == pytest.approx(sl.db_to_linear(3.0))
+    assert users[1].sinr_target_lin == pytest.approx(sl.db_to_linear(5.0))
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -68,11 +70,61 @@ def test_parse_config_rejects_unknown_keys():
         ("users", "mu_sinr_target_db", "high", "mu_sinr_target_db"),
         ("feasibility", "reduction_factor", 1.0, "reduction_factor"),
         ("seeds", "base_seed", -1, "base_seed"),
+        # once coerced, or escaping as another exception
+        ("learning", "num_steps", None, "learning.num_steps"),
+        ("network", "num_femtocells", 2.9, "network.num_femtocells"),
+        ("feasibility", "enabled", "false", "feasibility.enabled"),
+        ("learning", "trace_decimation", True, "learning.trace_decimation"),
+        ("sweep", "replicates", True, "sweep.replicates"),
+        ("network", "rng_seed", False, "network.rng_seed"),
+        ("seeds", "replicate_offsets", [0, -1], "seeds.replicate_offsets"),
+        ("seeds", "replicate_offsets", [0.5], "seeds.replicate_offsets"),
+        ("output", "emit_trace", 0, "output.emit_trace"),
+        ("learning", "belief_factor", True, "learning.belief_factor"),
+        ("users", "circuit_power_dbm", "10", "users.circuit_power_dbm"),
+        pytest.param("network", "noise_power_dbm", 10**400, "network.noise_power_dbm",
+                     id="network-noise_power_dbm-huge-int"),
+        ("learning", "algorithms", 3, "learning.algorithms"),
+        ("output", "directory", 7, "output.directory"),
     ],
 )
 def test_parse_config_validates_values(section, key, value, match):
     with pytest.raises(ConfigError, match=match):
         parse_config({section: {key: value}})
+
+
+_CONFIG_FIELDS = [
+    (section, key)
+    for section, keys in {
+        "network": ["bandwidth_hz", "noise_power_dbm", "num_femtocells", "macro_radius_m",
+                    "femto_radius_m", "path_loss_exponent", "rng_seed", "min_separation_m",
+                    "shadowing_sigma_db"],
+        "users": ["mu_sinr_target_db", "fu_sinr_target_db", "circuit_power_dbm", "action_set_dbm"],
+        "learning": ["alpha", "temperature", "temperature_decay", "belief_factor", "num_steps",
+                     "algorithms", "trace_decimation"],
+        "sweep": ["gamma0_grid_db", "replicates"],
+        "seeds": ["base_seed", "replicate_offsets"],
+        "feasibility": ["enabled", "reduction_factor", "max_rounds"],
+        "output": ["directory", "emit_trace", "emit_summary"],
+    }.items()
+    for key in keys + [None]
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["auto", "rla1", "noncoop"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(field=st.sampled_from(_CONFIG_FIELDS), value=_JSON_VALUES)
+def test_parse_config_any_json_value_is_config_or_config_error(field, value):
+    section, key = field  # key None: the value replaces the whole section
+    try:
+        parse_config({section: value if key is None else {key: value}})
+    except ConfigError:
+        pass
 
 
 def test_parse_config_temperature_auto():
@@ -120,7 +172,7 @@ def test_build_game_default_instance(prepared):
     assert prepared.user_ids == (0, 1, 2)
     assert not prepared.unresolved
     assert prepared.feasibility is None
-    assert _leader_best_case_feasible(prepared.game)
+    assert leader_feasible(prepared.game, 0)
 
 
 def test_build_game_silences_interferers(default_cfg):
@@ -413,6 +465,14 @@ def test_cli_dynamics_bad_step_size_is_config_error(tmp_path, capsys, step_size)
     cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
     assert cli_main(["dynamics", "--config", cfg, "--step-size", step_size]) == 1
     assert "--step-size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_cli_dynamics_bad_steps_is_config_error(tmp_path, capsys, steps):
+    cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
+    assert cli_main(["dynamics", "--config", cfg, "--steps", steps]) == 1
+    assert "--steps" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep_zero_replicates_is_config_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stackelearn as sl
-from stackelearn.game import expected_utility, utility_tensor
+from stackelearn.game import expected_utility, normalized_utility_tensors, utility_tensor
 from stackelearn.learning import (
     NONCOOP,
     RLA1,
@@ -15,7 +15,6 @@ from stackelearn.learning import (
     boltzmann_strategy,
     conjecture_adjust,
     full_expected_utility,
-    leader_expected_utility,
     q_update,
     rla2_estimated_expected_utility,
     sample_action,
@@ -170,9 +169,8 @@ def test_leader_expected_utility_matches_enumeration():
             leader_y = np.zeros(g.action_dims[0])
             leader_y[j0] = 1.0
             ref = expected_utility(0, [leader_y] + follower_ys, g)
-            got = leader_expected_utility(j0, follower_ys, game=g)
+            got = full_expected_utility(u0[j0], follower_ys)
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-9)
-            assert leader_expected_utility(j0, follower_ys, u0=u0) == got
 
 
 def test_action_expected_utilities_matches_enumeration():
@@ -297,8 +295,9 @@ def test_engine_run_log_decimation(desk_game):
 
 def test_engine_per_user_normalization(desk_game):
     eng = _engine(desk_game, RLA1)
-    for t, m, tn in zip(eng.u_phys, eng.u_max, eng.u_norm):
-        assert m == max(float(t.max()), 0.0) or m == 1.0
+    for t, tn, want in zip(eng.u_phys, eng.u_norm, normalized_utility_tensors(desk_game)):
+        assert tn.tobytes() == want.tobytes()
+        assert tn.tobytes() == (t / (max(float(t.max()), 0.0) or 1.0)).tobytes()
         assert float(tn.max()) == pytest.approx(1.0)
 
 
@@ -336,6 +335,6 @@ def test_leader_update_uses_exact_expectation(desk_game):
     uniform = [np.full(m, 1.0 / m) for m in desk_game.action_dims[1:]]
     rec = eng.step()
     a0 = rec.actions[0]
-    expected_q = 0.1 * leader_expected_utility(a0, uniform, u0=eng.u_norm[0])
+    expected_q = 0.1 * full_expected_utility(eng.u_norm[0][a0], uniform)
     assert eng.q[0][a0] == pytest.approx(expected_q, rel=1e-12)
     assert all(eng.q[0][a] == 0.0 for a in range(len(eng.q[0])) if a != a0)

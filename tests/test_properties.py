@@ -19,7 +19,7 @@ from stackelearn.game import (
 from stackelearn.learning import (
     boltzmann_strategy,
     conjecture_adjust,
-    leader_expected_utility,
+    full_expected_utility,
     q_update,
 )
 
@@ -119,7 +119,7 @@ def test_leader_expectation_equivalence():
         leader_y = np.zeros(g.action_dims[0])
         leader_y[j0] = 1.0
         ref = expected_utility(0, [leader_y] + follower_ys, g)
-        got = leader_expected_utility(j0, follower_ys, game=g)
+        got = full_expected_utility(utility_tensor(g, 0)[j0], follower_ys)
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-9)
 
 
