@@ -69,15 +69,15 @@ class NetworkConfig:
         }
         for name, value in positive.items():
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+                raise ValueError(f"{name}: must be finite and > 0, got {value!r}")
         if self.num_femtocells < 1:
-            raise ValueError(f"num_femtocells must be >= 1, got {self.num_femtocells}")
+            raise ValueError(f"num_femtocells: must be >= 1, got {self.num_femtocells}")
         if self.femto_radius_m >= self.macro_radius_m:
-            raise ValueError("femto_radius_m must be smaller than macro_radius_m")
+            raise ValueError("femto_radius_m: must be smaller than macro_radius_m")
         if self.shadowing_sigma_db < 0:
-            raise ValueError("shadowing_sigma_db must be >= 0")
+            raise ValueError("shadowing_sigma_db: must be >= 0")
         if not 0 <= int(self.rng_seed) < 2**64:
-            raise ValueError("rng_seed must fit in an unsigned 64-bit integer")
+            raise ValueError("rng_seed: must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)

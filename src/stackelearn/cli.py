@@ -9,6 +9,7 @@ infeasibility, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -29,7 +30,7 @@ from .harness import (
     run_experiment,
     sweep_gamma0,
 )
-from .learning import ALGORITHMS, AUTO_TEMPERATURE_FRACTION
+from .learning import ALGORITHMS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,12 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _override(config, section: str, flag: str, **changes) -> None:
+    """Replace fields of a config section, through the section's own checks."""
+    try:
+        setattr(config, section, dataclasses.replace(getattr(config, section), **changes))
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("run --seed: must fit in an unsigned 64-bit integer")
-        config.seeds.base_seed = args.seed
+        _override(config, "seeds", "run --seed", base_seed=args.seed)
     if args.out is not None:
         config.output.directory = args.out
     if args.algo != "all":
@@ -111,16 +118,16 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.out is not None:
         config.output.directory = args.out
-    grid = None
     if args.from_db is not None or args.to_db is not None or args.points is not None:
         if args.from_db is None or args.to_db is None or args.points is None:
             raise ConfigError("sweep: --from, --to and --points must be given together")
-        if args.points < 2 or args.to_db <= args.from_db:
-            raise ConfigError("sweep: need --points >= 2 and --to > --from")
-        grid = list(np.linspace(args.from_db, args.to_db, args.points))
-    if args.replicates is not None and args.replicates < 1:
-        raise ConfigError("sweep --replicates: must be >= 1")
-    results = sweep_gamma0(config, grid_db=grid, replicates=args.replicates)
+        if args.points < 2:
+            raise ConfigError("sweep --points: must be >= 2")
+        grid = tuple(np.linspace(args.from_db, args.to_db, args.points).tolist())
+        _override(config, "sweep", "sweep --from/--to/--points", gamma0_grid_db=grid)
+    if args.replicates is not None:
+        _override(config, "sweep", "sweep --replicates", replicates=args.replicates)
+    results = sweep_gamma0(config)
     path = os.path.join(config.output.directory, "sweep_gamma0.csv")
     emit_sweep_csv(results, path)
     print(f"wrote {path} ({len(results)} sweep rows)")
@@ -164,15 +171,12 @@ def _cmd_dynamics(args) -> int:
         return EXIT_INFEASIBLE
     game = prepared.game
     utilities = normalized_utility_tensors(game)
-    tau = config.learning.temperature
-    if tau is None:
-        tau = AUTO_TEMPERATURE_FRACTION
     initial = [np.full(m, 1.0 / m) for m in game.action_dims]
     trajectory = integrate_dynamics(
         initial,
         game,
         config.learning.alpha,
-        tau,
+        config.learning.temperature,
         step_size=args.step_size,
         num_steps=args.steps,
         utilities=utilities,

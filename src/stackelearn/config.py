@@ -3,20 +3,39 @@
 Radio quantities are configured in dB/dBm and converted to linear units at
 this boundary.  Unknown keys are rejected with the offending field path so
 typos fail loudly.
+
+Each section dataclass owns its defaults and range checks; its
+``__post_init__`` raises ``ValueError("<field>: ...")``.  ``parse_config``
+checks only the keys and the JSON type of each field against the field's
+annotation, then builds the sections, so a value is checked the same way
+whether it comes from a file or from a ``dataclasses.replace`` override.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import dataclass, field
 
-from .channel import NetworkConfig, dbm_to_watt
-from .learning import ALGORITHMS
+from .channel import NetworkConfig, db_to_linear, dbm_to_watt
+from .game import ActionSet
+from .learning import ALGORITHMS, AUTO_TEMPERATURE_FRACTION, LearnerSettings
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message carries the field path."""
+
+
+def _to_linear(convert, value: float, name: str) -> float:
+    """``convert(value)`` (a dB or dBm conversion), which must be finite and > 0."""
+    try:
+        linear = convert(value)
+    except (OverflowError, ValueError):
+        linear = math.nan
+    if not (math.isfinite(linear) and linear > 0):
+        raise ValueError(f"{name}: {value!r} has no finite, positive linear value")
+    return linear
 
 
 @dataclass
@@ -26,16 +45,33 @@ class UserConfig:
     circuit_power_dbm: float = 10.0
     action_set_dbm: tuple[float, ...] = (20.0, 25.0, 30.0)
 
+    def __post_init__(self):
+        # the conversions build_game performs, so every accepted value builds
+        _to_linear(db_to_linear, self.mu_sinr_target_db, "mu_sinr_target_db")
+        _to_linear(db_to_linear, self.fu_sinr_target_db, "fu_sinr_target_db")
+        _to_linear(dbm_to_watt, self.circuit_power_dbm, "circuit_power_dbm")
+        levels_w = tuple(_to_linear(dbm_to_watt, x, "action_set_dbm") for x in self.action_set_dbm)
+        try:
+            ActionSet(levels_w)
+        except ValueError as exc:
+            raise ValueError(f"action_set_dbm: {exc}") from None
+
 
 @dataclass
-class LearningConfig:
-    alpha: float = 0.1
-    temperature: float | None = None  # None = auto-calibrated from the utility scale
-    temperature_decay: float = 1.0
-    belief_factor: float = 2.0
+class LearningConfig(LearnerSettings):
     num_steps: int = 5000
     algorithms: tuple[str, ...] = ("rla1", "rla2", "noncoop")
     trace_decimation: int = 10
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.num_steps < 1:
+            raise ValueError("num_steps: must be >= 1")
+        for name in self.algorithms:
+            if name not in ALGORITHMS:
+                raise ValueError(f"algorithms: unknown algorithm {name!r}")
+        if self.trace_decimation < 1:
+            raise ValueError("trace_decimation: must be >= 1")
 
 
 @dataclass
@@ -43,11 +79,26 @@ class SweepConfig:
     gamma0_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     replicates: int = 3
 
+    def __post_init__(self):
+        for gamma0_db in self.gamma0_grid_db:
+            _to_linear(db_to_linear, gamma0_db, "gamma0_grid_db")
+        grid = self.gamma0_grid_db
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("gamma0_grid_db: must be strictly increasing")
+        if self.replicates < 1:
+            raise ValueError("replicates: must be >= 1")
+
 
 @dataclass
 class SeedConfig:
     base_seed: int = 44
     replicate_offsets: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError("base_seed: must fit in an unsigned 64-bit integer")
+        if any(offset < 0 for offset in self.replicate_offsets or ()):
+            raise ValueError("replicate_offsets: must be >= 0")
 
 
 @dataclass
@@ -55,6 +106,12 @@ class FeasibilityConfig:
     enabled: bool = False
     reduction_factor: float = 0.5
     max_rounds: int = 3
+
+    def __post_init__(self):
+        if not 0 < self.reduction_factor < 1:
+            raise ValueError("reduction_factor: must lie in (0, 1)")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds: must be >= 1")
 
 
 @dataclass
@@ -87,6 +144,39 @@ _NETWORK_DEFAULTS = {
     "shadowing_sigma_db": 0.0,
 }
 
+_SECTIONS = {
+    "users": UserConfig,
+    "learning": LearningConfig,
+    "sweep": SweepConfig,
+    "seeds": SeedConfig,
+    "feasibility": FeasibilityConfig,
+    "output": OutputConfig,
+}
+
+
+def _json_type(hint) -> tuple[type, bool, bool]:
+    """(element type, is a list, may be null) of an annotated field type:
+    float, int, bool or str, a tuple of one of these, or ``X | None``."""
+    args = typing.get_args(hint)
+    nullable = type(None) in args
+    if nullable:
+        (hint,) = (a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return args[0], True, nullable
+    return hint, False, nullable
+
+
+def _field_types(cls) -> dict:
+    return {key: _json_type(hint) for key, hint in typing.get_type_hints(cls).items()}
+
+
+# JSON types per section, resolved once; the network section is configured
+# in dBm where NetworkConfig holds watts
+_FIELD_TYPES = {name: _field_types(cls) for name, cls in _SECTIONS.items()}
+_FIELD_TYPES["network"] = _field_types(NetworkConfig)
+_FIELD_TYPES["network"]["noise_power_dbm"] = _FIELD_TYPES["network"].pop("noise_power_w")
+
 
 def _check_keys(section: dict, allowed, path: str) -> None:
     unknown = set(section) - set(allowed)
@@ -94,200 +184,63 @@ def _check_keys(section: dict, allowed, path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name}: expected an object")
-    return value
-
-
-def _finite(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}: must be finite") from None
-    if not math.isfinite(value):
+def _typed(value, json_type: tuple[type, bool, bool], path: str):
+    """``value`` checked against a field's JSON type (see ``_json_type``);
+    integers become floats where a float is expected."""
+    kind, is_list, nullable = json_type
+    if value is None and nullable:
+        return None
+    if is_list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        return tuple(_typed(x, (kind, False, False), path) for x in value)
+    if isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    if kind is float and isinstance(value, int):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: must be finite") from None
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
     return value
 
 
-def _int(value, path: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    return value
-
-
-def _bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    return value
+def _fields(raw: dict, name: str) -> dict:
+    """The fields given in section ``name`` of ``raw``, type-checked."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: expected an object")
+    types = _FIELD_TYPES[name]
+    _check_keys(section, types, name)
+    return {key: _typed(value, types[key], f"{name}.{key}") for key, value in section.items()}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a decoded JSON object."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
-    _check_keys(
-        raw,
-        ("network", "users", "learning", "sweep", "seeds", "feasibility", "output"),
-        "top level",
-    )
+    _check_keys(raw, ("network", *_SECTIONS), "top level")
+    learning = raw.get("learning")
+    if isinstance(learning, dict) and learning.get("temperature", 0.0) in ("auto", None):
+        raw = {**raw, "learning": {**learning, "temperature": AUTO_TEMPERATURE_FRACTION}}
 
-    net_raw = dict(_NETWORK_DEFAULTS)
-    section = _section(raw, "network")
-    _check_keys(section, _NETWORK_DEFAULTS, "network")
-    net_raw.update(section)
-    try:
-        network = NetworkConfig(
-            bandwidth_hz=_finite(net_raw["bandwidth_hz"], "network.bandwidth_hz"),
-            noise_power_w=dbm_to_watt(_finite(net_raw["noise_power_dbm"], "network.noise_power_dbm")),
-            num_femtocells=_int(net_raw["num_femtocells"], "network.num_femtocells", 1),
-            macro_radius_m=_finite(net_raw["macro_radius_m"], "network.macro_radius_m"),
-            femto_radius_m=_finite(net_raw["femto_radius_m"], "network.femto_radius_m"),
-            path_loss_exponent=_finite(net_raw["path_loss_exponent"], "network.path_loss_exponent"),
-            rng_seed=_int(net_raw["rng_seed"], "network.rng_seed", 0),
-            min_separation_m=_finite(net_raw["min_separation_m"], "network.min_separation_m"),
-            shadowing_sigma_db=_finite(net_raw["shadowing_sigma_db"], "network.shadowing_sigma_db"),
-        )
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"network: {exc}") from None
-
-    users = UserConfig()
-    section = _section(raw, "users")
-    _check_keys(
-        section,
-        ("mu_sinr_target_db", "fu_sinr_target_db", "circuit_power_dbm", "action_set_dbm"),
-        "users",
-    )
-    if "mu_sinr_target_db" in section:
-        users.mu_sinr_target_db = _finite(section["mu_sinr_target_db"], "users.mu_sinr_target_db")
-    if "fu_sinr_target_db" in section:
-        users.fu_sinr_target_db = _finite(section["fu_sinr_target_db"], "users.fu_sinr_target_db")
-    if "circuit_power_dbm" in section:
-        users.circuit_power_dbm = _finite(section["circuit_power_dbm"], "users.circuit_power_dbm")
-    if "action_set_dbm" in section:
-        levels = section["action_set_dbm"]
-        if not isinstance(levels, list) or not levels:
-            raise ConfigError("users.action_set_dbm: expected a non-empty list")
-        users.action_set_dbm = tuple(
-            _finite(x, "users.action_set_dbm") for x in levels
-        )
-        if any(b <= a for a, b in zip(users.action_set_dbm, users.action_set_dbm[1:])):
-            raise ConfigError("users.action_set_dbm: must be strictly increasing")
-
-    learning = LearningConfig()
-    section = _section(raw, "learning")
-    _check_keys(
-        section,
-        (
-            "alpha",
-            "temperature",
-            "temperature_decay",
-            "belief_factor",
-            "num_steps",
-            "algorithms",
-            "trace_decimation",
-        ),
-        "learning",
-    )
-    if "alpha" in section:
-        learning.alpha = _finite(section["alpha"], "learning.alpha")
-        if not 0 <= learning.alpha < 1:
-            raise ConfigError("learning.alpha: must lie in [0, 1)")
-    if "temperature" in section:
-        tau = section["temperature"]
-        if tau in ("auto", None):
-            learning.temperature = None
-        else:
-            learning.temperature = _finite(tau, "learning.temperature")
-            if learning.temperature <= 0:
-                raise ConfigError("learning.temperature: must be > 0 or 'auto'")
-    if "temperature_decay" in section:
-        learning.temperature_decay = _finite(section["temperature_decay"], "learning.temperature_decay")
-        if not 0 < learning.temperature_decay <= 1:
-            raise ConfigError("learning.temperature_decay: must lie in (0, 1]")
-    if "belief_factor" in section:
-        learning.belief_factor = _finite(section["belief_factor"], "learning.belief_factor")
-        if learning.belief_factor < 0:
-            raise ConfigError("learning.belief_factor: must be >= 0")
-    if "num_steps" in section:
-        learning.num_steps = _int(section["num_steps"], "learning.num_steps", 1)
-    if "algorithms" in section:
-        algos = section["algorithms"]
-        if isinstance(algos, str):
-            algos = [algos]
-        if not isinstance(algos, list):
-            raise ConfigError("learning.algorithms: expected a name or a list of names")
-        for a in algos:
-            if a not in ALGORITHMS:
-                raise ConfigError(f"learning.algorithms: unknown algorithm {a!r}")
-        learning.algorithms = tuple(algos)
-    if "trace_decimation" in section:
-        learning.trace_decimation = _int(section["trace_decimation"], "learning.trace_decimation", 1)
-
-    sweep = SweepConfig()
-    section = _section(raw, "sweep")
-    _check_keys(section, ("gamma0_grid_db", "replicates"), "sweep")
-    if "gamma0_grid_db" in section:
-        grid = section["gamma0_grid_db"]
-        if not isinstance(grid, list) or not grid:
-            raise ConfigError("sweep.gamma0_grid_db: expected a non-empty list")
-        sweep.gamma0_grid_db = tuple(_finite(x, "sweep.gamma0_grid_db") for x in grid)
-        if any(b <= a for a, b in zip(sweep.gamma0_grid_db, sweep.gamma0_grid_db[1:])):
-            raise ConfigError("sweep.gamma0_grid_db: must be strictly increasing")
-    if "replicates" in section:
-        sweep.replicates = _int(section["replicates"], "sweep.replicates", 1)
-
-    seeds = SeedConfig()
-    section = _section(raw, "seeds")
-    _check_keys(section, ("base_seed", "replicate_offsets"), "seeds")
-    if "base_seed" in section:
-        seeds.base_seed = _int(section["base_seed"], "seeds.base_seed", 0)
-        if seeds.base_seed >= 2**64:
-            raise ConfigError("seeds.base_seed: must fit in an unsigned 64-bit integer")
-    if "replicate_offsets" in section and section["replicate_offsets"] is not None:
-        offsets = section["replicate_offsets"]
-        if not isinstance(offsets, list):
-            raise ConfigError("seeds.replicate_offsets: expected a list")
-        seeds.replicate_offsets = tuple(_int(x, "seeds.replicate_offsets", 0) for x in offsets)
-
-    feasibility = FeasibilityConfig()
-    section = _section(raw, "feasibility")
-    _check_keys(section, ("enabled", "reduction_factor", "max_rounds"), "feasibility")
-    if "enabled" in section:
-        feasibility.enabled = _bool(section["enabled"], "feasibility.enabled")
-    if "reduction_factor" in section:
-        feasibility.reduction_factor = _finite(section["reduction_factor"], "feasibility.reduction_factor")
-        if not 0 < feasibility.reduction_factor < 1:
-            raise ConfigError("feasibility.reduction_factor: must lie in (0, 1)")
-    if "max_rounds" in section:
-        feasibility.max_rounds = _int(section["max_rounds"], "feasibility.max_rounds", 1)
-
-    output = OutputConfig()
-    section = _section(raw, "output")
-    _check_keys(section, ("directory", "emit_trace", "emit_summary"), "output")
-    if "directory" in section:
-        output.directory = section["directory"]
-        if not isinstance(output.directory, str):
-            raise ConfigError("output.directory: expected a string")
-    if "emit_trace" in section:
-        output.emit_trace = _bool(section["emit_trace"], "output.emit_trace")
-    if "emit_summary" in section:
-        output.emit_summary = _bool(section["emit_summary"], "output.emit_summary")
-
-    return ExperimentConfig(
-        network=network,
-        users=users,
-        learning=learning,
-        sweep=sweep,
-        seeds=seeds,
-        feasibility=feasibility,
-        output=output,
-    )
+    sections = {}
+    for name in ("network", *_SECTIONS):
+        values = _fields(raw, name)
+        try:
+            if name == "network":
+                values = {**_NETWORK_DEFAULTS, **values}
+                noise_dbm = values.pop("noise_power_dbm")
+                values["noise_power_w"] = _to_linear(dbm_to_watt, noise_dbm, "noise_power_dbm")
+                sections[name] = NetworkConfig(**values)
+            else:
+                sections[name] = _SECTIONS[name](**values)
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{exc}") from None
+    return ExperimentConfig(**sections)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -302,7 +255,4 @@ def load_config(path: str) -> ExperimentConfig:
 
 def default_config(**overrides) -> ExperimentConfig:
     """The desk-scale defaults; keyword overrides patch the raw JSON tree."""
-    raw: dict = {}
-    for key, value in overrides.items():
-        raw[key] = value
-    return parse_config(raw)
+    return parse_config(overrides)

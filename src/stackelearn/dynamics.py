@@ -3,9 +3,9 @@
 In the small-learning-rate limit the Boltzmann Q-learners follow a
 replicator-style vector field with an entropy (exploration) term:
 
-    dy_{i,j}/dt = (alpha / tau_i) * y_{i,j} * (
+    dy_{i,j}/dt = (alpha / tau) * y_{i,j} * (
         [U_i(j, Y_-i) - sum_l y_{i,l} U_i(l, Y_-i)]
-        - tau_i * sum_l y_{i,l} * ln(y_{i,j} / y_{i,l}) )
+        - tau * sum_l y_{i,l} * ln(y_{i,j} / y_{i,l}) )
 
 with U_i the exact expected utility of action j against the other users'
 mixed strategies.  Stationary points of this field are the candidate
@@ -33,18 +33,6 @@ class DynamicsDivergence(RuntimeError):
         self.step_index = step_index
 
 
-def _as_temperatures(temperatures, n: int) -> list[float]:
-    if np.isscalar(temperatures):
-        temps = [float(temperatures)] * n
-    else:
-        temps = [float(t) for t in temperatures]
-        if len(temps) != n:
-            raise ValueError("one temperature per user is required")
-    if any(t <= 0 for t in temps):
-        raise ValueError("temperatures must be > 0")
-    return temps
-
-
 def _floor_profile(profile) -> list[np.ndarray]:
     out = []
     for y in profile:
@@ -57,7 +45,7 @@ def strategy_derivative(
     profile,
     game: GameInstance,
     alpha: float,
-    temperatures,
+    temperature: float,
     utilities: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Evaluate the strategy vector field at a profile.
@@ -67,17 +55,17 @@ def strategy_derivative(
     """
     if utilities is None:
         utilities = normalized_utility_tensors(game)
-    n = len(utilities)
-    temps = _as_temperatures(temperatures, n)
+    if not temperature > 0:
+        raise ValueError("temperature must be > 0")
     ys = _floor_profile(profile)
     derivs = []
-    for i in range(n):
+    for i in range(len(utilities)):
         y = ys[i]
         u_actions = action_expected_utilities(utilities[i], ys, i)
         mean_u = float(y @ u_actions)
         log_y = np.log(y)
         entropy_term = log_y - float(y @ log_y)
-        d = (alpha / temps[i]) * y * ((u_actions - mean_u) - temps[i] * entropy_term)
+        d = (alpha / temperature) * y * ((u_actions - mean_u) - temperature * entropy_term)
         derivs.append(d)
     return derivs
 
@@ -86,7 +74,7 @@ def integrate_dynamics(
     initial,
     game: GameInstance,
     alpha: float,
-    temperatures,
+    temperature: float,
     step_size: float = 0.01,
     num_steps: int = 1000,
     utilities: list[np.ndarray] | None = None,
@@ -105,7 +93,7 @@ def integrate_dynamics(
         utilities = normalized_utility_tensors(game)
 
     def field(profile):
-        return strategy_derivative(profile, game, alpha, temperatures, utilities=utilities)
+        return strategy_derivative(profile, game, alpha, temperature, utilities=utilities)
 
     def axpy(profile, derivs, scale):
         return [y + scale * d for y, d in zip(profile, derivs)]
@@ -133,14 +121,14 @@ def stationarity_check(
     profile,
     game: GameInstance,
     alpha: float,
-    temperatures,
+    temperature: float,
     tolerance: float,
     utilities: list[np.ndarray] | None = None,
 ) -> tuple[bool, float]:
     """Max-norm of the field at a profile and whether it is below tolerance."""
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
-    derivs = strategy_derivative(profile, game, alpha, temperatures, utilities=utilities)
+    derivs = strategy_derivative(profile, game, alpha, temperature, utilities=utilities)
     residual = max(float(np.max(np.abs(d))) for d in derivs)
     return residual < tolerance, residual
 

@@ -33,7 +33,6 @@ from .learning import (
     NONCOOP,
     RLA1,
     RLA2,
-    LearnerSettings,
     StackelbergLearning,
     TraceRecord,
     full_expected_utility,
@@ -86,7 +85,6 @@ class SweepResult:
     algo: str
     fu_expected_sinr_lin: tuple[float, ...]  # per original follower, 0 when silenced
     active: tuple[bool, ...]
-    active_count: int
 
 
 def _reduced_game(game: GameInstance, keep: list[int]) -> GameInstance:
@@ -183,21 +181,10 @@ def learning_rng(base_seed: int, algorithm: str, replicate: int = 0) -> np.rando
     return np.random.default_rng(ss)
 
 
-def learner_settings(config: ExperimentConfig) -> LearnerSettings:
-    lc = config.learning
-    return LearnerSettings(
-        alpha=lc.alpha,
-        temperature=lc.temperature,
-        temperature_decay=lc.temperature_decay,
-        belief_factor=lc.belief_factor,
-    )
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every requested scheme on the configured instance and attach the
     oracle and complete-information references."""
     prepared = build_game(config)
-    settings = learner_settings(config)
     traces: dict[str, list[TraceRecord]] = {}
     terminal: dict[str, list[np.ndarray]] = {}
     for algo in config.learning.algorithms:
@@ -205,7 +192,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             prepared.game,
             algo,
             learning_rng(config.seeds.base_seed, algo),
-            settings=settings,
+            settings=config.learning,
         )
         traces[algo] = engine.run(
             config.learning.num_steps, log_every=config.learning.trace_decimation
@@ -221,28 +208,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def sweep_gamma0(
-    config: ExperimentConfig,
-    grid_db=None,
-    replicates: int | None = None,
-    algorithms=(RLA1, RLA2),
-) -> list[SweepResult]:
+def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[SweepResult]:
     """Terminal expected FU SINRs versus the leader's SINR target.
 
-    For each grid point and replicate the learned terminal strategies are
-    evaluated by exact enumeration over joint actions and averaged over the
-    replicates actually run: the first ``replicates`` entries of
-    ``seeds.replicate_offsets`` (all of ``range(replicates)`` when unset).
-    Silenced femtocells contribute zero SINR.
+    For each point of ``sweep.gamma0_grid_db`` and each replicate the learned
+    terminal strategies are evaluated by exact enumeration over joint actions
+    and averaged over the replicates actually run: the first
+    ``sweep.replicates`` entries of ``seeds.replicate_offsets`` (all of
+    ``range(sweep.replicates)`` when unset).  Silenced femtocells contribute
+    zero SINR.
     """
-    if grid_db is None:
-        grid_db = config.sweep.gamma0_grid_db
-    if replicates is None:
-        replicates = config.sweep.replicates
+    replicates = config.sweep.replicates
     offsets = (config.seeds.replicate_offsets or tuple(range(replicates)))[:replicates]
-    settings = learner_settings(config)
     results = []
-    for gamma0_db in grid_db:
+    for gamma0_db in config.sweep.gamma0_grid_db:
         prepared = build_game(config, gamma0_db=gamma0_db)
         n_fu_total = config.network.num_femtocells
         for algo in algorithms:
@@ -251,7 +230,7 @@ def sweep_gamma0(
                 prepared.game,
                 algo,
                 [learning_rng(config.seeds.base_seed, algo, replicate=r) for r in offsets],
-                settings=settings,
+                settings=config.learning,
             )
             engine.run(config.learning.num_steps, log_every=config.learning.num_steps)
             sums = np.zeros(n_fu_total)
@@ -267,7 +246,6 @@ def sweep_gamma0(
                     algo=algo,
                     fu_expected_sinr_lin=tuple(sums / len(offsets)),
                     active=prepared.active,
-                    active_count=sum(prepared.active),
                 )
             )
     return results

@@ -157,27 +157,29 @@ def full_expected_utility(tensor: np.ndarray, strategies) -> float:
 
 @dataclass
 class LearnerSettings:
-    """Hyperparameters shared by all schemes.
+    """Hyperparameters shared by all schemes (``config.LearningConfig``
+    extends them with the run length and the schemes to run).
 
     ``temperature`` is expressed in post-normalization utility units (the
-    learner rescales utilities to [0, 1]); ``None`` selects the default
-    fraction of that scale.  ``temperature_decay`` < 1 anneals geometrically.
+    learner rescales utilities to [0, 1]); it defaults to
+    ``AUTO_TEMPERATURE_FRACTION`` of that scale.  ``temperature_decay`` < 1
+    anneals geometrically.
     """
 
     alpha: float = 0.1
-    temperature: float | None = None
+    temperature: float = AUTO_TEMPERATURE_FRACTION
     temperature_decay: float = 1.0
     belief_factor: float = 2.0
 
     def __post_init__(self):
         if not 0 <= self.alpha < 1:
-            raise ValueError("alpha must lie in [0, 1)")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+            raise ValueError("alpha: must lie in [0, 1)")
+        if not self.temperature > 0:
+            raise ValueError("temperature: must be > 0")
         if not 0 < self.temperature_decay <= 1:
-            raise ValueError("temperature_decay must lie in (0, 1]")
-        if self.belief_factor < 0:
-            raise ValueError("belief_factor must be >= 0")
+            raise ValueError("temperature_decay: must lie in (0, 1]")
+        if not self.belief_factor >= 0:
+            raise ValueError("belief_factor: must be >= 0")
 
 
 @dataclass
@@ -284,10 +286,7 @@ class StackelbergLearning:
             [watt_to_dbm(p) for p in user.action_set.levels_w] for user in game.users
         ]
 
-        tau = self.settings.temperature
-        if tau is None:
-            tau = AUTO_TEMPERATURE_FRACTION  # normalized utilities peak at 1
-        self.temperature = tau
+        self.temperature = self.settings.temperature
 
         if belief_factors is None:
             belief_factors = [self.settings.belief_factor] * k
@@ -358,11 +357,6 @@ class StackelbergLearning:
             ndim = lead + (j - first + 1 if j > first else 2)
             columns.append((slice(None),) + (None,) * (ndim - 3) + (j, slice(0, self.dims[j]), None))
         return columns
-
-    @property
-    def temperatures(self) -> list[float]:
-        """Current per-user temperatures (one shared value)."""
-        return [self.temperature] * self.game.num_users
 
     def _per_replicate(self, per_user) -> list:
         runs = [per_user(r) for r in range(self.num_replicates)]

@@ -239,7 +239,7 @@ def test_criterion_5_dynamics_stationarity(game):
     profile = [y / y.sum() for y in profile]
 
     utilities = normalized_utility_tensors(game)
-    tau = engine.temperatures
+    tau = engine.temperature
     ok, residual = stationarity_check(
         profile, game, ALPHA, tau, tolerance=1e-2, utilities=utilities
     )

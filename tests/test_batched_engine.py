@@ -11,7 +11,6 @@ import pytest
 import stackelearn as sl
 from stackelearn.game import utility_tensor
 from stackelearn.learning import (
-    AUTO_TEMPERATURE_FRACTION,
     NONCOOP,
     RLA1,
     RLA2,
@@ -41,7 +40,7 @@ class ReferenceLearner:
         n = game.num_users
         self.u_phys = [utility_tensor(game, i) for i in range(n)]
         self.u_norm = [t / (max(float(t.max()), 0.0) or 1.0) for t in self.u_phys]
-        self.tau = settings.temperature or AUTO_TEMPERATURE_FRACTION
+        self.tau = settings.temperature
         self.deltas = belief_factors
         self.q = [np.zeros(m) for m in self.dims]
         self.y = [boltzmann_strategy(q, self.tau) for q in self.q]

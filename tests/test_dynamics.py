@@ -79,14 +79,8 @@ def test_derivative_is_tangent_to_simplex():
             assert abs(d.sum()) < 1e-10
 
 
-def test_derivative_accepts_per_user_temperatures(desk_game):
+def test_derivative_rejects_non_positive_temperature(desk_game):
     ys = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
-    a = strategy_derivative(ys, desk_game, 0.1, 0.05)
-    b = strategy_derivative(ys, desk_game, 0.1, [0.05] * desk_game.num_users)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-    with pytest.raises(ValueError):
-        strategy_derivative(ys, desk_game, 0.1, [0.05])
     with pytest.raises(ValueError):
         strategy_derivative(ys, desk_game, 0.1, -1.0)
 

@@ -21,7 +21,7 @@ from stackelearn.harness import (
     sweep_gamma0,
 )
 from stackelearn.game import best_response, leader_feasible, utility
-from stackelearn.learning import full_expected_utility
+from stackelearn.learning import AUTO_TEMPERATURE_FRACTION, full_expected_utility
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def test_default_config_values(default_cfg):
     assert cfg.users.fu_sinr_target_db == 5.0
     assert cfg.users.action_set_dbm == (20.0, 25.0, 30.0)
     assert cfg.learning.alpha == 0.1
-    assert cfg.learning.temperature is None
+    assert cfg.learning.temperature == AUTO_TEMPERATURE_FRACTION
     assert cfg.learning.num_steps == 5000
     assert cfg.sweep.replicates == 3
     assert cfg.feasibility.enabled is False
@@ -86,6 +86,19 @@ def test_parse_config_rejects_unknown_keys():
                      id="network-noise_power_dbm-huge-int"),
         ("learning", "algorithms", 3, "learning.algorithms"),
         ("output", "directory", 7, "output.directory"),
+        # dB/dBm values without a finite, positive linear value
+        *[
+            pytest.param("users", key, sign * 1e308, f"users.{key}", id=f"users-{key}-{sign}e308")
+            for key in ("mu_sinr_target_db", "fu_sinr_target_db", "circuit_power_dbm")
+            for sign in (1, -1)
+        ],
+        pytest.param("users", "action_set_dbm", [1e308], "users.action_set_dbm",
+                     id="users-action_set_dbm-1e308"),
+        pytest.param("users", "action_set_dbm", [-1e308], "users.action_set_dbm",
+                     id="users-action_set_dbm--1e308"),
+        # strictly increasing in dBm, equal in watts
+        ("users", "action_set_dbm", [123.456, 123.45600000000002], "users.action_set_dbm"),
+        ("sweep", "gamma0_grid_db", [0, 1e308], "sweep.gamma0_grid_db"),
     ],
 )
 def test_parse_config_validates_values(section, key, value, match):
@@ -127,9 +140,36 @@ def test_parse_config_any_json_value_is_config_or_config_error(field, value):
         pass
 
 
+_DB_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-400, 400)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    users=st.fixed_dictionaries(
+        {},
+        optional={
+            "mu_sinr_target_db": _DB_VALUES,
+            "fu_sinr_target_db": _DB_VALUES,
+            "circuit_power_dbm": _DB_VALUES,
+            "action_set_dbm": st.lists(_DB_VALUES, min_size=1, max_size=4),
+        },
+    ),
+    grid=st.lists(_DB_VALUES, min_size=1, max_size=3),
+)
+def test_accepted_radio_values_build_a_game(users, grid):
+    # what parse_config accepts in these sections, build_game can convert
+    try:
+        cfg = parse_config({"users": users, "sweep": {"gamma0_grid_db": grid}})
+    except ConfigError:
+        return
+    build_game(cfg)
+    for gamma0_db in cfg.sweep.gamma0_grid_db:
+        build_game(cfg, gamma0_db=gamma0_db)
+
+
 def test_parse_config_temperature_auto():
     cfg = parse_config({"learning": {"temperature": "auto"}})
-    assert cfg.learning.temperature is None
+    assert cfg.learning.temperature == AUTO_TEMPERATURE_FRACTION
     cfg = parse_config({"learning": {"temperature": 0.2}})
     assert cfg.learning.temperature == 0.2
 
@@ -295,7 +335,6 @@ def test_sweep_results_and_csv(small_cfg, tmp_path):
     assert [r.gamma0_db for r in results] == list(grid)
     for r in results:
         assert len(r.fu_expected_sinr_lin) == small_cfg.network.num_femtocells
-        assert r.active_count == sum(r.active)
         for k, lin in enumerate(r.fu_expected_sinr_lin):
             assert lin >= 0
             if not r.active[k]:
@@ -472,6 +511,13 @@ def test_cli_dynamics_bad_steps_is_config_error(tmp_path, capsys, steps):
     cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
     assert cli_main(["dynamics", "--config", cfg, "--steps", steps]) == 1
     assert "--steps" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_grid_goes_through_config_checks(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
+    assert cli_main(["sweep", "--config", cfg, "--from", "0", "--to", "1e308", "--points", "2"]) == 1
+    assert "--to" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stackelearn as sl
+from stackelearn.config import LearningConfig
 from stackelearn.game import expected_utility, normalized_utility_tensors, utility_tensor
 from stackelearn.learning import (
     NONCOOP,
@@ -317,6 +318,12 @@ def test_learner_settings_validation():
         sl.LearnerSettings(temperature_decay=0.0)
     with pytest.raises(ValueError):
         sl.LearnerSettings(belief_factor=-0.5)
+    # the config section shares the learner's fields and checks
+    with pytest.raises(ValueError, match="alpha"):
+        LearningConfig(alpha=1.0)
+    with pytest.raises(ValueError, match="num_steps"):
+        LearningConfig(num_steps=0)
+    assert LearningConfig().temperature == sl.LearnerSettings().temperature
 
 
 def test_temperature_decay_applied(desk_game):
@@ -324,9 +331,9 @@ def test_temperature_decay_applied(desk_game):
         desk_game, RLA1, settings=sl.LearnerSettings(temperature=0.1, temperature_decay=0.9)
     )
     eng.step()
-    assert eng.temperatures[0] == pytest.approx(0.09)
+    assert eng.temperature == pytest.approx(0.09)
     eng.step()
-    assert eng.temperatures[0] == pytest.approx(0.081)
+    assert eng.temperature == pytest.approx(0.081)
 
 
 def test_leader_update_uses_exact_expectation(desk_game):
