@@ -1,0 +1,82 @@
+"""Golden outputs: every CSV and stdout of the four CLI commands, by sha256.
+
+The commands run on the default config with 300 learning steps: ``run``,
+``sweep`` over two leader targets with one replicate, ``dynamics`` for 200
+steps and ``oracle``.  The digests were recorded with numpy 2.4.6 on
+CPython 3.11 (x86-64); a refactor that keeps them keeps every number the
+package prints.  A different numpy or BLAS build may change last bits, and
+with them the digests.
+
+    PYTHONPATH=src python tests/test_golden_outputs.py   # print the digests
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from stackelearn.cli import main as cli_main
+
+COMMANDS = {
+    "run": ["run"],
+    "sweep": ["sweep", "--from", "0", "--to", "10", "--points", "2", "--replicates", "1"],
+    "dynamics": ["dynamics", "--steps", "200"],
+    "oracle": ["oracle"],
+}
+
+GOLDEN = {
+    "run/stdout": "46793ca8f22e2e79cf263cb7cfbfc3e523564fed06367642b9ce668f7a3e83ab",
+    "run/summary.csv": "a8433812c8ff5d17330fabd25671816daa0f18338f6efa7f44c2fa33ae425d8f",
+    "run/trace_noncoop.csv": "d50aa5551b9b4d435ebaad4c12ff34bb1cba262848b7326785fe1b5a9d8d9a22",
+    "run/trace_rla1.csv": "751eaf5fc42eff05e5d36e952e54393e362279064493cc9812e5b4ffd4b501d8",
+    "run/trace_rla2.csv": "29073e93309baa82edca308a66939673c51b14f870806a15bf33eeb1dcf7de90",
+    "sweep/stdout": "f92e5304d4065236223bc2a697cf97ac5eef86eb5aa1643266787aae63f3bb1a",
+    "sweep/sweep_gamma0.csv": "8051f99f347096d488505ac32bd61a0b44b84b538719cc4aeac59a72e5e9d68c",
+    "dynamics/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
+    "dynamics/dynamics.csv": "b3f569056b7be45e2b79d2492c736497ed3d52f743c039ef1e745de8a46c6246",
+    "oracle/stdout": "6be1000e2466312afd45cb73a8397f430e06886149bd451b06ed018b2234de16",
+}
+
+
+def _digests(workdir: Path) -> dict[str, str]:
+    """sha256 of each command's stdout (output directory masked) and CSVs."""
+    digests = {}
+    for name, argv in COMMANDS.items():
+        out = workdir / name
+        config = workdir / f"{name}.json"
+        config.write_text(json.dumps({"learning": {"num_steps": 300}, "output": {"directory": str(out)}}))
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = cli_main(argv + ["--config", str(config)])
+        assert code == 0, f"{name} exited {code}"
+        stdout = buffer.getvalue().replace(str(out), "OUT")
+        digests[f"{name}/stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+        for csv in sorted(out.glob("*.csv")) if out.is_dir() else ():
+            digests[f"{name}/{csv.name}"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return _digests(tmp_path_factory.mktemp("golden"))
+
+
+def test_golden_outputs_cover_the_same_files(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("output", sorted(GOLDEN))
+def test_golden_output_digest(digests, output):
+    assert digests[output] == GOLDEN[output]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, value in _digests(Path(tmp)).items():
+            print(f'    "{key}": "{value}",', file=sys.stderr)
