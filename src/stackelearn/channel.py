@@ -40,17 +40,29 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
+def _to_linear(convert, value: float, name: str) -> float:
+    """``convert(value)`` (a dB or dBm conversion), which must be finite and > 0."""
+    try:
+        linear = convert(value)
+    except (OverflowError, ValueError):
+        linear = math.nan
+    if not (math.isfinite(linear) and linear > 0):
+        raise ValueError(f"{name}: {value!r} has no finite, positive linear value")
+    return linear
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Static description of the network layout and radio constants."""
+    """Static description of the network layout and radio constants (the
+    ``network`` config section)."""
 
-    bandwidth_hz: float
-    noise_power_w: float
-    num_femtocells: int
-    macro_radius_m: float
-    femto_radius_m: float
-    path_loss_exponent: float
-    rng_seed: int
+    bandwidth_hz: float = 1e6
+    noise_power_dbm: float = -110.0
+    num_femtocells: int = 2
+    macro_radius_m: float = 500.0
+    femto_radius_m: float = 20.0
+    path_loss_exponent: float = 4.0
+    rng_seed: int = 44
     # Users are resampled until at least this far from every base station,
     # since d^(-n) blows up at zero distance.
     min_separation_m: float = 1.0
@@ -59,9 +71,9 @@ class NetworkConfig:
     shadowing_sigma_db: float = 0.0
 
     def __post_init__(self):
+        _to_linear(dbm_to_watt, self.noise_power_dbm, "noise_power_dbm")
         positive = {
             "bandwidth_hz": self.bandwidth_hz,
-            "noise_power_w": self.noise_power_w,
             "macro_radius_m": self.macro_radius_m,
             "femto_radius_m": self.femto_radius_m,
             "path_loss_exponent": self.path_loss_exponent,
@@ -78,6 +90,10 @@ class NetworkConfig:
             raise ValueError("shadowing_sigma_db: must be >= 0")
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ValueError("rng_seed: must fit in an unsigned 64-bit integer")
+
+    @property
+    def noise_power_w(self) -> float:
+        return dbm_to_watt(self.noise_power_dbm)
 
 
 @dataclass(frozen=True)
@@ -96,10 +112,6 @@ class Topology:
         for arr in (self.bs_positions, self.user_positions, self.distances):
             arr.setflags(write=False)
 
-    @property
-    def num_cells(self) -> int:
-        return self.bs_positions.shape[0]
-
 
 def _uniform_disc(rng: np.random.Generator, center: np.ndarray, radius: float) -> np.ndarray:
     # radius * sqrt(u) gives an area-uniform radial coordinate
@@ -108,7 +120,7 @@ def _uniform_disc(rng: np.random.Generator, center: np.ndarray, radius: float) -
     return center + r * np.array([math.cos(theta), math.sin(theta)])
 
 
-def generate_topology(config: NetworkConfig, rng: np.random.Generator | None = None) -> Topology:
+def generate_topology(config: NetworkConfig, rng: np.random.Generator) -> Topology:
     """Drop base stations and users for one network realization.
 
     The MBS sits at the origin.  FBS positions are i.i.d. uniform over the
@@ -117,8 +129,6 @@ def generate_topology(config: NetworkConfig, rng: np.random.Generator | None = N
     macro disc.  Users are rejection-resampled until they are at least
     ``min_separation_m`` away from every base station.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
     n_cells = config.num_femtocells + 1
 
     bs = np.zeros((n_cells, 2))
@@ -144,21 +154,19 @@ def generate_topology(config: NetworkConfig, rng: np.random.Generator | None = N
 def gain_matrix(
     topology: Topology,
     path_loss_exponent: float,
-    shadowing_sigma_db: float = 0.0,
-    rng: np.random.Generator | None = None,
+    shadowing_sigma_db: float,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Channel gains ``h[j, i]`` from user j to base station i.
 
-    Pure distance-based path loss ``d^(-n)``; an optional log-normal
-    shadowing multiplier can be enabled via ``shadowing_sigma_db``.
+    Pure distance-based path loss ``d^(-n)``; ``shadowing_sigma_db`` > 0
+    adds a log-normal shadowing multiplier drawn from ``rng``.
     """
     d = topology.distances
     if np.any(d <= 0):
         raise ValueError("zero or negative distance: gain d^(-n) is singular")
     h = d ** (-path_loss_exponent)
     if shadowing_sigma_db > 0:
-        if rng is None:
-            raise ValueError("shadowing requires an explicit rng")
         h = h * 10.0 ** (rng.normal(0.0, shadowing_sigma_db, size=h.shape) / 10.0)
     h.setflags(write=False)
     return h

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import watt_to_dbm
 from .config import ConfigError, load_config
-from .dynamics import integrate_dynamics
+from .dynamics import DynamicsDivergence, integrate_dynamics
 from .game import normalized_utility_tensors, stackelberg_oracle
 from .harness import (
     build_game,
@@ -170,17 +170,20 @@ def _cmd_dynamics(args) -> int:
         print("error: leader SINR target infeasible even with all femtocells silenced", file=sys.stderr)
         return EXIT_INFEASIBLE
     game = prepared.game
-    utilities = normalized_utility_tensors(game)
     initial = [np.full(m, 1.0 / m) for m in game.action_dims]
-    trajectory = integrate_dynamics(
-        initial,
-        game,
-        config.learning.alpha,
-        config.learning.temperature,
-        step_size=args.step_size,
-        num_steps=args.steps,
-        utilities=utilities,
-    )
+    try:
+        trajectory = integrate_dynamics(
+            initial,
+            normalized_utility_tensors(game),
+            config.learning.alpha,
+            config.learning.temperature,
+            args.step_size,
+            args.steps,
+        )
+    except DynamicsDivergence as exc:
+        raise ConfigError(
+            f"dynamics --step-size: {args.step_size!r} diverges at step {exc.step_index}"
+        ) from None
     path = os.path.join(config.output.directory, "dynamics.csv")
     emit_dynamics_csv(trajectory, args.step_size, path, user_ids=prepared.user_ids)
     print(f"wrote {path} ({len(trajectory)} profiles)")

@@ -18,24 +18,15 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from .channel import NetworkConfig, db_to_linear, dbm_to_watt
+import numpy as np
+
+from .channel import NetworkConfig, _to_linear, db_to_linear, dbm_to_watt
 from .game import ActionSet
 from .learning import ALGORITHMS, AUTO_TEMPERATURE_FRACTION, LearnerSettings
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message carries the field path."""
-
-
-def _to_linear(convert, value: float, name: str) -> float:
-    """``convert(value)`` (a dB or dBm conversion), which must be finite and > 0."""
-    try:
-        linear = convert(value)
-    except (OverflowError, ValueError):
-        linear = math.nan
-    if not (math.isfinite(linear) and linear > 0):
-        raise ValueError(f"{name}: {value!r} has no finite, positive linear value")
-    return linear
 
 
 @dataclass
@@ -67,6 +58,12 @@ class LearningConfig(LearnerSettings):
         super().__post_init__()
         if self.num_steps < 1:
             raise ValueError("num_steps: must be >= 1")
+        # the Boltzmann step divides Q-values in [0, 1] by the temperature
+        tiny = np.finfo(float).tiny
+        if not self.temperature * self.temperature_decay**self.num_steps >= tiny:
+            raise ValueError(
+                f"temperature: temperature * temperature_decay ** num_steps must be >= {tiny:g}"
+            )
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"algorithms: unknown algorithm {name!r}")
@@ -123,7 +120,7 @@ class OutputConfig:
 
 @dataclass
 class ExperimentConfig:
-    network: NetworkConfig
+    network: NetworkConfig = field(default_factory=NetworkConfig)
     users: UserConfig = field(default_factory=UserConfig)
     learning: LearningConfig = field(default_factory=LearningConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
@@ -132,19 +129,8 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_NETWORK_DEFAULTS = {
-    "bandwidth_hz": 1e6,
-    "noise_power_dbm": -110.0,
-    "num_femtocells": 2,
-    "macro_radius_m": 500.0,
-    "femto_radius_m": 20.0,
-    "path_loss_exponent": 4.0,
-    "rng_seed": 44,
-    "min_separation_m": 1.0,
-    "shadowing_sigma_db": 0.0,
-}
-
 _SECTIONS = {
+    "network": NetworkConfig,
     "users": UserConfig,
     "learning": LearningConfig,
     "sweep": SweepConfig,
@@ -171,11 +157,8 @@ def _field_types(cls) -> dict:
     return {key: _json_type(hint) for key, hint in typing.get_type_hints(cls).items()}
 
 
-# JSON types per section, resolved once; the network section is configured
-# in dBm where NetworkConfig holds watts
+# JSON types per section, resolved once
 _FIELD_TYPES = {name: _field_types(cls) for name, cls in _SECTIONS.items()}
-_FIELD_TYPES["network"] = _field_types(NetworkConfig)
-_FIELD_TYPES["network"]["noise_power_dbm"] = _FIELD_TYPES["network"].pop("noise_power_w")
 
 
 def _check_keys(section: dict, allowed, path: str) -> None:
@@ -222,22 +205,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from a decoded JSON object."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
-    _check_keys(raw, ("network", *_SECTIONS), "top level")
+    _check_keys(raw, _SECTIONS, "top level")
     learning = raw.get("learning")
     if isinstance(learning, dict) and learning.get("temperature", 0.0) in ("auto", None):
         raw = {**raw, "learning": {**learning, "temperature": AUTO_TEMPERATURE_FRACTION}}
 
     sections = {}
-    for name in ("network", *_SECTIONS):
+    for name, section in _SECTIONS.items():
         values = _fields(raw, name)
         try:
-            if name == "network":
-                values = {**_NETWORK_DEFAULTS, **values}
-                noise_dbm = values.pop("noise_power_dbm")
-                values["noise_power_w"] = _to_linear(dbm_to_watt, noise_dbm, "noise_power_dbm")
-                sections[name] = NetworkConfig(**values)
-            else:
-                sections[name] = _SECTIONS[name](**values)
+            sections[name] = section(**values)
         except ValueError as exc:
             raise ConfigError(f"{name}.{exc}") from None
     return ExperimentConfig(**sections)

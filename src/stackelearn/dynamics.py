@@ -9,15 +9,16 @@ replicator-style vector field with an entropy (exploration) term:
 
 with U_i the exact expected utility of action j against the other users'
 mixed strategies.  Stationary points of this field are the candidate
-equilibria the learners settle on.  Utilities enter on the same normalized
-scale the learners use, so residuals are comparable to learner temperatures.
+equilibria the learners settle on.  Every function takes the per-user
+utility tensors on the normalized scale the learners use
+(``game.normalized_utility_tensors``), so residuals are comparable to learner
+temperatures.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .game import GameInstance, normalized_utility_tensors
 from .learning import action_expected_utilities
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
@@ -42,19 +43,13 @@ def _floor_profile(profile) -> list[np.ndarray]:
 
 
 def strategy_derivative(
-    profile,
-    game: GameInstance,
-    alpha: float,
-    temperature: float,
-    utilities: list[np.ndarray] | None = None,
+    profile, utilities: list[np.ndarray], alpha: float, temperature: float
 ) -> list[np.ndarray]:
     """Evaluate the strategy vector field at a profile.
 
     Returns one derivative vector per user; each sums to zero (the field is
     tangent to the product of simplices).
     """
-    if utilities is None:
-        utilities = normalized_utility_tensors(game)
     if not temperature > 0:
         raise ValueError("temperature must be > 0")
     ys = _floor_profile(profile)
@@ -72,12 +67,11 @@ def strategy_derivative(
 
 def integrate_dynamics(
     initial,
-    game: GameInstance,
+    utilities: list[np.ndarray],
     alpha: float,
     temperature: float,
-    step_size: float = 0.01,
-    num_steps: int = 1000,
-    utilities: list[np.ndarray] | None = None,
+    step_size: float,
+    num_steps: int,
 ) -> list[list[np.ndarray]]:
     """Fixed-step RK4 integration of the strategy field.
 
@@ -89,11 +83,9 @@ def integrate_dynamics(
         raise ValueError("step_size must be > 0")
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
-    if utilities is None:
-        utilities = normalized_utility_tensors(game)
 
     def field(profile):
-        return strategy_derivative(profile, game, alpha, temperature, utilities=utilities)
+        return strategy_derivative(profile, utilities, alpha, temperature)
 
     def axpy(profile, derivs, scale):
         return [y + scale * d for y, d in zip(profile, derivs)]
@@ -118,17 +110,12 @@ def integrate_dynamics(
 
 
 def stationarity_check(
-    profile,
-    game: GameInstance,
-    alpha: float,
-    temperature: float,
-    tolerance: float,
-    utilities: list[np.ndarray] | None = None,
+    profile, utilities: list[np.ndarray], alpha: float, temperature: float, tolerance: float
 ) -> tuple[bool, float]:
     """Max-norm of the field at a profile and whether it is below tolerance."""
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
-    derivs = strategy_derivative(profile, game, alpha, temperature, utilities=utilities)
+    derivs = strategy_derivative(profile, utilities, alpha, temperature)
     residual = max(float(np.max(np.abs(d))) for d in derivs)
     return residual < tolerance, residual
 

@@ -189,15 +189,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     terminal: dict[str, list[np.ndarray]] = {}
     for algo in config.learning.algorithms:
         engine = StackelbergLearning(
-            prepared.game,
-            algo,
-            learning_rng(config.seeds.base_seed, algo),
-            settings=config.learning,
+            prepared.game, algo, [learning_rng(config.seeds.base_seed, algo)], config.learning
         )
         traces[algo] = engine.run(
             config.learning.num_steps, log_every=config.learning.trace_decimation
-        )
-        terminal[algo] = [s.copy() for s in engine.strategies]
+        )[0]
+        terminal[algo] = engine.strategies[0]
     return ExperimentResult(
         prepared=prepared,
         traces=traces,
@@ -230,7 +227,7 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
                 prepared.game,
                 algo,
                 [learning_rng(config.seeds.base_seed, algo, replicate=r) for r in offsets],
-                settings=config.learning,
+                config.learning,
             )
             engine.run(config.learning.num_steps, log_every=config.learning.num_steps)
             sums = np.zeros(n_fu_total)
@@ -308,7 +305,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_trace_csv(records: list[TraceRecord], algo: str, path: str, user_ids=None) -> None:
+def emit_trace_csv(records: list[TraceRecord], algo: str, path: str, user_ids) -> None:
     """Trace CSV, step-major / user-minor, one header row, full precision."""
     if records:
         max_actions = max(len(s) for s in records[0].strategies)
@@ -319,11 +316,10 @@ def emit_trace_csv(records: list[TraceRecord], algo: str, path: str, user_ids=No
     lines = [header]
     for rec in records:
         for i in range(len(rec.actions)):
-            uid = user_ids[i] if user_ids is not None else i
             probs = list(rec.strategies[i]) + [None] * (max_actions - len(rec.strategies[i]))
             fields = [
                 str(rec.step),
-                str(uid),
+                str(user_ids[i]),
                 algo,
                 str(rec.actions[i]),
                 _fmt(rec.powers_dbm[i]),
@@ -370,7 +366,7 @@ def emit_summary_csv(rows: list[dict], path: str) -> None:
     _write_lines(path, lines)
 
 
-def emit_dynamics_csv(trajectory, step_size: float, path: str, user_ids=None) -> None:
+def emit_dynamics_csv(trajectory, step_size: float, path: str, user_ids) -> None:
     if trajectory:
         max_actions = max(len(y) for y in trajectory[0])
     else:
@@ -379,8 +375,7 @@ def emit_dynamics_csv(trajectory, step_size: float, path: str, user_ids=None) ->
     lines = [header]
     for t, profile in enumerate(trajectory):
         for i, y in enumerate(profile):
-            uid = user_ids[i] if user_ids is not None else i
-            fields = [str(t), _fmt(t * step_size), str(uid)]
+            fields = [str(t), _fmt(t * step_size), str(user_ids[i])]
             fields += [_fmt(float(p)) for p in y]
             fields += [""] * (max_actions - len(y))
             lines.append(",".join(fields))

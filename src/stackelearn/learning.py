@@ -14,9 +14,11 @@ Three schemes share one step loop:
 * ``noncoop`` -- every user, leader included, does bandit Q-learning on the
   raw realized utility with no information exchange.
 
-One ``StackelbergLearning`` engine advances R independent replicates of a
-scheme in lockstep, each bitwise equal to a run on its own; the scalar
-helpers below are the reference semantics it is tested against.
+One ``StackelbergLearning`` engine advances a batch of R independent
+replicates of a scheme in lockstep, one generator each, and reports every
+result per replicate; each replicate is bitwise equal to a one-replicate
+batch on its own generator.  The scalar helpers below are the reference
+semantics it is tested against.
 
 Each user's utilities are rescaled by that user's own maximum pure-profile
 utility before learning (``normalized_utility_tensors``), so one default
@@ -212,17 +214,17 @@ class _BeliefGroup:
 class StackelbergLearning:
     """Learning runs of one scheme on one game instance, R replicates in lockstep.
 
-    ``seed_or_rng`` is one generator (or a seed for one), giving a single
-    run, or a list or tuple of R generators, one per replicate.  Each
-    replicate draws only from its own generator, one uniform per user per
-    step in user order, so its results do not depend on the replicates run
-    beside it.
+    ``rngs`` is a non-empty list of R generators, one per replicate (a
+    single run is a batch of one).  Each replicate draws only from its own
+    generator, one uniform per user per step in user order, so its results
+    do not depend on the replicates run beside it.
 
     Agent state carries a leading replicate axis and is padded to the
     largest action set M: ``q_batch`` and ``strategy_batch`` are (R, n, M),
-    ``u_hat_batch`` and ``count_batch`` (R, n-1, M, M0).  The properties
-    ``q``, ``strategies``, ``estimates`` and ``beliefs`` give copies per user
-    for a single run, and one such list per replicate for a batch.
+    ``u_hat_batch`` and ``count_batch`` (R, n-1, M, M0).  ``step`` and
+    ``run`` return one entry per replicate, and the properties ``q``,
+    ``strategies``, ``estimates`` and ``beliefs`` one list of per-user
+    copies per replicate.
 
     Each replicate is bitwise equal to a run of the scalar helpers
     (``sample_action``, ``q_update``, ``JointEstimate``,
@@ -241,26 +243,20 @@ class StackelbergLearning:
         self,
         game: GameInstance,
         algorithm: str,
-        seed_or_rng,
-        settings: LearnerSettings | None = None,
+        rngs: list[np.random.Generator],
+        settings: LearnerSettings,
         belief_factors=None,
     ):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
+        if not rngs:
+            raise ValueError("at least one replicate generator is required")
+        if not all(isinstance(g, np.random.Generator) for g in rngs):
+            raise TypeError("a replicate batch takes numpy Generator instances")
         self.game = game
         self.algorithm = algorithm
-        self.settings = settings or LearnerSettings()
-        self.batched = isinstance(seed_or_rng, (list, tuple))
-        if self.batched:
-            if not seed_or_rng:
-                raise ValueError("at least one replicate generator is required")
-            if not all(isinstance(g, np.random.Generator) for g in seed_or_rng):
-                raise TypeError("a replicate batch takes numpy Generator instances")
-            self.rngs = list(seed_or_rng)
-        elif isinstance(seed_or_rng, np.random.Generator):
-            self.rngs = [seed_or_rng]
-        else:
-            self.rngs = [np.random.default_rng(seed_or_rng)]
+        self.settings = settings
+        self.rngs = list(rngs)
 
         n = game.num_users
         k = game.num_followers
@@ -358,25 +354,22 @@ class StackelbergLearning:
             columns.append((slice(None),) + (None,) * (ndim - 3) + (j, slice(0, self.dims[j]), None))
         return columns
 
-    def _per_replicate(self, per_user) -> list:
-        runs = [per_user(r) for r in range(self.num_replicates)]
-        return runs if self.batched else runs[0]
+    def _per_user_rows(self, batch: np.ndarray) -> list:
+        return [[row[i, :m].copy() for i, m in enumerate(self.dims)] for row in batch]
 
     @property
     def strategies(self) -> list:
-        """Current strategies: per user, per replicate for a batch."""
-        y = self.strategy_batch
-        return self._per_replicate(lambda r: [y[r, i, :m].copy() for i, m in enumerate(self.dims)])
+        """Current strategies: per replicate, per user."""
+        return self._per_user_rows(self.strategy_batch)
 
     @property
     def q(self) -> list:
-        """Current Q-values: per user, per replicate for a batch."""
-        q = self.q_batch
-        return self._per_replicate(lambda r: [q[r, i, :m].copy() for i, m in enumerate(self.dims)])
+        """Current Q-values: per replicate, per user."""
+        return self._per_user_rows(self.q_batch)
 
     @property
     def estimates(self) -> list:
-        """Follower utility estimates as ``JointEstimate`` copies."""
+        """Follower utility estimates as ``JointEstimate`` copies, per replicate."""
 
         def per_follower(r):
             out = []
@@ -387,12 +380,12 @@ class StackelbergLearning:
                 out.append(est)
             return out
 
-        return self._per_replicate(per_follower)
+        return [per_follower(r) for r in range(self.num_replicates)]
 
     @property
     def beliefs(self) -> list:
-        """rla2 contention beliefs, one axis per other follower; followers
-        that never update theirs keep the uniform one."""
+        """rla2 contention beliefs per replicate, one axis per other
+        follower; followers that never update theirs keep the uniform one."""
         uniform = [np.full(self._other_dims(i), 1.0 / math.prod(self._other_dims(i)))
                    for i in range(1, self.game.num_users)]
 
@@ -404,7 +397,7 @@ class StackelbergLearning:
                     out[i - 1] = group.beliefs[r, g].reshape(self._other_dims(i)).copy()
             return out
 
-        return self._per_replicate(per_follower)
+        return [per_follower(r) for r in range(self.num_replicates)]
 
     def _boltzmann(self, q: np.ndarray) -> np.ndarray:
         """``boltzmann_strategy`` of every (replicate, user) row; padding
@@ -523,28 +516,25 @@ class StackelbergLearning:
         y0 = self.strategy_batch[:, None, None, 0, :m0]
         return np.matmul(y0, over_leader)[..., 0, 0]
 
-    def step(self, record: bool = True):
-        """One iteration.  Returns its ``TraceRecord`` (a list of R records,
-        one per replicate, for a batch); ``record=False`` builds none and
-        returns None."""
+    def step(self, record: bool = True) -> list[TraceRecord] | None:
+        """One iteration.  Returns its ``TraceRecord``s, one per replicate;
+        ``record=False`` builds none and returns None."""
         if self._next_uniform == len(self._uniforms):
             self._uniforms, self._next_uniform = self._draw(1), 0
         actions = self._sample(self._uniforms[self._next_uniform])
         self._next_uniform += 1
         records = self._records(actions) if record else None
         self._update(actions)
-        if records is None or self.batched:
-            return records
-        return records[0]
+        return records
 
-    def run(self, num_steps: int, log_every: int = 1) -> list:
+    def run(self, num_steps: int, log_every: int = 1) -> list[list[TraceRecord]]:
         """Run ``num_steps`` iterations, keeping every ``log_every``-th record
-        plus the final one; records are only built for kept steps.  A batch
-        returns one such list per replicate."""
+        plus the final one; records are only built for kept steps.  Returns
+        one such list per replicate."""
         if num_steps < 1:
             raise ValueError("num_steps must be >= 1")
         last = num_steps - 1
-        kept = []
+        runs = [[] for _ in self.rngs]
         for start in range(0, num_steps, self.DRAW_BLOCK):
             # ``step`` has used up its draws, so the stream stays in order
             self._uniforms = self._draw(min(self.DRAW_BLOCK, num_steps - start))
@@ -553,10 +543,9 @@ class StackelbergLearning:
                 keep = t % log_every == 0 or t == last
                 records = self.step(record=keep)
                 if keep:
-                    kept.append(records)
-        if self.batched:
-            return [list(run) for run in zip(*kept)]
-        return kept
+                    for run, record in zip(runs, records):
+                        run.append(record)
+        return runs
 
 
 def _softmax_rows(q: np.ndarray, temperature: float) -> np.ndarray:

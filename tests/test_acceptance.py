@@ -15,13 +15,8 @@ from scipy.stats import spearmanr
 import stackelearn as sl
 from stackelearn.cli import main as cli_main
 from stackelearn.config import default_config
-from stackelearn.dynamics import (
-    integrate_dynamics,
-    normalized_utility_tensors,
-    stationarity_check,
-    total_variation,
-)
-from stackelearn.game import stackelberg_oracle, utility_tensor
+from stackelearn.dynamics import integrate_dynamics, stationarity_check, total_variation
+from stackelearn.game import normalized_utility_tensors, stackelberg_oracle, utility_tensor
 from stackelearn.harness import build_game, learning_rng, sweep_gamma0
 from stackelearn.learning import (
     NONCOOP,
@@ -55,15 +50,15 @@ def game(cfg):
 
 
 def _terminal_leader_eu(engine):
-    return full_expected_utility(engine.u_phys[0], engine.strategies)
+    return full_expected_utility(engine.u_phys[0], engine.strategies[0])
 
 
 def _run(game, algo, replicate, belief_factors=None):
     engine = StackelbergLearning(
         game,
         algo,
-        learning_rng(44, algo, replicate=replicate),
-        settings=LearnerSettings(alpha=ALPHA),
+        [learning_rng(44, algo, replicate=replicate)],
+        LearnerSettings(alpha=ALPHA),
         belief_factors=belief_factors,
     )
     engine.run(NUM_STEPS, log_every=NUM_STEPS)
@@ -187,7 +182,7 @@ def test_criterion_3_scheme_ordering(game):
         eu = {}
         for algo in (RLA1, RLA2, NONCOOP):
             engine = _run(game, algo, r)
-            eu[algo] = [full_expected_utility(u_phys[i], engine.strategies) for i in range(n)]
+            eu[algo] = [full_expected_utility(u_phys[i], engine.strategies[0]) for i in range(n)]
         for i in range(n):
             scale = max(abs(eu[RLA2][i]), abs(eu[RLA1][i]), abs(eu[NONCOOP][i]), 1e-300)
             ok_21 = eu[RLA2][i] >= eu[RLA1][i] - ORDER_TIE_REL * scale
@@ -228,10 +223,8 @@ def test_criterion_4_target_sweep_trend(cfg):
 
 
 def test_criterion_5_dynamics_stationarity(game):
-    engine = StackelbergLearning(
-        game, RLA1, learning_rng(44, RLA1), settings=LearnerSettings(alpha=ALPHA)
-    )
-    records = engine.run(NUM_STEPS, log_every=10)
+    engine = StackelbergLearning(game, RLA1, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA))
+    records = engine.run(NUM_STEPS, log_every=10)[0]
     tail = records[math.ceil(len(records) * 0.9) - 1 :]
     profile = [
         np.mean([rec.strategies[i] for rec in tail], axis=0) for i in range(game.num_users)
@@ -240,14 +233,12 @@ def test_criterion_5_dynamics_stationarity(game):
 
     utilities = normalized_utility_tensors(game)
     tau = engine.temperature
-    ok, residual = stationarity_check(
-        profile, game, ALPHA, tau, tolerance=1e-2, utilities=utilities
-    )
+    ok, residual = stationarity_check(profile, utilities, ALPHA, tau, tolerance=1e-2)
     assert ok, f"dynamics residual {residual:.3g} >= 1e-2"
 
     initial = [np.full(m, 1.0 / m) for m in game.action_dims]
     trajectory = integrate_dynamics(
-        initial, game, ALPHA, tau, step_size=0.01, num_steps=20000, utilities=utilities
+        initial, utilities, ALPHA, tau, step_size=0.01, num_steps=20000
     )
     tv = total_variation(trajectory[-1], profile)
     assert tv < 0.05, f"ODE endpoint is {tv:.3g} away from the learned profile"
@@ -292,19 +283,17 @@ def test_criterion_6_estimator_convergence(game):
 
 
 def test_criterion_7_zero_delta_reduction(game):
-    a = StackelbergLearning(
-        game, RLA1, learning_rng(44, RLA1), settings=LearnerSettings(alpha=ALPHA)
-    )
+    a = StackelbergLearning(game, RLA1, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA))
     b = StackelbergLearning(
         game,
         RLA2,
-        learning_rng(44, RLA1),
-        settings=LearnerSettings(alpha=ALPHA),
+        [learning_rng(44, RLA1)],
+        LearnerSettings(alpha=ALPHA),
         belief_factors=[0.0] * game.num_followers,
     )
     steps = 1000
     for _ in range(steps):
-        ra, rb = a.step(), b.step()
+        (ra,), (rb,) = a.step(), b.step()
         assert ra.actions == rb.actions
         assert ra.powers_dbm == rb.powers_dbm
         assert ra.sinr_lin == rb.sinr_lin
@@ -312,9 +301,9 @@ def test_criterion_7_zero_delta_reduction(game):
         assert ra.expected_utilities == rb.expected_utilities
         for ya, yb in zip(ra.strategies, rb.strategies):
             assert np.array_equal(ya, yb)
-    for qa, qb in zip(a.q, b.q):
+    for qa, qb in zip(a.q[0], b.q[0]):
         assert np.array_equal(qa, qb)
-    for ya, yb in zip(a.strategies, b.strategies):
+    for ya, yb in zip(a.strategies[0], b.strategies[0]):
         assert np.array_equal(ya, yb)
     _report(7, f"bit-identical traces and Q-values over {steps} steps")
 

@@ -135,7 +135,7 @@ def test_batch_matches_reference_bitwise(desk_game, algorithm, game_name):
     settings = sl.LearnerSettings(temperature=0.08, temperature_decay=0.9995)
     engine = StackelbergLearning(
         game, algorithm, [np.random.default_rng(s) for s in SEEDS],
-        settings=settings, belief_factors=deltas,
+        settings, belief_factors=deltas,
     )
     refs = [
         ReferenceLearner(game, algorithm, np.random.default_rng(s), settings, deltas)
@@ -166,16 +166,17 @@ def test_batch_matches_reference_bitwise(desk_game, algorithm, game_name):
 
 
 def test_single_generator_matches_one_replicate_of_a_batch(desk_game):
-    single = StackelbergLearning(desk_game, RLA2, np.random.default_rng(SEEDS[1]))
-    batch = StackelbergLearning(desk_game, RLA2, [np.random.default_rng(s) for s in SEEDS])
-    records = single.run(300, log_every=7)
+    settings = sl.LearnerSettings()
+    single = StackelbergLearning(desk_game, RLA2, [np.random.default_rng(SEEDS[1])], settings)
+    batch = StackelbergLearning(desk_game, RLA2, [np.random.default_rng(s) for s in SEEDS], settings)
+    (records,) = single.run(300, log_every=7)
     batch_records = batch.run(300, log_every=7)[1]
     assert [r.actions for r in records] == [r.actions for r in batch_records]
     assert [r.expected_utilities for r in records] == [r.expected_utilities for r in batch_records]
-    assert _bytes(single.q) == _bytes(batch.q[1])
-    assert _bytes(single.strategies) == _bytes(batch.strategies[1])
+    assert _bytes(single.q[0]) == _bytes(batch.q[1])
+    assert _bytes(single.strategies[0]) == _bytes(batch.strategies[1])
 
 
 def test_batch_rejects_empty_generator_list(desk_game):
     with pytest.raises(ValueError):
-        StackelbergLearning(desk_game, RLA1, [])
+        StackelbergLearning(desk_game, RLA1, [], sl.LearnerSettings())

@@ -35,7 +35,7 @@ def test_db_round_trip():
 def _config(seed=7, **kw):
     base = dict(
         bandwidth_hz=1e6,
-        noise_power_w=1e-14,
+        noise_power_dbm=-110.0,
         num_femtocells=2,
         macro_radius_m=500.0,
         femto_radius_m=20.0,
@@ -46,9 +46,13 @@ def _config(seed=7, **kw):
     return NetworkConfig(**base)
 
 
+def _topology(config):
+    return generate_topology(config, np.random.default_rng(config.rng_seed))
+
+
 def test_topology_deterministic_given_seed():
-    a = generate_topology(_config())
-    b = generate_topology(_config())
+    a = _topology(_config())
+    b = _topology(_config())
     assert np.array_equal(a.bs_positions, b.bs_positions)
     assert np.array_equal(a.user_positions, b.user_positions)
     assert np.array_equal(a.distances, b.distances)
@@ -56,7 +60,7 @@ def test_topology_deterministic_given_seed():
 
 def test_topology_geometry_constraints():
     for seed in range(20):
-        topo = generate_topology(_config(seed=seed))
+        topo = _topology(_config(seed=seed))
         # all FBS inside the macro disc
         fbs_dist = np.linalg.norm(topo.bs_positions[1:] - topo.bs_positions[0], axis=1)
         assert np.all(fbs_dist <= 500.0)
@@ -74,19 +78,19 @@ def test_topology_geometry_constraints():
 
 
 def test_gain_matrix_reference_points():
-    topo = generate_topology(_config())
+    topo = _topology(_config())
     d = np.array([[10.0, 1.0], [100.0, 50.0]])
     topo_small = sl.Topology(
         bs_positions=np.zeros((2, 2)),
         user_positions=np.zeros((2, 2)),
         distances=d,
     )
-    h = gain_matrix(topo_small, 4.0)
+    h = gain_matrix(topo_small, 4.0, 0.0, np.random.default_rng(0))
     assert h[0, 0] == pytest.approx(1e-4, rel=1e-12)
     assert h[0, 1] == 1.0
     assert h[1, 0] == pytest.approx(1e-8, rel=1e-12)
     # full matrix matches d^-n elementwise
-    h2 = gain_matrix(topo, 4.0)
+    h2 = gain_matrix(topo, 4.0, 0.0, np.random.default_rng(0))
     assert np.allclose(h2, topo.distances ** -4.0, rtol=1e-12)
 
 
@@ -97,7 +101,7 @@ def test_gain_matrix_rejects_zero_distance():
         distances=np.array([[0.0]]),
     )
     with pytest.raises(ValueError):
-        gain_matrix(topo, 4.0)
+        gain_matrix(topo, 4.0, 0.0, np.random.default_rng(0))
 
 
 def test_gain_scaling_law_and_monotonicity():
@@ -117,3 +121,6 @@ def test_network_config_validation():
         _config(bandwidth_hz=0.0)
     with pytest.raises(ValueError):
         _config(num_femtocells=0)
+    with pytest.raises(ValueError, match="noise_power_dbm"):
+        _config(noise_power_dbm=1e308)  # no finite power in watts
+    assert _config().noise_power_w == sl.dbm_to_watt(-110.0)

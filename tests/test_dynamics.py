@@ -8,12 +8,11 @@ from stackelearn.dynamics import (
     PROB_FLOOR,
     DynamicsDivergence,
     integrate_dynamics,
-    normalized_utility_tensors,
     stationarity_check,
     strategy_derivative,
     total_variation,
 )
-from stackelearn.game import utility_tensor
+from stackelearn.game import normalized_utility_tensors, utility_tensor
 
 from conftest import random_game, random_simplex
 
@@ -63,7 +62,7 @@ def test_derivative_matches_finite_difference_oracle():
         utilities = normalized_utility_tensors(g)
         ys = [random_simplex(rng, m) for m in g.action_dims]
         alpha, tau = 0.1, 0.05
-        got = strategy_derivative(ys, g, alpha, tau, utilities=utilities)
+        got = strategy_derivative(ys, utilities, alpha, tau)
         ref = _fd_derivative(ys, utilities, alpha, tau)
         for a, b in zip(got, ref):
             assert np.allclose(a, b, rtol=1e-4, atol=1e-6)
@@ -74,7 +73,7 @@ def test_derivative_is_tangent_to_simplex():
     for _ in range(100):
         g = random_game(rng, num_users=2, num_actions=3)
         ys = [random_simplex(rng, m) for m in g.action_dims]
-        derivs = strategy_derivative(ys, g, 0.1, 0.05)
+        derivs = strategy_derivative(ys, normalized_utility_tensors(g), 0.1, 0.05)
         for d in derivs:
             assert abs(d.sum()) < 1e-10
 
@@ -82,16 +81,7 @@ def test_derivative_is_tangent_to_simplex():
 def test_derivative_rejects_non_positive_temperature(desk_game):
     ys = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
     with pytest.raises(ValueError):
-        strategy_derivative(ys, desk_game, 0.1, -1.0)
-
-
-def test_derivative_without_game_uses_supplied_tensors(desk_game):
-    utilities = normalized_utility_tensors(desk_game)
-    ys = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
-    a = strategy_derivative(ys, desk_game, 0.1, 0.05)
-    b = strategy_derivative(ys, None, 0.1, 0.05, utilities=utilities)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
+        strategy_derivative(ys, normalized_utility_tensors(desk_game), 0.1, -1.0)
 
 
 def test_normalized_tensors_match_learner_scale(desk_game):
@@ -104,39 +94,40 @@ def test_normalized_tensors_match_learner_scale(desk_game):
 
 
 def test_integrate_returns_full_trajectory(desk_game):
+    utilities = normalized_utility_tensors(desk_game)
     initial = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
-    traj = integrate_dynamics(initial, desk_game, 0.1, 0.05, step_size=0.05, num_steps=50)
+    traj = integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.05, num_steps=50)
     assert len(traj) == 51
     for profile in traj:
         for y in profile:
             assert np.all(y >= PROB_FLOOR / 2)
             assert abs(y.sum() - 1.0) < 1e-9
     with pytest.raises(ValueError):
-        integrate_dynamics(initial, desk_game, 0.1, 0.05, step_size=0.0)
+        integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.0, num_steps=50)
     for steps in (0, -3):
         with pytest.raises(ValueError, match="num_steps"):
-            integrate_dynamics(initial, desk_game, 0.1, 0.05, num_steps=steps)
+            integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.01, num_steps=steps)
 
 
 def test_integration_settles_to_stationary_point(desk_game):
+    utilities = normalized_utility_tensors(desk_game)
     initial = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
-    traj = integrate_dynamics(
-        initial, desk_game, 0.1, 0.05, step_size=0.05, num_steps=4000
-    )
-    ok, residual = stationarity_check(traj[-1], desk_game, 0.1, 0.05, tolerance=1e-4)
+    traj = integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.05, num_steps=4000)
+    ok, residual = stationarity_check(traj[-1], utilities, 0.1, 0.05, tolerance=1e-4)
     assert ok, f"residual {residual} not stationary"
     # late trajectory barely moves
     assert total_variation(traj[-1], traj[-50]) < 1e-6
 
 
 def test_stationarity_check_tolerances(desk_game):
+    utilities = normalized_utility_tensors(desk_game)
     ys = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
-    ok_loose, res = stationarity_check(ys, desk_game, 0.1, 0.05, tolerance=1e6)
+    ok_loose, res = stationarity_check(ys, utilities, 0.1, 0.05, tolerance=1e6)
     assert ok_loose
-    ok_tight, res2 = stationarity_check(ys, desk_game, 0.1, 0.05, tolerance=min(res, 1e-300))
+    ok_tight, res2 = stationarity_check(ys, utilities, 0.1, 0.05, tolerance=min(res, 1e-300))
     assert res2 == res
     with pytest.raises(ValueError):
-        stationarity_check(ys, desk_game, 0.1, 0.05, tolerance=0.0)
+        stationarity_check(ys, utilities, 0.1, 0.05, tolerance=0.0)
 
 
 def test_total_variation_reference_points():
@@ -154,13 +145,5 @@ def test_divergence_reports_step_index(desk_game):
     utilities = [np.asarray(t) * 1e300 for t in normalized_utility_tensors(desk_game)]
     with np.errstate(all="ignore"):
         with pytest.raises(DynamicsDivergence) as err:
-            integrate_dynamics(
-                initial,
-                desk_game,
-                0.1,
-                1e-9,
-                step_size=1e12,
-                num_steps=50,
-                utilities=utilities,
-            )
+            integrate_dynamics(initial, utilities, 0.1, 1e-9, step_size=1e12, num_steps=50)
     assert err.value.step_index >= 0

@@ -99,11 +99,16 @@ def test_parse_config_rejects_unknown_keys():
         # strictly increasing in dBm, equal in watts
         ("users", "action_set_dbm", [123.456, 123.45600000000002], "users.action_set_dbm"),
         ("sweep", "gamma0_grid_db", [0, 1e308], "sweep.gamma0_grid_db"),
+        # the last temperature underflows (the Boltzmann step then writes NaN)
+        ("learning", "temperature", 1e-320, "learning.temperature"),
+        pytest.param("learning", None, {"temperature_decay": 0.5, "num_steps": 1200},
+                     "learning.temperature", id="learning-temperature-decays-to-0"),
     ],
 )
 def test_parse_config_validates_values(section, key, value, match):
+    # key None: value holds several fields of the section
     with pytest.raises(ConfigError, match=match):
-        parse_config({section: {key: value}})
+        parse_config({section: value if key is None else {key: value}})
 
 
 _CONFIG_FIELDS = [
@@ -390,12 +395,15 @@ def test_sweep_replicates_match_separate_runs():
     sums = np.zeros(cfg.network.num_femtocells)
     for r in (4, 7):
         engine = sl.StackelbergLearning(
-            prepared.game, sl.RLA2, learning_rng(cfg.seeds.base_seed, sl.RLA2, replicate=r)
+            prepared.game,
+            sl.RLA2,
+            [learning_rng(cfg.seeds.base_seed, sl.RLA2, replicate=r)],
+            cfg.learning,
         )
         engine.run(80, log_every=80)
         for reduced in range(1, prepared.game.num_users):
             sums[prepared.user_ids[reduced] - 1] += full_expected_utility(
-                engine.sinr_tensors[reduced], engine.strategies
+                engine.sinr_tensors[reduced], engine.strategies[0]
             )
     result = sweep_gamma0(cfg, algorithms=(sl.RLA2,))[0]
     assert result.fu_expected_sinr_lin == tuple(sums / 2)
@@ -518,6 +526,17 @@ def test_cli_sweep_grid_goes_through_config_checks(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
     assert cli_main(["sweep", "--config", cfg, "--from", "0", "--to", "1e308", "--points", "2"]) == 1
     assert "--to" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_dynamics_divergence_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, learning={"temperature": 1e-305},
+                     output={"directory": str(tmp_path / "o")})
+    with np.errstate(all="ignore"):
+        code = cli_main(["dynamics", "--config", cfg, "--steps", "5", "--step-size", "1e6"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "dynamics --step-size" in err and "step 0" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -230,8 +230,11 @@ def test_rla2_estimate_scalar_belief_single_follower():
         assert got == pytest.approx(float(leader_y @ t[:, a]), rel=1e-12)
 
 
-def _engine(game, algo, seed=0, **kw):
-    return StackelbergLearning(game, algo, np.random.default_rng(seed), **kw)
+def _engine(game, algo, seed=0, settings=None, belief_factors=None):
+    """A one-replicate engine; its results are replicate 0 of each list."""
+    return StackelbergLearning(
+        game, algo, [np.random.default_rng(seed)], settings or sl.LearnerSettings(), belief_factors
+    )
 
 
 def test_engine_rejects_unknown_algorithm(desk_game):
@@ -241,11 +244,11 @@ def test_engine_rejects_unknown_algorithm(desk_game):
 
 def test_engine_initial_state(desk_game):
     eng = _engine(desk_game, RLA1)
-    for y, m in zip(eng.strategies, desk_game.action_dims):
+    for y, m in zip(eng.strategies[0], desk_game.action_dims):
         assert np.allclose(y, 1.0 / m)
-    for q in eng.q:
+    for q in eng.q[0]:
         assert np.all(q == 0.0)
-    assert len(eng.estimates) == desk_game.num_followers
+    assert len(eng.estimates[0]) == desk_game.num_followers
 
 
 def test_engine_strategies_stay_on_simplex(desk_game):
@@ -253,7 +256,7 @@ def test_engine_strategies_stay_on_simplex(desk_game):
         eng = _engine(desk_game, algo, seed=4)
         for _ in range(200):
             eng.step()
-            for y in eng.strategies:
+            for y in eng.strategies[0]:
                 assert np.all(y > 0)
                 assert abs(y.sum() - 1.0) < 1e-9
 
@@ -262,16 +265,16 @@ def test_engine_determinism_same_seed(desk_game):
     a = _engine(desk_game, RLA2, seed=5)
     b = _engine(desk_game, RLA2, seed=5)
     for _ in range(100):
-        ra, rb = a.step(), b.step()
+        (ra,), (rb,) = a.step(), b.step()
         assert ra.actions == rb.actions
         assert ra.utilities == rb.utilities
-    for qa, qb in zip(a.q, b.q):
+    for qa, qb in zip(a.q[0], b.q[0]):
         assert np.array_equal(qa, qb)
 
 
 def test_engine_trace_record_contents(desk_game):
     eng = _engine(desk_game, RLA1, seed=6)
-    rec = eng.step()
+    (rec,) = eng.step()
     g = desk_game
     assert rec.step == 0
     assert len(rec.actions) == g.num_users
@@ -288,9 +291,9 @@ def test_engine_trace_record_contents(desk_game):
 
 def test_engine_run_log_decimation(desk_game):
     eng = _engine(desk_game, NONCOOP, seed=7)
-    records = eng.run(10, log_every=3)
+    (records,) = eng.run(10, log_every=3)
     assert [r.step for r in records] == [0, 3, 6, 9]
-    records = _engine(desk_game, NONCOOP, seed=7).run(10, log_every=4)
+    (records,) = _engine(desk_game, NONCOOP, seed=7).run(10, log_every=4)
     assert [r.step for r in records] == [0, 4, 8, 9]
 
 
@@ -340,8 +343,9 @@ def test_leader_update_uses_exact_expectation(desk_game):
     # after one step the leader's Q entry equals alpha * U_0(a0, uniform followers)
     eng = _engine(desk_game, RLA1, seed=8)
     uniform = [np.full(m, 1.0 / m) for m in desk_game.action_dims[1:]]
-    rec = eng.step()
+    (rec,) = eng.step()
     a0 = rec.actions[0]
     expected_q = 0.1 * full_expected_utility(eng.u_norm[0][a0], uniform)
-    assert eng.q[0][a0] == pytest.approx(expected_q, rel=1e-12)
-    assert all(eng.q[0][a] == 0.0 for a in range(len(eng.q[0])) if a != a0)
+    q0 = eng.q[0][0]
+    assert q0[a0] == pytest.approx(expected_q, rel=1e-12)
+    assert all(q0[a] == 0.0 for a in range(len(q0)) if a != a0)

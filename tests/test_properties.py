@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import stackelearn as sl
-from stackelearn.dynamics import normalized_utility_tensors, strategy_derivative
+from stackelearn.dynamics import strategy_derivative
 from stackelearn.game import (
     expected_utility,
     follower_pure_nash,
+    normalized_utility_tensors,
     sinr,
     stackelberg_oracle,
     utility,
@@ -61,7 +62,7 @@ def test_dynamics_field_tangent_to_simplex():
         ys = [random_simplex(rng, m) for m in g.action_dims]
         alpha = float(rng.uniform(0.01, 0.5))
         tau = float(10.0 ** rng.uniform(-2, 0))
-        for d in strategy_derivative(ys, g, alpha, tau):
+        for d in strategy_derivative(ys, normalized_utility_tensors(g), alpha, tau):
             assert abs(d.sum()) < 1e-10
 
 
