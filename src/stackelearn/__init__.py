@@ -14,6 +14,7 @@ from .config import ConfigError, ExperimentConfig, default_config, load_config, 
 from .dynamics import (
     DynamicsDivergence,
     integrate_dynamics,
+    logit_residual,
     stationarity_check,
     strategy_derivative,
     total_variation,

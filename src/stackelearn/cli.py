@@ -182,7 +182,8 @@ def _cmd_dynamics(args) -> int:
         )
     except DynamicsDivergence as exc:
         raise ConfigError(
-            f"dynamics --step-size: {args.step_size!r} diverges at step {exc.step_index}"
+            f"dynamics --step-size: {args.step_size!r} diverges or overshoots"
+            f" at step {exc.step_index}"
         ) from None
     path = os.path.join(config.output.directory, "dynamics.csv")
     emit_dynamics_csv(trajectory, args.step_size, path, user_ids=prepared.user_ids)

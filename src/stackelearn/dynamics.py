@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .learning import action_expected_utilities
+from .learning import action_expected_utilities, boltzmann_strategy
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
 # singularities; strategies are renormalized after flooring.
@@ -27,7 +27,7 @@ PROB_FLOOR = 1e-12
 
 
 class DynamicsDivergence(RuntimeError):
-    """Raised when integration produces a non-finite strategy entry."""
+    """Raised when integration produces a non-finite or negative strategy entry."""
 
     def __init__(self, step_index: int):
         super().__init__(f"dynamics diverged at integration step {step_index}")
@@ -37,7 +37,7 @@ class DynamicsDivergence(RuntimeError):
 def _floor_profile(profile) -> list[np.ndarray]:
     out = []
     for y in profile:
-        y = np.clip(np.asarray(y, dtype=float), PROB_FLOOR, None)
+        y = np.maximum(np.asarray(y, dtype=float), PROB_FLOOR)
         out.append(y / y.sum())
     return out
 
@@ -77,7 +77,10 @@ def integrate_dynamics(
 
     Each accepted step renormalizes every strategy back onto its simplex.
     Returns the trajectory including the initial profile (``num_steps + 1``
-    entries); a non-finite entry aborts with the offending step index.
+    entries).  A step that leaves a non-finite or negative entry before the
+    floor (a divergence, or an overshoot past the simplex boundary) aborts
+    with the offending step index; numpy's floating-point warnings on the way
+    there are silenced, since the check reports the step.
     """
     if step_size <= 0:
         raise ValueError("step_size must be > 0")
@@ -93,19 +96,20 @@ def integrate_dynamics(
     current = _floor_profile(initial)
     trajectory = [current]
     h = step_size
-    for step in range(num_steps):
-        k1 = field(current)
-        k2 = field(axpy(current, k1, h / 2))
-        k3 = field(axpy(current, k2, h / 2))
-        k4 = field(axpy(current, k3, h))
-        nxt = [
-            y + (h / 6.0) * (a + 2 * b + 2 * c + d)
-            for y, a, b, c, d in zip(current, k1, k2, k3, k4)
-        ]
-        if any(not np.all(np.isfinite(y)) for y in nxt):
-            raise DynamicsDivergence(step)
-        current = _floor_profile(nxt)
-        trajectory.append(current)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(num_steps):
+            k1 = field(current)
+            k2 = field(axpy(current, k1, h / 2))
+            k3 = field(axpy(current, k2, h / 2))
+            k4 = field(axpy(current, k3, h))
+            nxt = [
+                y + (h / 6.0) * (a + 2 * b + 2 * c + d)
+                for y, a, b, c, d in zip(current, k1, k2, k3, k4)
+            ]
+            if any(not (np.all(np.isfinite(y)) and y.min() >= 0) for y in nxt):
+                raise DynamicsDivergence(step)
+            current = _floor_profile(nxt)
+            trajectory.append(current)
     return trajectory
 
 
@@ -118,6 +122,22 @@ def stationarity_check(
     derivs = strategy_derivative(profile, utilities, alpha, temperature)
     residual = max(float(np.max(np.abs(d))) for d in derivs)
     return residual < tolerance, residual
+
+
+def logit_residual(profile, utilities: list[np.ndarray], temperature: float) -> float:
+    """Max over users of ||y_i - softmax(U_i(., y_-i) / temperature)||_1.
+
+    Interior rest points of the field are logit (quantal-response) fixed
+    points, where this residual is 0.  Unlike ``stationarity_check``, whose
+    max-norm carries a factor y and so reads ~0 at every vertex, it stays
+    large at a vertex that is not a smoothed best response.
+    """
+    ys = [np.asarray(y, dtype=float) for y in profile]
+    residuals = []
+    for i, u_i in enumerate(utilities):
+        logit = boltzmann_strategy(action_expected_utilities(u_i, ys, i), temperature)
+        residuals.append(float(np.abs(ys[i] - logit).sum()))
+    return max(residuals)
 
 
 def total_variation(profile_a, profile_b) -> float:

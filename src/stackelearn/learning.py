@@ -28,6 +28,7 @@ differ by orders of magnitude); traces report physical units.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,15 +135,41 @@ def rla2_estimated_expected_utility(
     return float(leader_strategy @ over_leader)
 
 
-def action_expected_utilities(tensor: np.ndarray, strategies, user: int) -> np.ndarray:
-    """U_i(a, Y_{-i}) for every action a of ``user``: the expected value of
-    ``tensor`` over everyone's strategies except the user's own."""
-    out = tensor
-    # contract trailing axes first so earlier axis numbers stay valid
-    for j in range(len(strategies) - 1, -1, -1):
+@functools.lru_cache(maxsize=64)
+def _contraction_plan(shape: tuple[int, ...], user: int) -> tuple:
+    """``np.tensordot``'s own steps for contracting every axis of a tensor of
+    ``shape`` but ``user``'s, one ``(perm, rows, m, rest, j)`` per other user j.
+
+    Trailing axes go first so earlier axis numbers stay valid: user j's axis
+    is axis j below ``user`` and the last axis above it.  ``perm`` moves that
+    axis last (None when it already is).
+    """
+    plan = []
+    for j in range(len(shape) - 1, -1, -1):
         if j == user:
             continue
-        out = np.tensordot(out, strategies[j], axes=([j if j < user else out.ndim - 1], [0]))
+        last = len(shape) - 1
+        axis = j if j < user else last
+        rest = shape[:axis] + shape[axis + 1 :]
+        perm = None if axis == last else tuple(k for k in range(last + 1) if k != axis) + (axis,)
+        plan.append((perm, math.prod(rest), shape[axis], rest, j))
+        shape = rest
+    return tuple(plan)
+
+
+def action_expected_utilities(tensor: np.ndarray, strategies, user: int) -> np.ndarray:
+    """U_i(a, Y_{-i}) for every action a of ``user``: the expected value of
+    ``tensor`` over everyone's strategies except the user's own.
+
+    Each contraction is the transpose, reshape and ``np.dot`` that
+    ``np.tensordot`` performs, so the result is bitwise equal to a
+    ``tensordot`` chain without its per-call argument handling.
+    """
+    out = tensor
+    for perm, rows, m, rest, j in _contraction_plan(tensor.shape, user):
+        if perm is not None:
+            out = out.transpose(perm)
+        out = np.dot(out.reshape(rows, m), strategies[j].reshape(m, 1)).reshape(rest)
     return out
 
 

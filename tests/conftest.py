@@ -44,6 +44,18 @@ def random_game(rng: np.random.Generator, num_users: int = 3, num_actions: int =
     )
 
 
+def ragged_game(game):
+    """The game with action sets of 4, 2, 3, ... levels, user by user."""
+    sizes = [4, 2, 3, 2, 3][: game.num_users]
+    users = tuple(
+        sl.UserParams(u.sinr_target_lin, u.circuit_power_w,
+                      sl.ActionSet.from_dbm(tuple(np.linspace(18.0, 30.0, m))))
+        for u, m in zip(game.users, sizes)
+    )
+    return sl.GameInstance(gains=game.gains, users=users,
+                           bandwidth_hz=game.bandwidth_hz, noise_power_w=game.noise_power_w)
+
+
 def random_simplex(rng: np.random.Generator, m: int) -> np.ndarray:
     x = rng.dirichlet(np.ones(m))
     return x / x.sum()

@@ -15,7 +15,12 @@ from scipy.stats import spearmanr
 import stackelearn as sl
 from stackelearn.cli import main as cli_main
 from stackelearn.config import default_config
-from stackelearn.dynamics import integrate_dynamics, stationarity_check, total_variation
+from stackelearn.dynamics import (
+    integrate_dynamics,
+    logit_residual,
+    stationarity_check,
+    total_variation,
+)
 from stackelearn.game import normalized_utility_tensors, stackelberg_oracle, utility_tensor
 from stackelearn.harness import build_game, learning_rng, sweep_gamma0
 from stackelearn.learning import (
@@ -242,7 +247,11 @@ def test_criterion_5_dynamics_stationarity(game):
     )
     tv = total_variation(trajectory[-1], profile)
     assert tv < 0.05, f"ODE endpoint is {tv:.3g} away from the learned profile"
-    _report(5, f"residual {residual:.2e} < 1e-2, ODE total variation {tv:.2e} < 0.05")
+    # the endpoint is a logit fixed point, not only a slow spot of the field
+    logit = logit_residual(trajectory[-1], utilities, tau)
+    assert logit < 1e-6, f"ODE endpoint logit residual {logit:.3g} >= 1e-6"
+    _report(5, f"residual {residual:.2e} < 1e-2, ODE total variation {tv:.2e} < 0.05, "
+               f"endpoint logit residual {logit:.2e} < 1e-6")
 
 
 # ---------------------------------------------------------------------------

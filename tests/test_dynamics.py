@@ -8,6 +8,7 @@ from stackelearn.dynamics import (
     PROB_FLOOR,
     DynamicsDivergence,
     integrate_dynamics,
+    logit_residual,
     stationarity_check,
     strategy_derivative,
     total_variation,
@@ -115,6 +116,7 @@ def test_integration_settles_to_stationary_point(desk_game):
     traj = integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.05, num_steps=4000)
     ok, residual = stationarity_check(traj[-1], utilities, 0.1, 0.05, tolerance=1e-4)
     assert ok, f"residual {residual} not stationary"
+    assert logit_residual(traj[-1], utilities, 0.05) < 1e-6
     # late trajectory barely moves
     assert total_variation(traj[-1], traj[-50]) < 1e-6
 
@@ -143,7 +145,25 @@ def test_divergence_reports_step_index(desk_game):
     initial = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
     # pathological utility scale + absurd step size overflow the RK4 update
     utilities = [np.asarray(t) * 1e300 for t in normalized_utility_tensors(desk_game)]
-    with np.errstate(all="ignore"):
-        with pytest.raises(DynamicsDivergence) as err:
-            integrate_dynamics(initial, utilities, 0.1, 1e-9, step_size=1e12, num_steps=50)
+    with pytest.raises(DynamicsDivergence) as err:
+        integrate_dynamics(initial, utilities, 0.1, 1e-9, step_size=1e12, num_steps=50)
     assert err.value.step_index >= 0
+
+
+def test_overshoot_is_divergence(desk_game):
+    """A step that leaves negative mass is rejected, not floored onto a vertex."""
+    utilities = normalized_utility_tensors(desk_game)
+    initial = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
+    with pytest.raises(DynamicsDivergence) as err:
+        integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=1e6, num_steps=3)
+    assert err.value.step_index == 0
+
+
+def test_logit_residual_is_large_at_a_vertex(desk_game):
+    utilities = normalized_utility_tensors(desk_game)
+    tau = 0.05
+    # everyone at the lowest power: the leader's best response is the highest
+    vertex = [np.eye(m)[0] for m in desk_game.action_dims]
+    assert logit_residual(vertex, utilities, tau) == pytest.approx(2.0, abs=1e-6)
+    ok, residual = stationarity_check(vertex, utilities, 0.1, tau, tolerance=1e-9)
+    assert ok and residual < 1e-10

@@ -21,7 +21,7 @@ from stackelearn.game import (
 )
 from stackelearn.harness import complete_information_reference
 
-from conftest import random_game, random_simplex
+from conftest import ragged_game, random_game, random_simplex
 
 
 def _two_user_game(gains=None, targets=(1.0, 1.0)):
@@ -102,25 +102,13 @@ def test_game_instance_validation():
         _two_user_game(gains=np.ones((3, 3)) * 1e-6)
 
 
-def _ragged(game):
-    """The game with action sets of 4, 2, 3, ... levels, user by user."""
-    sizes = [4, 2, 3, 2, 3][: game.num_users]
-    users = tuple(
-        sl.UserParams(u.sinr_target_lin, u.circuit_power_w,
-                      sl.ActionSet.from_dbm(tuple(np.linspace(18.0, 30.0, m))))
-        for u, m in zip(game.users, sizes)
-    )
-    return sl.GameInstance(gains=game.gains, users=users,
-                           bandwidth_hz=game.bandwidth_hz, noise_power_w=game.noise_power_w)
-
-
 def test_utility_tensor_matches_scalar_op(desk_game):
     rng = np.random.default_rng(12)
     games = [desk_game]
     for n in (3, 5):
         # enough 5-level grids that np.log2 in place of math.log2 shows
         games += [random_game(rng, num_users=n, num_actions=n) for _ in range(3)]
-        games.append(_ragged(random_game(rng, num_users=n)))
+        games.append(ragged_game(random_game(rng, num_users=n)))
     for g in games:
         for i in range(g.num_users):
             want_u = np.empty(g.action_dims)

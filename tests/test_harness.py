@@ -532,11 +532,20 @@ def test_cli_sweep_grid_goes_through_config_checks(tmp_path, capsys):
 def test_cli_dynamics_divergence_is_config_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, learning={"temperature": 1e-305},
                      output={"directory": str(tmp_path / "o")})
-    with np.errstate(all="ignore"):
-        code = cli_main(["dynamics", "--config", cfg, "--steps", "5", "--step-size", "1e6"])
+    code = cli_main(["dynamics", "--config", cfg, "--steps", "5", "--step-size", "1e6"])
     assert code == 1
     err = capsys.readouterr().err
+    # numpy's floating-point warnings stay silent: the message is the only line
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert "dynamics --step-size" in err and "step 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_dynamics_overshoot_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
+    assert cli_main(["dynamics", "--config", cfg, "--steps", "3", "--step-size", "1e6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dynamics --step-size") and "step 0" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -21,7 +21,7 @@ from stackelearn.learning import (
     sample_action,
 )
 
-from conftest import random_game, random_simplex
+from conftest import ragged_game, random_game, random_simplex
 
 
 def test_boltzmann_reference_points():
@@ -193,6 +193,35 @@ def test_action_expected_utilities_matches_enumeration():
             assert full_expected_utility(t, ys) == pytest.approx(
                 float(ys[i] @ vec), rel=1e-10, abs=1e-9
             )
+
+
+def _tensordot_chain(tensor, strategies, user):
+    """The np.tensordot chain that action_expected_utilities replays step by step."""
+    out = tensor
+    for j in range(len(strategies) - 1, -1, -1):
+        if j == user:
+            continue
+        out = np.tensordot(out, strategies[j], axes=([j if j < user else out.ndim - 1], [0]))
+    return out
+
+
+def test_action_expected_utilities_bitwise_equals_tensordot_chain(desk_game):
+    rng = np.random.default_rng(14)
+    games = [
+        desk_game,
+        ragged_game(random_game(rng, num_users=5)),
+        random_game(rng, num_users=5, num_actions=5),
+        random_game(rng, num_users=6, num_actions=4),
+    ]
+    for g in games:
+        tensors = normalized_utility_tensors(g)
+        for _ in range(4):
+            ys = [random_simplex(rng, m) for m in g.action_dims]
+            for i, t in enumerate(tensors):
+                got = action_expected_utilities(t, ys, i)
+                want = _tensordot_chain(t, ys, i)
+                assert got.shape == want.shape == (g.action_dims[i],)
+                assert got.tobytes() == want.tobytes(), (g.action_dims, i)
 
 
 def test_rla2_estimate_matches_enumeration():
