@@ -190,12 +190,16 @@ def utility_tensor(game: GameInstance, i: int) -> np.ndarray:
     return out
 
 
+def normalize_utility(tensor: np.ndarray) -> np.ndarray:
+    """A user's utility tensor rescaled by its own maximum pure-profile
+    utility (by 1 when that maximum is 0), the one scale the learners and
+    the dynamics share."""
+    return tensor / (max(float(tensor.max()), 0.0) or 1.0)
+
+
 def normalized_utility_tensors(game: GameInstance) -> list[np.ndarray]:
-    """Per-user utility tensors, each rescaled by that user's own maximum
-    pure-profile utility (by 1 when that maximum is 0), the one scale the
-    learners and the dynamics share."""
-    tensors = (utility_tensor(game, i) for i in range(game.num_users))
-    return [t / (max(float(t.max()), 0.0) or 1.0) for t in tensors]
+    """Every user's ``normalize_utility`` tensor."""
+    return [normalize_utility(utility_tensor(game, i)) for i in range(game.num_users)]
 
 
 def expected_utility(i: int, strategies: Sequence[np.ndarray], game: GameInstance) -> float:

@@ -15,13 +15,14 @@ Three schemes share one step loop:
   raw realized utility with no information exchange.
 
 One ``StackelbergLearning`` engine advances a batch of R independent
-replicates of a scheme in lockstep, one generator each, and reports every
-result per replicate; each replicate is bitwise equal to a one-replicate
-batch on its own generator.  The scalar helpers below are the reference
-semantics it is tested against.
+replicates of a scheme in lockstep, one game and one generator each, and
+reports every result per replicate.  The replicates may play different
+games with the same action grids (the points of a sweep); each replicate is
+bitwise equal to a one-replicate batch on its own game and generator.  The
+scalar helpers below are the reference semantics it is tested against.
 
 Each user's utilities are rescaled by that user's own maximum pure-profile
-utility before learning (``normalized_utility_tensors``), so one default
+utility before learning (``game.normalize_utility``), so one default
 temperature works across users and instances (leader and follower utilities
 differ by orders of magnitude); traces report physical units.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import watt_to_dbm
-from .game import GameInstance, normalized_utility_tensors, sinr_tensor, utility_tensor
+from .game import GameInstance, normalize_utility, sinr_tensor, utility_tensor
 
 RLA1 = "rla1"
 RLA2 = "rla2"
@@ -231,20 +232,29 @@ class _BeliefGroup:
     users: slice | np.ndarray  # the G members' user indices
     deltas: np.ndarray  # (G,) belief factors
     # flat positions in the stacked normalized utilities of member g's
-    # (leader, other followers) block at own action 0, (G, M0 * B); its
-    # own action a adds a * strides[g]
+    # (leader, other followers) block at own action 0 in replicate r's
+    # game, (R, G, M0 * B); its own action a adds a * strides[g]
     positions: np.ndarray
     strides: np.ndarray  # (G,)
     beliefs: np.ndarray  # (R, G, B)
 
 
 class StackelbergLearning:
-    """Learning runs of one scheme on one game instance, R replicates in lockstep.
+    """Learning runs of one scheme, R replicates in lockstep.
 
-    ``rngs`` is a non-empty list of R generators, one per replicate (a
-    single run is a batch of one).  Each replicate draws only from its own
-    generator, one uniform per user per step in user order, so its results
-    do not depend on the replicates run beside it.
+    ``games`` and ``rngs`` hold one game and one generator per replicate (a
+    single run is a batch of one).  The games may differ but must share
+    their ``action_dims``.  Each replicate draws only from its own
+    generator, one uniform per user per step in user order, and reads only
+    its own game, so its results do not depend on the replicates run beside
+    it.
+
+    The tensors are built once per distinct game (by identity, in order of
+    first appearance, listed in ``games``) and stacked with a leading point
+    axis: ``u_phys``, ``u_norm`` and ``sinr_tensors`` are (P, n, *dims), and
+    ``points[r]`` is replicate r's index into them.  Every read of a game's
+    values (realized utilities, the leader target, rla2 belief blocks, trace
+    records) gathers at the replicate's point.
 
     Agent state carries a leading replicate axis and is padded to the
     largest action set M: ``q_batch`` and ``strategy_batch`` are (R, n, M),
@@ -268,7 +278,7 @@ class StackelbergLearning:
 
     def __init__(
         self,
-        game: GameInstance,
+        games: list[GameInstance],
         algorithm: str,
         rngs: list[np.random.Generator],
         settings: LearnerSettings,
@@ -280,33 +290,44 @@ class StackelbergLearning:
             raise ValueError("at least one replicate generator is required")
         if not all(isinstance(g, np.random.Generator) for g in rngs):
             raise TypeError("a replicate batch takes numpy Generator instances")
-        self.game = game
+        if len(games) != len(rngs):
+            raise ValueError("one game per replicate generator is required")
+        self.games = list({id(game): game for game in games}.values())
+        self.dims = dims = self.games[0].action_dims
+        if any(game.action_dims != dims for game in self.games):
+            raise ValueError("the games of a batch must have equal action_dims")
+        point_of = {id(game): p for p, game in enumerate(self.games)}
+        self.points = np.array([point_of[id(game)] for game in games])
         self.algorithm = algorithm
         self.settings = settings
         self.rngs = list(rngs)
 
-        n = game.num_users
-        k = game.num_followers
+        n = self.num_users = len(dims)
+        k = n - 1
         r = self.num_replicates = len(self.rngs)
-        self.dims = dims = game.action_dims
         m = max(dims)
         m0 = dims[0]
-        # per-user tensors are views into stacked (n, *dims) arrays
-        u_phys = self._stacked(utility_tensor)
-        sinr = self._stacked(sinr_tensor)
-        self.u_phys = list(u_phys)
-        self.sinr_tensors = list(sinr)
-        u_norm = np.stack(normalized_utility_tensors(game))
-        u_norm.setflags(write=False)
-        self.u_norm = list(u_norm)
-        self._u_phys_all = u_phys[None]  # broadcasts over replicates
-        # (profile, user) tables of realized values
-        self._u_norm_by_profile = u_norm.reshape(n, -1).T
-        self._u_phys_by_profile = u_phys.reshape(n, -1).T
-        self._sinr_by_profile = sinr.reshape(n, -1).T
+        profiles = math.prod(dims)
+        shape = (len(self.games), n) + dims
+        u_phys, u_norm, sinr = np.empty(shape), np.empty(shape), np.empty(shape)
+        for p, game in enumerate(self.games):
+            for i in range(n):
+                u_phys[p, i] = utility_tensor(game, i)
+                u_norm[p, i] = normalize_utility(u_phys[p, i])
+                sinr[p, i] = sinr_tensor(game, i)
+        for tensors in (u_phys, u_norm, sinr):
+            tensors.setflags(write=False)
+        self.u_phys, self.u_norm, self.sinr_tensors = u_phys, u_norm, sinr
+        self._u_norm_flat = u_norm.reshape(-1)
+        self._u_phys_flat = u_phys.reshape(-1)
+        self._sinr_flat = sinr.reshape(-1)
+        # flat offset of each (replicate, user) tensor in those stacks: a
+        # realized value is one gather at this base plus the profile offset
+        self._user_base = (self.points[:, None] * n + np.arange(n)) * profiles
         self._profile_strides = np.array([math.prod(dims[i + 1 :]) for i in range(n)])
         self._powers_dbm = [
-            [watt_to_dbm(p) for p in user.action_set.levels_w] for user in game.users
+            [[watt_to_dbm(w) for w in user.action_set.levels_w] for user in game.users]
+            for game in self.games
         ]
 
         self.temperature = self.settings.temperature
@@ -325,7 +346,6 @@ class StackelbergLearning:
         self.u_hat_batch = np.zeros((r, k, m, m0))
         self.count_batch = np.zeros((r, k, m, m0), dtype=np.int64)
         self._belief_groups = self._make_belief_groups() if algorithm == RLA2 else []
-        self._u_norm_flat = u_norm.reshape(-1)
         # uniforms drawn ahead by ``run``, (steps, R, n, 1), and the next one
         self._uniforms = np.empty((0, r, n, 1))
         self._next_uniform = 0
@@ -337,34 +357,26 @@ class StackelbergLearning:
         self._row_base = (np.arange(r * k) * m).reshape(r, k)
         self.t = 0
 
-    def _stacked(self, tensor) -> np.ndarray:
-        out = np.empty((self.game.num_users,) + self.game.action_dims)
-        for i in range(self.game.num_users):
-            out[i] = tensor(self.game, i)
-        out.setflags(write=False)
-        return out
-
     def _other_dims(self, follower: int) -> tuple[int, ...]:
         return tuple(m for j, m in enumerate(self.dims) if j not in (0, follower))
 
     def _make_belief_groups(self) -> list[_BeliefGroup]:
         by_size: dict[int, list[int]] = {}
-        for i in range(1, self.game.num_users):
+        for i in range(1, self.num_users):
             if self.belief_factors[i - 1] != 0.0:
                 by_size.setdefault(math.prod(self._other_dims(i)), []).append(i)
         profiles = math.prod(self.dims)
         groups = []
         for size, users in by_size.items():
-            positions = [
-                i * profiles + np.moveaxis(np.arange(profiles).reshape(self.dims), i, 0)[0].ravel()
-                for i in users
+            blocks = [
+                np.moveaxis(np.arange(profiles).reshape(self.dims), i, 0)[0].ravel() for i in users
             ]
             contiguous = users == list(range(users[0], users[-1] + 1))
             groups.append(
                 _BeliefGroup(
                     users=slice(users[0], users[-1] + 1) if contiguous else np.array(users),
                     deltas=np.array([self.belief_factors[i - 1] for i in users]),
-                    positions=np.array(positions),
+                    positions=self._user_base[:, users, None] + np.array(blocks),
                     strides=self._profile_strides[users],
                     beliefs=np.full((self.num_replicates, len(users), size), 1.0 / size),
                 )
@@ -376,7 +388,7 @@ class StackelbergLearning:
         j = n-1 down to ``first``, shaped to multiply a tensor with ``lead``
         leading axes and user axes ``first`` to j (see ``_contract``)."""
         columns = []
-        for j in range(self.game.num_users - 1, first - 1, -1):
+        for j in range(self.num_users - 1, first - 1, -1):
             ndim = lead + (j - first + 1 if j > first else 2)
             columns.append((slice(None),) + (None,) * (ndim - 3) + (j, slice(0, self.dims[j]), None))
         return columns
@@ -400,7 +412,7 @@ class StackelbergLearning:
 
         def per_follower(r):
             out = []
-            for i in range(1, self.game.num_users):
+            for i in range(1, self.num_users):
                 est = JointEstimate(self.dims[i], self.dims[0])
                 est.u_hat[...] = self.u_hat_batch[r, i - 1, : self.dims[i]]
                 est.counts[...] = self.count_batch[r, i - 1, : self.dims[i]]
@@ -414,12 +426,12 @@ class StackelbergLearning:
         """rla2 contention beliefs per replicate, one axis per other
         follower; followers that never update theirs keep the uniform one."""
         uniform = [np.full(self._other_dims(i), 1.0 / math.prod(self._other_dims(i)))
-                   for i in range(1, self.game.num_users)]
+                   for i in range(1, self.num_users)]
 
         def per_follower(r):
             out = [b.copy() for b in uniform]
             for group in self._belief_groups:
-                users = np.arange(self.game.num_users)[group.users]
+                users = np.arange(self.num_users)[group.users]
                 for g, i in enumerate(users):
                     out[i - 1] = group.beliefs[r, g].reshape(self._other_dims(i)).copy()
             return out
@@ -438,7 +450,7 @@ class StackelbergLearning:
 
     def _draw(self, steps: int) -> np.ndarray:
         """Uniforms for ``steps`` steps, shaped (steps, R, n, 1)."""
-        n = self.game.num_users
+        n = self.num_users
         return np.stack([g.random((steps, n)) for g in self.rngs], axis=1)[..., None]
 
     def _sample(self, u: np.ndarray) -> np.ndarray:
@@ -464,18 +476,20 @@ class StackelbergLearning:
 
     def _records(self, actions: np.ndarray) -> list[TraceRecord]:
         """One record per replicate for the step about to be taken."""
-        flat = actions @ self._profile_strides
-        sinr = self._sinr_by_profile[flat].tolist()
-        utilities = self._u_phys_by_profile[flat].tolist()
-        expected = self._contract(self._u_phys_all, self._expect_columns).tolist()
+        flat = self._user_base + (actions @ self._profile_strides)[:, None]
+        sinr = self._sinr_flat[flat].tolist()
+        utilities = self._u_phys_flat[flat].tolist()
+        # one game broadcasts over the batch; several are gathered per replicate
+        u_phys = self.u_phys if len(self.games) == 1 else self.u_phys[self.points]
+        expected = self._contract(u_phys, self._expect_columns).tolist()
         y = self.strategy_batch
         records = []
-        for r, row in enumerate(actions.tolist()):
+        for r, (row, p) in enumerate(zip(actions.tolist(), self.points.tolist())):
             records.append(
                 TraceRecord(
                     step=self.t,
                     actions=tuple(row),
-                    powers_dbm=tuple(dbm[a] for dbm, a in zip(self._powers_dbm, row)),
+                    powers_dbm=tuple(dbm[a] for dbm, a in zip(self._powers_dbm[p], row)),
                     sinr_lin=tuple(sinr[r]),
                     utilities=tuple(utilities[r]),
                     expected_utilities=tuple(expected[r]),
@@ -489,15 +503,17 @@ class StackelbergLearning:
         every strategy from the new Q-values."""
         y = self.strategy_batch
         m0 = self.dims[0]
-        realized = self._u_norm_by_profile[actions @ self._profile_strides]  # (R, n)
+        flat = self._user_base + (actions @ self._profile_strides)[:, None]
+        realized = self._u_norm_flat[flat]  # (R, n)
         q_cells = self._q_base + actions
 
         if self.algorithm == NONCOOP:
             targets = realized
         else:
             targets = np.empty_like(realized)
-            targets[:, 0] = self._contract(self.u_norm[0][actions[:, 0]], self._leader_columns)
-            if self.game.num_followers:
+            u0 = self.u_norm[self.points, 0, actions[:, 0]]
+            targets[:, 0] = self._contract(u0, self._leader_columns)
+            if self.num_users > 1:
                 rows = self._row_base + actions[:, 1:]  # (R, K) rows of M0 cells
                 cells = rows * m0 + actions[:, :1]
                 u_hat = self.u_hat_batch.reshape(-1)

@@ -55,12 +55,12 @@ def game(cfg):
 
 
 def _terminal_leader_eu(engine):
-    return full_expected_utility(engine.u_phys[0], engine.strategies[0])
+    return full_expected_utility(engine.u_phys[0, 0], engine.strategies[0])
 
 
 def _run(game, algo, replicate, belief_factors=None):
     engine = StackelbergLearning(
-        game,
+        [game],
         algo,
         [learning_rng(44, algo, replicate=replicate)],
         LearnerSettings(alpha=ALPHA),
@@ -228,7 +228,7 @@ def test_criterion_4_target_sweep_trend(cfg):
 
 
 def test_criterion_5_dynamics_stationarity(game):
-    engine = StackelbergLearning(game, RLA1, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA))
+    engine = StackelbergLearning([game], RLA1, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA))
     records = engine.run(NUM_STEPS, log_every=10)[0]
     tail = records[math.ceil(len(records) * 0.9) - 1 :]
     profile = [
@@ -292,9 +292,9 @@ def test_criterion_6_estimator_convergence(game):
 
 
 def test_criterion_7_zero_delta_reduction(game):
-    a = StackelbergLearning(game, RLA1, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA))
+    a = StackelbergLearning([game], RLA1, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA))
     b = StackelbergLearning(
-        game,
+        [game],
         RLA2,
         [learning_rng(44, RLA1)],
         LearnerSettings(alpha=ALPHA),

@@ -3,6 +3,8 @@
 ``ReferenceLearner`` advances one replicate with the scalar helpers only.
 Every replicate of a batched ``StackelbergLearning`` must match its own
 reference run bit for bit: Q-values, strategies, estimate cells and beliefs.
+A batch over several games (the points of a sweep) must match one-replicate
+engines, each on its own game and generator.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from stackelearn.learning import (
     sample_action,
 )
 
-from conftest import random_game
+from conftest import ragged_game, random_game
 
 SEEDS = (11, 12, 13)
 
@@ -134,7 +136,7 @@ def test_batch_matches_reference_bitwise(desk_game, algorithm, game_name):
     deltas = [0.0 if j % 2 else 1.5 + j for j in range(k)]
     settings = sl.LearnerSettings(temperature=0.08, temperature_decay=0.9995)
     engine = StackelbergLearning(
-        game, algorithm, [np.random.default_rng(s) for s in SEEDS],
+        [game] * len(SEEDS), algorithm, [np.random.default_rng(s) for s in SEEDS],
         settings, belief_factors=deltas,
     )
     refs = [
@@ -167,8 +169,10 @@ def test_batch_matches_reference_bitwise(desk_game, algorithm, game_name):
 
 def test_single_generator_matches_one_replicate_of_a_batch(desk_game):
     settings = sl.LearnerSettings()
-    single = StackelbergLearning(desk_game, RLA2, [np.random.default_rng(SEEDS[1])], settings)
-    batch = StackelbergLearning(desk_game, RLA2, [np.random.default_rng(s) for s in SEEDS], settings)
+    single = StackelbergLearning([desk_game], RLA2, [np.random.default_rng(SEEDS[1])], settings)
+    batch = StackelbergLearning(
+        [desk_game] * len(SEEDS), RLA2, [np.random.default_rng(s) for s in SEEDS], settings
+    )
     (records,) = single.run(300, log_every=7)
     batch_records = batch.run(300, log_every=7)[1]
     assert [r.actions for r in records] == [r.actions for r in batch_records]
@@ -179,4 +183,77 @@ def test_single_generator_matches_one_replicate_of_a_batch(desk_game):
 
 def test_batch_rejects_empty_generator_list(desk_game):
     with pytest.raises(ValueError):
-        StackelbergLearning(desk_game, RLA1, [], sl.LearnerSettings())
+        StackelbergLearning([], RLA1, [], sl.LearnerSettings())
+
+
+def _relevel(game, low_dbm):
+    """The game with every user's power grid respaced from ``low_dbm`` to 30 dBm."""
+    users = tuple(
+        sl.UserParams(u.sinr_target_lin, u.circuit_power_w,
+                      sl.ActionSet.from_dbm(tuple(np.linspace(low_dbm, 30.0, len(u.action_set)))))
+        for u in game.users
+    )
+    return sl.GameInstance(gains=np.array(game.gains), users=users,
+                           bandwidth_hz=game.bandwidth_hz, noise_power_w=game.noise_power_w)
+
+
+def _record_fields(record):
+    return (record.step, record.actions, record.powers_dbm, record.sinr_lin,
+            record.utilities, record.expected_utilities, _bytes(record.strategies))
+
+
+@pytest.mark.parametrize("algorithm", [RLA1, RLA2, NONCOOP])
+@pytest.mark.parametrize("shape", ["uniform", "ragged"])
+def test_mixed_point_batch_matches_single_point_runs(algorithm, shape):
+    make = (lambda g: g) if shape == "uniform" else ragged_game
+    a = make(random_game(np.random.default_rng(31), num_users=4))
+    b = make(random_game(np.random.default_rng(32), num_users=4))
+    games = [a, b, a, _relevel(b, 14.0), b]
+    # a sweep reuses replicate r's stream at every point
+    seeds = [40, 40, 41, 40, 41]
+    deltas = [1.5, 0.0, 2.5]  # follower 2 runs the rla1 update
+    settings = sl.LearnerSettings(temperature=0.08, temperature_decay=0.9995)
+    engine = StackelbergLearning(
+        games, algorithm, [np.random.default_rng(s) for s in seeds], settings, belief_factors=deltas
+    )
+    singles = [
+        StackelbergLearning([g], algorithm, [np.random.default_rng(s)], settings, belief_factors=deltas)
+        for g, s in zip(games, seeds)
+    ]
+    assert len(engine.games) == 3
+    assert engine.points.tolist() == [0, 1, 0, 2, 1]
+    for chunk in (1, 37, 0, 1, 1100, 1):
+        if chunk == 0:
+            assert engine.step(record=False) is None
+            for single in singles:
+                single.step(record=False)
+        else:
+            runs = engine.run(chunk, log_every=max(1, chunk // 3))
+            assert [[_record_fields(rec) for rec in run] for run in runs] == [
+                [_record_fields(rec) for rec in single.run(chunk, log_every=max(1, chunk // 3))[0]]
+                for single in singles
+            ]
+        for r, single in enumerate(singles):
+            assert _bytes(engine.q[r]) == _bytes(single.q[0])
+            assert _bytes(engine.strategies[r]) == _bytes(single.strategies[0])
+            assert _bytes(engine.beliefs[r]) == _bytes(single.beliefs[0])
+            assert _bytes(e.u_hat for e in engine.estimates[r]) == _bytes(
+                e.u_hat for e in single.estimates[0]
+            )
+    # one stream on three games took three paths
+    assert len({engine.strategy_batch[r].tobytes() for r in (0, 1, 3)}) == 3
+
+
+def test_batch_rejects_unequal_action_dims(desk_game):
+    other = random_game(np.random.default_rng(21), num_users=2)
+    with pytest.raises(ValueError, match="action_dims"):
+        StackelbergLearning(
+            [desk_game, other], RLA1, [np.random.default_rng(s) for s in (1, 2)], sl.LearnerSettings()
+        )
+
+
+def test_batch_rejects_one_game_per_generator_mismatch(desk_game):
+    with pytest.raises(ValueError, match="one game per replicate"):
+        StackelbergLearning(
+            [desk_game], RLA1, [np.random.default_rng(s) for s in (1, 2)], sl.LearnerSettings()
+        )

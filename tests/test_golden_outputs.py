@@ -1,8 +1,9 @@
 """Golden outputs: every CSV and stdout of the four CLI commands, by sha256.
 
 The commands run on the default config with 300 learning steps: ``run``,
-``sweep`` over two leader targets with one replicate, ``dynamics`` for 200
-steps and ``oracle``.  The digests were recorded with numpy 2.4.6 on
+``sweep`` over two leader targets with one replicate, ``sweep`` over seven
+leader targets with two replicates, ``dynamics`` for 200 steps and
+``oracle``.  The digests were recorded with numpy 2.4.6 on
 CPython 3.11 (x86-64); a refactor that keeps them keeps every number the
 package prints.  A different numpy or BLAS build may change last bits, and
 with them the digests.
@@ -24,6 +25,8 @@ from stackelearn.cli import main as cli_main
 COMMANDS = {
     "run": ["run"],
     "sweep": ["sweep", "--from", "0", "--to", "10", "--points", "2", "--replicates", "1"],
+    # two points per action-dims group, and three leader-only points
+    "sweep-grid": ["sweep", "--from", "0", "--to", "30", "--points", "7", "--replicates", "2"],
     "dynamics": ["dynamics", "--steps", "200"],
     "oracle": ["oracle"],
 }
@@ -36,6 +39,8 @@ GOLDEN = {
     "run/trace_rla2.csv": "29073e93309baa82edca308a66939673c51b14f870806a15bf33eeb1dcf7de90",
     "sweep/stdout": "f92e5304d4065236223bc2a697cf97ac5eef86eb5aa1643266787aae63f3bb1a",
     "sweep/sweep_gamma0.csv": "8051f99f347096d488505ac32bd61a0b44b84b538719cc4aeac59a72e5e9d68c",
+    "sweep-grid/stdout": "353531b06aa2331d6bfe3e8e858680667775dcd3610b548a9edbb95875b003fd",
+    "sweep-grid/sweep_gamma0.csv": "4dcb754eebd94392b93d5a7c4f843d14b1dd764d75e0f3c788582e083432e797",
     "dynamics/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
     "dynamics/dynamics.csv": "b3f569056b7be45e2b79d2492c736497ed3d52f743c039ef1e745de8a46c6246",
     "oracle/stdout": "6be1000e2466312afd45cb73a8397f430e06886149bd451b06ed018b2234de16",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stackelearn as sl
+from stackelearn import harness
 from stackelearn.cli import main as cli_main
 from stackelearn.config import ConfigError, default_config, load_config, parse_config
 from stackelearn.harness import (
@@ -395,7 +396,7 @@ def test_sweep_replicates_match_separate_runs():
     sums = np.zeros(cfg.network.num_femtocells)
     for r in (4, 7):
         engine = sl.StackelbergLearning(
-            prepared.game,
+            [prepared.game],
             sl.RLA2,
             [learning_rng(cfg.seeds.base_seed, sl.RLA2, replicate=r)],
             cfg.learning,
@@ -403,10 +404,41 @@ def test_sweep_replicates_match_separate_runs():
         engine.run(80, log_every=80)
         for reduced in range(1, prepared.game.num_users):
             sums[prepared.user_ids[reduced] - 1] += full_expected_utility(
-                engine.sinr_tensors[reduced], engine.strategies[0]
+                engine.sinr_tensors[0, reduced], engine.strategies[0]
             )
     result = sweep_gamma0(cfg, algorithms=(sl.RLA2,))[0]
     assert result.fu_expected_sinr_lin == tuple(sums / 2)
+
+
+def test_sweep_runs_one_engine_per_action_dims_group(monkeypatch):
+    # the default grid keeps 2, 2, 1, 1, 0, 0, 0 femtocells
+    cfg = default_config(learning={"num_steps": 20})
+    grid = cfg.sweep.gamma0_grid_db
+    engines = []
+    real = harness.StackelbergLearning
+
+    def counting(games, algorithm, *args, **kwargs):
+        engines.append((algorithm, [g.users[0].sinr_target_lin for g in games]))
+        return real(games, algorithm, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "StackelbergLearning", counting)
+    results = sweep_gamma0(cfg)
+    leader_only = [g for g in grid if build_game(cfg, gamma0_db=g).game.num_users == 1]
+    assert leader_only == [20.0, 25.0, 30.0]
+    # one engine per (group, algorithm), each over two points x three replicates
+    assert sorted(algo for algo, _ in engines) == [sl.RLA1, sl.RLA1, sl.RLA2, sl.RLA2]
+    assert all(len(targets) == 2 * cfg.sweep.replicates for _, targets in engines)
+    learned = {t for _, targets in engines for t in targets}
+    assert learned == {sl.db_to_linear(g) for g in grid if g not in leader_only}
+    assert [(r.gamma0_db, r.algo) for r in results] == [
+        (g, algo) for g in grid for algo in (sl.RLA1, sl.RLA2)
+    ]
+    for r in results:
+        if r.gamma0_db in leader_only:
+            assert r.fu_expected_sinr_lin == (0.0, 0.0)
+            assert r.active == (False, False)
+        else:
+            assert any(x > 0 for x in r.fu_expected_sinr_lin)
 
 
 # ---------------------------------------------------------------------------

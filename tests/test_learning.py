@@ -262,7 +262,7 @@ def test_rla2_estimate_scalar_belief_single_follower():
 def _engine(game, algo, seed=0, settings=None, belief_factors=None):
     """A one-replicate engine; its results are replicate 0 of each list."""
     return StackelbergLearning(
-        game, algo, [np.random.default_rng(seed)], settings or sl.LearnerSettings(), belief_factors
+        [game], algo, [np.random.default_rng(seed)], settings or sl.LearnerSettings(), belief_factors
     )
 
 
@@ -311,8 +311,8 @@ def test_engine_trace_record_contents(desk_game):
         p_w = g.users[i].action_set.levels_w[rec.actions[i]]
         assert rec.powers_dbm[i] == pytest.approx(sl.watt_to_dbm(p_w), rel=1e-12)
         idx = rec.actions
-        assert rec.utilities[i] == eng.u_phys[i][idx]
-        assert rec.sinr_lin[i] == eng.sinr_tensors[i][idx]
+        assert rec.utilities[i] == eng.u_phys[0, i][idx]
+        assert rec.sinr_lin[i] == eng.sinr_tensors[0, i][idx]
     # logged strategies are the pre-update (uniform) ones
     for y, m in zip(rec.strategies, g.action_dims):
         assert np.allclose(y, 1.0 / m)
@@ -328,7 +328,7 @@ def test_engine_run_log_decimation(desk_game):
 
 def test_engine_per_user_normalization(desk_game):
     eng = _engine(desk_game, RLA1)
-    for t, tn, want in zip(eng.u_phys, eng.u_norm, normalized_utility_tensors(desk_game)):
+    for t, tn, want in zip(eng.u_phys[0], eng.u_norm[0], normalized_utility_tensors(desk_game)):
         assert tn.tobytes() == want.tobytes()
         assert tn.tobytes() == (t / (max(float(t.max()), 0.0) or 1.0)).tobytes()
         assert float(tn.max()) == pytest.approx(1.0)
@@ -374,7 +374,7 @@ def test_leader_update_uses_exact_expectation(desk_game):
     uniform = [np.full(m, 1.0 / m) for m in desk_game.action_dims[1:]]
     (rec,) = eng.step()
     a0 = rec.actions[0]
-    expected_q = 0.1 * full_expected_utility(eng.u_norm[0][a0], uniform)
+    expected_q = 0.1 * full_expected_utility(eng.u_norm[0, 0][a0], uniform)
     q0 = eng.q[0][0]
     assert q0[a0] == pytest.approx(expected_q, rel=1e-12)
     assert all(q0[a] == 0.0 for a in range(len(q0)) if a != a0)
