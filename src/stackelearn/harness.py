@@ -215,49 +215,42 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
     ``range(sweep.replicates)`` when unset).  Silenced femtocells contribute
     zero SINR.
 
-    The points whose game keeps a follower are grouped by ``action_dims``,
-    and one engine per (group, algorithm) runs every replicate of every
-    point of the group in lockstep; replicate offset r draws from the
-    ``learning_rng(base_seed, algo, r)`` stream at every point.  A point
-    where every femtocell is silenced has no FU SINR to learn: it runs no
-    engine and reports zeros.
+    Each point's game is built once.  One engine per (point, algorithm)
+    runs the point's replicates in lockstep, replicate offset r drawing from
+    the ``learning_rng(base_seed, algo, r)`` stream.  A point where every
+    femtocell is silenced has no FU SINR to learn: it runs no engine and
+    reports zeros.
     """
     replicates = config.sweep.replicates
     offsets = (config.seeds.replicate_offsets or tuple(range(replicates)))[:replicates]
-    grid = config.sweep.gamma0_grid_db
-    prepared = [build_game(config, gamma0_db=gamma0_db) for gamma0_db in grid]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for point, pg in enumerate(prepared):
-        if pg.game.num_followers:
-            groups.setdefault(pg.game.action_dims, []).append(point)
-    sums = {}  # (point, algo) -> per original follower, summed over replicates
-    for points in groups.values():
+    results = []
+    for gamma0_db in config.sweep.gamma0_grid_db:
+        prepared = build_game(config, gamma0_db=gamma0_db)
         for algo in algorithms:
-            batch = [(point, r) for point in points for r in offsets]
-            engine = StackelbergLearning(
-                [prepared[point].game for point, _ in batch],
-                algo,
-                [learning_rng(config.seeds.base_seed, algo, replicate=r) for _, r in batch],
-                config.learning,
+            sums = np.zeros(config.network.num_femtocells)
+            if prepared.game.num_followers:
+                engine = StackelbergLearning(
+                    [prepared.game] * len(offsets),
+                    algo,
+                    [learning_rng(config.seeds.base_seed, algo, replicate=r) for r in offsets],
+                    config.learning,
+                )
+                engine.run(config.learning.num_steps, log_every=config.learning.num_steps)
+                for strategies in engine.strategies:
+                    for reduced_idx in range(1, prepared.game.num_users):
+                        original = prepared.user_ids[reduced_idx]
+                        sums[original - 1] += full_expected_utility(
+                            engine.sinr_tensors[0, reduced_idx], strategies
+                        )
+            results.append(
+                SweepResult(
+                    gamma0_db=float(gamma0_db),
+                    algo=algo,
+                    fu_expected_sinr_lin=tuple(sums / len(offsets)),
+                    active=prepared.active,
+                )
             )
-            engine.run(config.learning.num_steps, log_every=config.learning.num_steps)
-            for (point, _), p, strategies in zip(batch, engine.points, engine.strategies):
-                tensors = engine.sinr_tensors[p]
-                total = sums.setdefault((point, algo), np.zeros(config.network.num_femtocells))
-                for reduced_idx in range(1, len(tensors)):
-                    original = prepared[point].user_ids[reduced_idx]
-                    total[original - 1] += full_expected_utility(tensors[reduced_idx], strategies)
-    zeros = np.zeros(config.network.num_femtocells)
-    return [
-        SweepResult(
-            gamma0_db=float(gamma0_db),
-            algo=algo,
-            fu_expected_sinr_lin=tuple(sums.get((point, algo), zeros) / len(offsets)),
-            active=pg.active,
-        )
-        for point, (gamma0_db, pg) in enumerate(zip(grid, prepared))
-        for algo in algorithms
-    ]
+    return results
 
 
 # ---------------------------------------------------------------------------

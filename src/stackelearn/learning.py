@@ -17,9 +17,10 @@ Three schemes share one step loop:
 One ``StackelbergLearning`` engine advances a batch of R independent
 replicates of a scheme in lockstep, one game and one generator each, and
 reports every result per replicate.  The replicates may play different
-games with the same action grids (the points of a sweep); each replicate is
-bitwise equal to a one-replicate batch on its own game and generator.  The
-scalar helpers below are the reference semantics it is tested against.
+games with the same action grids (such as two points of a sweep); each
+replicate is bitwise equal to a one-replicate batch on its own game and
+generator.  The scalar helpers below are the reference semantics it is
+tested against.
 
 Each user's utilities are rescaled by that user's own maximum pure-profile
 utility before learning (``game.normalize_utility``), so one default
@@ -479,9 +480,7 @@ class StackelbergLearning:
         flat = self._user_base + (actions @ self._profile_strides)[:, None]
         sinr = self._sinr_flat[flat].tolist()
         utilities = self._u_phys_flat[flat].tolist()
-        # one game broadcasts over the batch; several are gathered per replicate
-        u_phys = self.u_phys if len(self.games) == 1 else self.u_phys[self.points]
-        expected = self._contract(u_phys, self._expect_columns).tolist()
+        expected = self._contract(self.u_phys[self.points], self._expect_columns).tolist()
         y = self.strategy_batch
         records = []
         for r, (row, p) in enumerate(zip(actions.tolist(), self.points.tolist())):

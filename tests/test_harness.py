@@ -410,7 +410,7 @@ def test_sweep_replicates_match_separate_runs():
     assert result.fu_expected_sinr_lin == tuple(sums / 2)
 
 
-def test_sweep_runs_one_engine_per_action_dims_group(monkeypatch):
+def test_sweep_runs_no_engine_at_leader_only_points(monkeypatch):
     # the default grid keeps 2, 2, 1, 1, 0, 0, 0 femtocells
     cfg = default_config(learning={"num_steps": 20})
     grid = cfg.sweep.gamma0_grid_db
@@ -425,11 +425,13 @@ def test_sweep_runs_one_engine_per_action_dims_group(monkeypatch):
     results = sweep_gamma0(cfg)
     leader_only = [g for g in grid if build_game(cfg, gamma0_db=g).game.num_users == 1]
     assert leader_only == [20.0, 25.0, 30.0]
-    # one engine per (group, algorithm), each over two points x three replicates
-    assert sorted(algo for algo, _ in engines) == [sl.RLA1, sl.RLA1, sl.RLA2, sl.RLA2]
-    assert all(len(targets) == 2 * cfg.sweep.replicates for _, targets in engines)
-    learned = {t for _, targets in engines for t in targets}
-    assert learned == {sl.db_to_linear(g) for g in grid if g not in leader_only}
+    # one engine per (point with a follower, algorithm), over the point's replicates
+    learned = [g for g in grid if g not in leader_only]
+    assert engines == [
+        (algo, [sl.db_to_linear(g)] * cfg.sweep.replicates)
+        for g in learned
+        for algo in (sl.RLA1, sl.RLA2)
+    ]
     assert [(r.gamma0_db, r.algo) for r in results] == [
         (g, algo) for g in grid for algo in (sl.RLA1, sl.RLA2)
     ]
