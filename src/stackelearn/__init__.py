@@ -57,7 +57,7 @@ from .learning import (
     JointEstimate,
     LearnerSettings,
     StackelbergLearning,
-    TraceRecord,
+    Trace,
     boltzmann_strategy,
     conjecture_adjust,
     full_expected_utility,

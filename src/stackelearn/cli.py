@@ -84,16 +84,17 @@ def _cmd_run(args) -> int:
     if args.algo != "all":
         config.learning.algorithms = (args.algo,)
 
-    result = run_experiment(config)
-    if result.prepared.unresolved:
+    prepared = build_game(config)
+    if prepared.unresolved:
         print("error: leader SINR target infeasible even with all femtocells silenced", file=sys.stderr)
         return EXIT_INFEASIBLE
+    result = run_experiment(config, prepared)
 
     outdir = config.output.directory
     if config.output.emit_trace:
-        for algo, records in result.traces.items():
+        for algo, trace in result.traces.items():
             emit_trace_csv(
-                records,
+                trace,
                 algo,
                 os.path.join(outdir, f"trace_{algo}.csv"),
                 user_ids=result.prepared.user_ids,

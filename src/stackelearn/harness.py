@@ -34,7 +34,7 @@ from .learning import (
     RLA1,
     RLA2,
     StackelbergLearning,
-    TraceRecord,
+    Trace,
     full_expected_utility,
 )
 
@@ -70,7 +70,7 @@ class CompleteInfoResult:
 @dataclass
 class ExperimentResult:
     prepared: PreparedGame
-    traces: dict[str, list[TraceRecord]]
+    traces: dict[str, Trace]
     terminal_strategies: dict[str, list[np.ndarray]]
     oracle: EquilibriumResult
     complete_info: CompleteInfoResult
@@ -181,11 +181,13 @@ def learning_rng(base_seed: int, algorithm: str, replicate: int = 0) -> np.rando
     return np.random.default_rng(ss)
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, prepared: PreparedGame | None = None) -> ExperimentResult:
     """Run every requested scheme on the configured instance and attach the
-    oracle and complete-information references."""
-    prepared = build_game(config)
-    traces: dict[str, list[TraceRecord]] = {}
+    oracle and complete-information references.  ``prepared`` is
+    ``build_game(config)`` when the caller has already built it."""
+    if prepared is None:
+        prepared = build_game(config)
+    traces: dict[str, Trace] = {}
     terminal: dict[str, list[np.ndarray]] = {}
     for algo in config.learning.algorithms:
         engine = StackelbergLearning(
@@ -268,16 +270,14 @@ def compare_summary(result: ExperimentResult) -> list[dict]:
     rows = []
     n = result.prepared.game.num_users
     ref = result.complete_info.utilities
-    for algo, records in result.traces.items():
-        tail = records[max(1, math.ceil(len(records) * 0.9)) - 1 :]
+    for algo, trace in result.traces.items():
+        kept = len(trace.steps)
         for i in range(n):
-            terminal = float(np.mean([r.expected_utilities[i] for r in tail]))
+            column = trace.expected_utilities[:, i]
+            terminal = float(np.mean(column[max(1, math.ceil(kept * 0.9)) - 1 :]))
             ratio = terminal / ref[i] if ref[i] > 0 else float("nan")
-            steps = records[-1].step
-            for r in records:
-                if abs(r.expected_utilities[i] - terminal) <= 0.1 * abs(terminal):
-                    steps = r.step
-                    break
+            near = np.flatnonzero(np.abs(column - terminal) <= 0.1 * abs(terminal))
+            steps = int(trace.steps[near[0] if near.size else -1])
             rows.append(
                 {
                     "algo": algo,
@@ -310,30 +310,39 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_trace_csv(records: list[TraceRecord], algo: str, path: str, user_ids) -> None:
-    """Trace CSV, step-major / user-minor, one header row, full precision."""
-    if records:
-        max_actions = max(len(s) for s in records[0].strategies)
-    else:
-        max_actions = 0
+def emit_trace_csv(trace: Trace, algo: str, path: str, user_ids) -> None:
+    """Trace CSV, step-major / user-minor, one header row, full precision.
+
+    Each column is formatted in one pass over its distinct values (bit
+    patterns, so ``-0.0`` keeps its sign); a user's ``y_j`` cells past its
+    own action count are blank."""
+    kept, n, max_actions = trace.strategies.shape
     header = "step,user,algo,action_idx,power_dbm,sinr_lin,utility,expected_utility"
     header += "".join(f",y_{j}" for j in range(max_actions))
-    lines = [header]
-    for rec in records:
-        for i in range(len(rec.actions)):
-            probs = list(rec.strategies[i]) + [None] * (max_actions - len(rec.strategies[i]))
-            fields = [
-                str(rec.step),
-                str(user_ids[i]),
-                algo,
-                str(rec.actions[i]),
-                _fmt(rec.powers_dbm[i]),
-                _fmt(rec.sinr_lin[i]),
-                _fmt(rec.utilities[i]),
-                _fmt(rec.expected_utilities[i]),
-            ] + ["" if p is None else _fmt(float(p)) for p in probs]
-            lines.append(",".join(fields))
-    _write_lines(path, lines)
+
+    def cells(column, fmt=repr) -> list[str]:
+        flat = np.ascontiguousarray(column).reshape(-1)
+        values, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+        text = list(map(fmt, values.view(flat.dtype).tolist()))
+        return [text[i] for i in inverse.tolist()]
+
+    columns = [
+        cells(np.repeat(trace.steps, n), str),
+        [str(u) for u in user_ids[:n]] * kept,
+        [algo] * (kept * n),
+        cells(trace.actions, str),
+        cells(trace.powers_dbm),
+        cells(trace.sinr_lin),
+        cells(trace.utilities),
+        cells(trace.expected_utilities),
+    ]
+    for j in range(max_actions):
+        y_j = cells(trace.strategies[:, :, j])
+        for i, m in enumerate(trace.action_dims):
+            if j >= m:
+                y_j[i::n] = [""] * kept
+        columns.append(y_j)
+    _write_lines(path, [header] + list(map(",".join, zip(*columns))))
 
 
 def emit_sweep_csv(results: list[SweepResult], path: str) -> None:

@@ -213,17 +213,27 @@ class LearnerSettings:
             raise ValueError("belief_factor: must be >= 0")
 
 
-@dataclass
-class TraceRecord:
-    """One logged learning step, physical units."""
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One replicate's logged learning steps in physical units, as arrays
+    over its K kept steps (n users, M the largest action set).
 
-    step: int
-    actions: tuple[int, ...]
-    powers_dbm: tuple[float, ...]
-    sinr_lin: tuple[float, ...]
-    utilities: tuple[float, ...]
-    expected_utilities: tuple[float, ...]
-    strategies: list[np.ndarray]
+    Each row describes one step as it was taken: the strategies it sampled
+    from (before its update), the actions it sampled, and the powers, SINRs,
+    realized utilities and expected utilities under those strategies.
+    ``strategies`` is zero-padded to M like
+    ``StackelbergLearning.strategy_batch``; user i's strategy is
+    ``strategies[:, i, :action_dims[i]]``.
+    """
+
+    steps: np.ndarray  # (K,) engine step index
+    actions: np.ndarray  # (K, n)
+    powers_dbm: np.ndarray  # (K, n)
+    sinr_lin: np.ndarray  # (K, n)
+    utilities: np.ndarray  # (K, n)
+    expected_utilities: np.ndarray  # (K, n)
+    strategies: np.ndarray  # (K, n, M)
+    action_dims: tuple[int, ...]
 
 
 @dataclass
@@ -255,14 +265,14 @@ class StackelbergLearning:
     axis: ``u_phys``, ``u_norm`` and ``sinr_tensors`` are (P, n, *dims), and
     ``points[r]`` is replicate r's index into them.  Every read of a game's
     values (realized utilities, the leader target, rla2 belief blocks, trace
-    records) gathers at the replicate's point.
+    columns) gathers at the replicate's point.
 
     Agent state carries a leading replicate axis and is padded to the
     largest action set M: ``q_batch`` and ``strategy_batch`` are (R, n, M),
-    ``u_hat_batch`` and ``count_batch`` (R, n-1, M, M0).  ``step`` and
-    ``run`` return one entry per replicate, and the properties ``q``,
-    ``strategies``, ``estimates`` and ``beliefs`` one list of per-user
-    copies per replicate.
+    ``u_hat_batch`` and ``count_batch`` (R, n-1, M, M0).  ``step`` returns
+    the (R, n) actions it sampled and ``run`` one ``Trace`` per replicate;
+    the properties ``q``, ``strategies``, ``estimates`` and ``beliefs``
+    return one list of per-user copies per replicate.
 
     Each replicate is bitwise equal to a run of the scalar helpers
     (``sample_action``, ``q_update``, ``JointEstimate``,
@@ -326,10 +336,11 @@ class StackelbergLearning:
         # realized value is one gather at this base plus the profile offset
         self._user_base = (self.points[:, None] * n + np.arange(n)) * profiles
         self._profile_strides = np.array([math.prod(dims[i + 1 :]) for i in range(n)])
-        self._powers_dbm = [
-            [[watt_to_dbm(w) for w in user.action_set.levels_w] for user in game.users]
-            for game in self.games
-        ]
+        # (P, n, M) power of every action in dBm, zero-padded like the strategies
+        self._powers_dbm = np.zeros((len(self.games), n, m))
+        for p, game in enumerate(self.games):
+            for i, user in enumerate(game.users):
+                self._powers_dbm[p, i, : dims[i]] = [watt_to_dbm(w) for w in user.action_set.levels_w]
 
         self.temperature = self.settings.temperature
 
@@ -350,8 +361,8 @@ class StackelbergLearning:
         # uniforms drawn ahead by ``run``, (steps, R, n, 1), and the next one
         self._uniforms = np.empty((0, r, n, 1))
         self._next_uniform = 0
-        self._leader_columns = self._chain_columns(first=1, lead=1)
-        self._expect_columns = self._chain_columns(first=0, lead=2)
+        self._leader_columns = self._chain_columns(first=1, lead=1, batch=1)
+        self._trace_columns = self._chain_columns(first=0, lead=3, batch=2)
 
         # flat offsets of every (replicate, user) row, for one-gather updates
         self._q_base = (np.arange(r * n) * m).reshape(r, n)
@@ -384,14 +395,18 @@ class StackelbergLearning:
             )
         return groups
 
-    def _chain_columns(self, first: int, lead: int) -> list[tuple]:
-        """Indices into ``strategy_batch`` giving the column of user j, for
-        j = n-1 down to ``first``, shaped to multiply a tensor with ``lead``
-        leading axes and user axes ``first`` to j (see ``_contract``)."""
+    def _chain_columns(self, first: int, lead: int, batch: int) -> list[tuple]:
+        """Indices into a strategy array with ``batch`` leading axes, such as
+        ``strategy_batch`` (1), giving the column of user j, for j = n-1 down
+        to ``first``, shaped to multiply a tensor with ``lead`` leading axes
+        (the first ``batch`` of them the strategies') and user axes ``first``
+        to j (see ``_contract``)."""
         columns = []
         for j in range(self.num_users - 1, first - 1, -1):
             ndim = lead + (j - first + 1 if j > first else 2)
-            columns.append((slice(None),) + (None,) * (ndim - 3) + (j, slice(0, self.dims[j]), None))
+            columns.append(
+                (slice(None),) * batch + (None,) * (ndim - batch - 2) + (j, slice(0, self.dims[j]), None)
+            )
         return columns
 
     def _per_user_rows(self, batch: np.ndarray) -> list:
@@ -463,39 +478,43 @@ class StackelbergLearning:
             np.minimum(actions, self._last_action, out=actions)
         return actions
 
-    def _contract(self, out: np.ndarray, columns: list[tuple]) -> np.ndarray:
-        """Contract the trailing user axes of ``out`` with the current
-        strategies, last user first.  Like the scalar ``out @ y_j`` chain,
-        each product is one matrix-vector product per block and the last
-        one a dot, so every replicate gets the scalar chain's bits."""
+    @staticmethod
+    def _contract(out: np.ndarray, columns: list[tuple], y: np.ndarray) -> np.ndarray:
+        """Contract the trailing user axes of ``out`` with the strategies
+        ``y``, last user first.  Like the scalar ``out @ y_j`` chain, each
+        product is one matrix-vector product per block and the last one a
+        dot, so every replicate gets the scalar chain's bits."""
         if not columns:
             return out
-        y = self.strategy_batch
         for col in columns[:-1]:
             out = np.matmul(out, y[col])[..., 0]
         return np.matmul(out[..., None, :], y[columns[-1]])[..., 0, 0]
 
-    def _records(self, actions: np.ndarray) -> list[TraceRecord]:
-        """One record per replicate for the step about to be taken."""
-        flat = self._user_base + (actions @ self._profile_strides)[:, None]
-        sinr = self._sinr_flat[flat].tolist()
-        utilities = self._u_phys_flat[flat].tolist()
-        expected = self._contract(self.u_phys[self.points], self._expect_columns).tolist()
-        y = self.strategy_batch
-        records = []
-        for r, (row, p) in enumerate(zip(actions.tolist(), self.points.tolist())):
-            records.append(
-                TraceRecord(
-                    step=self.t,
-                    actions=tuple(row),
-                    powers_dbm=tuple(dbm[a] for dbm, a in zip(self._powers_dbm[p], row)),
-                    sinr_lin=tuple(sinr[r]),
-                    utilities=tuple(utilities[r]),
-                    expected_utilities=tuple(expected[r]),
-                    strategies=[y[r, i, :m].copy() for i, m in enumerate(self.dims)],
-                )
-            )
-        return records
+    def _traces(self, steps: np.ndarray, actions: np.ndarray, strategies: np.ndarray) -> list[Trace]:
+        """One ``Trace`` per replicate from the kept steps' (K, R, n)
+        actions and (K, R, n, M) strategies: every other column is one
+        gather or one blocked contraction over all of them."""
+        n = self.num_users
+        flat = self._user_base + (actions @ self._profile_strides)[..., None]  # (K, R, n)
+        sinr = self._sinr_flat[flat]
+        utilities = self._u_phys_flat[flat]
+        powers = self._powers_dbm[self.points[:, None], np.arange(n), actions]
+        # each user's expected utility under each kept step's strategies, in
+        # blocks of kept steps whose first product holds no more cells than
+        # the larger of the ``u_phys`` stack and the strategy buffer
+        tensors = self.u_phys[self.points]  # (R, n, *dims)
+        budget = max(self.u_phys.size, strategies.size)
+        block = max(1, budget * self.dims[-1] // tensors.size)
+        expected = np.empty(actions.shape)
+        for k in range(0, len(strategies), block):
+            y = strategies[k : k + block]
+            stack = np.broadcast_to(tensors, (len(y),) + tensors.shape)
+            expected[k : k + block] = self._contract(stack, self._trace_columns, y)
+        return [
+            Trace(steps, actions[:, r], powers[:, r], sinr[:, r], utilities[:, r],
+                  expected[:, r], strategies[:, r], self.dims)
+            for r in range(self.num_replicates)
+        ]
 
     def _update(self, actions: np.ndarray) -> None:
         """Realize utilities, update estimators and Q-values, then regenerate
@@ -511,7 +530,7 @@ class StackelbergLearning:
         else:
             targets = np.empty_like(realized)
             u0 = self.u_norm[self.points, 0, actions[:, 0]]
-            targets[:, 0] = self._contract(u0, self._leader_columns)
+            targets[:, 0] = self._contract(u0, self._leader_columns, y)
             if self.num_users > 1:
                 rows = self._row_base + actions[:, 1:]  # (R, K) rows of M0 cells
                 cells = rows * m0 + actions[:, :1]
@@ -558,36 +577,41 @@ class StackelbergLearning:
         y0 = self.strategy_batch[:, None, None, 0, :m0]
         return np.matmul(y0, over_leader)[..., 0, 0]
 
-    def step(self, record: bool = True) -> list[TraceRecord] | None:
-        """One iteration.  Returns its ``TraceRecord``s, one per replicate;
-        ``record=False`` builds none and returns None."""
+    def step(self) -> np.ndarray:
+        """One iteration.  Returns the (R, n) actions it sampled."""
         if self._next_uniform == len(self._uniforms):
             self._uniforms, self._next_uniform = self._draw(1), 0
         actions = self._sample(self._uniforms[self._next_uniform])
         self._next_uniform += 1
-        records = self._records(actions) if record else None
         self._update(actions)
-        return records
+        return actions
 
-    def run(self, num_steps: int, log_every: int = 1) -> list[list[TraceRecord]]:
-        """Run ``num_steps`` iterations, keeping every ``log_every``-th record
-        plus the final one; records are only built for kept steps.  Returns
-        one such list per replicate."""
+    def run(self, num_steps: int, log_every: int = 1) -> list[Trace]:
+        """Run ``num_steps`` iterations, keeping every ``log_every``-th step
+        plus the final one.  Returns one ``Trace`` of the kept steps per
+        replicate; a kept step only stores its strategies and actions, and
+        the other columns are derived after the loop."""
         if num_steps < 1:
             raise ValueError("num_steps must be >= 1")
-        last = num_steps - 1
-        runs = [[] for _ in self.rngs]
+        kept = list(range(0, num_steps, log_every))
+        if kept[-1] != num_steps - 1:
+            kept.append(num_steps - 1)
+        actions = np.empty((len(kept), self.num_replicates, self.num_users), dtype=np.intp)
+        strategies = np.empty((len(kept),) + self.strategy_batch.shape)
+        steps = np.array(kept) + self.t
+        k = 0
         for start in range(0, num_steps, self.DRAW_BLOCK):
             # ``step`` has used up its draws, so the stream stays in order
             self._uniforms = self._draw(min(self.DRAW_BLOCK, num_steps - start))
             self._next_uniform = 0
             for t in range(start, start + len(self._uniforms)):
-                keep = t % log_every == 0 or t == last
-                records = self.step(record=keep)
-                if keep:
-                    for run, record in zip(runs, records):
-                        run.append(record)
-        return runs
+                if t == kept[k]:
+                    strategies[k] = self.strategy_batch
+                    actions[k] = self.step()
+                    k += 1
+                else:
+                    self.step()
+        return self._traces(steps, actions, strategies)
 
 
 def _softmax_rows(q: np.ndarray, temperature: float) -> np.ndarray:

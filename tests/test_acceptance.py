@@ -229,11 +229,9 @@ def test_criterion_4_target_sweep_trend(cfg):
 
 def test_criterion_5_dynamics_stationarity(game):
     engine = StackelbergLearning([game], RLA1, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA))
-    records = engine.run(NUM_STEPS, log_every=10)[0]
-    tail = records[math.ceil(len(records) * 0.9) - 1 :]
-    profile = [
-        np.mean([rec.strategies[i] for rec in tail], axis=0) for i in range(game.num_users)
-    ]
+    trace = engine.run(NUM_STEPS, log_every=10)[0]
+    tail = trace.strategies[math.ceil(len(trace.steps) * 0.9) - 1 :]
+    profile = [np.mean(tail[:, i, :m], axis=0) for i, m in enumerate(game.action_dims)]
     profile = [y / y.sum() for y in profile]
 
     utilities = normalized_utility_tensors(game)
@@ -302,14 +300,13 @@ def test_criterion_7_zero_delta_reduction(game):
     )
     steps = 1000
     for _ in range(steps):
-        (ra,), (rb,) = a.step(), b.step()
-        assert ra.actions == rb.actions
-        assert ra.powers_dbm == rb.powers_dbm
-        assert ra.sinr_lin == rb.sinr_lin
-        assert ra.utilities == rb.utilities
-        assert ra.expected_utilities == rb.expected_utilities
-        for ya, yb in zip(ra.strategies, rb.strategies):
-            assert np.array_equal(ya, yb)
+        (ra,), (rb,) = a.run(1), b.run(1)
+        assert np.array_equal(ra.actions, rb.actions)
+        assert np.array_equal(ra.powers_dbm, rb.powers_dbm)
+        assert np.array_equal(ra.sinr_lin, rb.sinr_lin)
+        assert np.array_equal(ra.utilities, rb.utilities)
+        assert np.array_equal(ra.expected_utilities, rb.expected_utilities)
+        assert np.array_equal(ra.strategies, rb.strategies)
     for qa, qb in zip(a.q[0], b.q[0]):
         assert np.array_equal(qa, qb)
     for ya, yb in zip(a.strategies[0], b.strategies[0]):

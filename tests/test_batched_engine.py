@@ -2,7 +2,8 @@
 
 ``ReferenceLearner`` advances one replicate with the scalar helpers only.
 Every replicate of a batched ``StackelbergLearning`` must match its own
-reference run bit for bit: Q-values, strategies, estimate cells and beliefs.
+reference run bit for bit: Q-values, strategies, estimate cells, beliefs,
+and the actions and expected utilities of every kept trace row.
 A batch over several games (the points of a sweep) must match one-replicate
 engines, each on its own game and generator.
 """
@@ -143,25 +144,30 @@ def test_batch_matches_reference_bitwise(desk_game, algorithm, game_name):
         ReferenceLearner(game, algorithm, np.random.default_rng(s), settings, deltas)
         for s in SEEDS
     ]
-    # interleave single steps (0: without a record) with block runs,
-    # including a run that spans more than one block of uniforms
-    for chunk in (1, 37, 0, 1, 1100, 2, 5):
+    # interleave single steps (chunk 0) with traced runs of one step and
+    # decimated runs, including one that spans more than one block of uniforms
+    for chunk, log_every in ((1, 1), (37, 5), (0, None), (1, 1), (1100, 7), (2, 1), (5, 5)):
         if chunk == 0:
-            assert engine.step(record=False) is None
-            for ref in refs:
-                ref.step()
-        elif chunk == 1:
-            records = engine.step()
-            expected = [ref.expected_utilities() for ref in refs]
-            actions = [ref.step() for ref in refs]
-            assert [rec.actions for rec in records] == actions
-            assert [rec.expected_utilities for rec in records] == expected
+            actions = engine.step()
+            assert actions.tolist() == [list(ref.step()) for ref in refs]
         else:
-            runs = engine.run(chunk, log_every=chunk)
-            for _ in range(chunk):
-                for ref in refs:
-                    ref.step()
+            start = engine.t
+            runs = engine.run(chunk, log_every=log_every)
             assert len(runs) == len(SEEDS)
+            rows = [[] for _ in refs]
+            for t in range(chunk):
+                kept = t % log_every == 0 or t == chunk - 1
+                for ref, ref_rows in zip(refs, rows):
+                    expected = ref.expected_utilities() if kept else None
+                    actions = ref.step()
+                    if kept:
+                        ref_rows.append((start + t, actions, expected))
+            for trace, ref_rows in zip(runs, rows):
+                assert trace.steps.tolist() == [t for t, _, _ in ref_rows]
+                assert [tuple(a) for a in trace.actions.tolist()] == [a for _, a, _ in ref_rows]
+                assert [tuple(e) for e in trace.expected_utilities.tolist()] == [
+                    e for _, _, e in ref_rows
+                ]
         _assert_bitwise(engine, refs)
     # the replicates took different paths
     assert len({engine.strategy_batch[r].tobytes() for r in range(len(SEEDS))}) == len(SEEDS)
@@ -173,10 +179,10 @@ def test_single_generator_matches_one_replicate_of_a_batch(desk_game):
     batch = StackelbergLearning(
         [desk_game] * len(SEEDS), RLA2, [np.random.default_rng(s) for s in SEEDS], settings
     )
-    (records,) = single.run(300, log_every=7)
-    batch_records = batch.run(300, log_every=7)[1]
-    assert [r.actions for r in records] == [r.actions for r in batch_records]
-    assert [r.expected_utilities for r in records] == [r.expected_utilities for r in batch_records]
+    (trace,) = single.run(300, log_every=7)
+    batch_trace = batch.run(300, log_every=7)[1]
+    assert trace.actions.tolist() == batch_trace.actions.tolist()
+    assert trace.expected_utilities.tolist() == batch_trace.expected_utilities.tolist()
     assert _bytes(single.q[0]) == _bytes(batch.q[1])
     assert _bytes(single.strategies[0]) == _bytes(batch.strategies[1])
 
@@ -197,9 +203,11 @@ def _relevel(game, low_dbm):
                            bandwidth_hz=game.bandwidth_hz, noise_power_w=game.noise_power_w)
 
 
-def _record_fields(record):
-    return (record.step, record.actions, record.powers_dbm, record.sinr_lin,
-            record.utilities, record.expected_utilities, _bytes(record.strategies))
+def _trace_fields(trace):
+    return (trace.action_dims,) + tuple(_bytes((
+        trace.steps, trace.actions, trace.powers_dbm, trace.sinr_lin,
+        trace.utilities, trace.expected_utilities, trace.strategies,
+    )))
 
 
 @pytest.mark.parametrize("algorithm", [RLA1, RLA2, NONCOOP])
@@ -224,13 +232,11 @@ def test_mixed_point_batch_matches_single_point_runs(algorithm, shape):
     assert engine.points.tolist() == [0, 1, 0, 2, 1]
     for chunk in (1, 37, 0, 1, 1100, 1):
         if chunk == 0:
-            assert engine.step(record=False) is None
-            for single in singles:
-                single.step(record=False)
+            assert engine.step().tolist() == [single.step()[0].tolist() for single in singles]
         else:
             runs = engine.run(chunk, log_every=max(1, chunk // 3))
-            assert [[_record_fields(rec) for rec in run] for run in runs] == [
-                [_record_fields(rec) for rec in single.run(chunk, log_every=max(1, chunk // 3))[0]]
+            assert [_trace_fields(trace) for trace in runs] == [
+                _trace_fields(single.run(chunk, log_every=max(1, chunk // 3))[0])
                 for single in singles
             ]
         for r, single in enumerate(singles):

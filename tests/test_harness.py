@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -23,6 +24,8 @@ from stackelearn.harness import (
 )
 from stackelearn.game import best_response, leader_feasible, utility
 from stackelearn.learning import AUTO_TEMPERATURE_FRACTION, full_expected_utility
+
+from conftest import ragged_game, random_game
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +300,9 @@ def small_result(small_cfg):
 def test_run_experiment_structure(small_result, small_cfg):
     res = small_result
     assert set(res.traces) == set(small_cfg.learning.algorithms)
-    for algo, records in res.traces.items():
-        assert records[0].step == 0
-        assert records[-1].step == small_cfg.learning.num_steps - 1
+    for algo, trace in res.traces.items():
+        assert trace.steps[0] == 0
+        assert trace.steps[-1] == small_cfg.learning.num_steps - 1
         assert len(res.terminal_strategies[algo]) == res.prepared.game.num_users
         for y in res.terminal_strategies[algo]:
             assert abs(y.sum() - 1.0) < 1e-9
@@ -318,20 +321,43 @@ def test_compare_summary_rows(small_result):
 
 
 def test_trace_csv_shape(small_result, tmp_path):
-    records = small_result.traces[sl.RLA1]
+    trace = small_result.traces[sl.RLA1]
     path = tmp_path / "trace.csv"
-    emit_trace_csv(records, sl.RLA1, str(path), user_ids=small_result.prepared.user_ids)
+    emit_trace_csv(trace, sl.RLA1, str(path), user_ids=small_result.prepared.user_ids)
     lines = path.read_text().strip().split("\n")
     n = small_result.prepared.game.num_users
     assert lines[0].startswith("step,user,algo,action_idx,power_dbm,sinr_lin,utility,expected_utility")
     assert lines[0].endswith(",y_0,y_1,y_2")
-    assert len(lines) == 1 + len(records) * n
+    assert len(lines) == 1 + len(trace.steps) * n
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0" and first[2] == sl.RLA1
     # full-precision floats survive a round trip
     assert float(first[4]) in [20.0, 25.0, 30.0]
     y = [float(x) for x in first[-3:]]
     assert sum(y) == pytest.approx(1.0, abs=1e-12)
+
+
+# sha256 of the ragged trace below, recorded from the row-by-row emitter
+RAGGED_TRACE_SHA256 = "4f673f6aac0c48ce5cd708a4a8b9e0ecc25be0e59b1fe15d79b42d3c3f4cfb39"
+
+
+def test_trace_csv_ragged_blank_cells(tmp_path):
+    game = ragged_game(random_game(np.random.default_rng(23), num_users=3))
+    assert game.action_dims == (4, 2, 3)
+    engine = sl.StackelbergLearning([game], sl.RLA2, [np.random.default_rng(5)], sl.LearnerSettings())
+    path = tmp_path / "trace.csv"
+    emit_trace_csv(engine.run(4, log_every=2)[0], sl.RLA2, str(path), user_ids=(0, 2, 3))
+    data = path.read_bytes()
+    lines = data.decode().strip().split("\n")
+    assert lines[0].endswith(",expected_utility,y_0,y_1,y_2,y_3")
+    assert len(lines) == 1 + 3 * 3
+    for row, line in enumerate(lines[1:]):
+        fields = line.split(",")
+        m = game.action_dims[row % 3]
+        assert fields[1] == str((0, 2, 3)[row % 3])
+        assert all(fields[8 + j] for j in range(m))
+        assert fields[8 + m :] == [""] * (4 - m)
+    assert hashlib.sha256(data).hexdigest() == RAGGED_TRACE_SHA256
 
 
 def test_sweep_results_and_csv(small_cfg, tmp_path):
@@ -497,6 +523,23 @@ def test_cli_infeasible_exit_code(tmp_path, capsys):
     )
     assert cli_main(["run", "--config", cfg]) == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_cli_run_unresolved_builds_no_engine(tmp_path, capsys, monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("a learning engine was built for an unresolved instance")
+
+    monkeypatch.setattr(harness, "StackelbergLearning", no_engine)
+    cfg = _write_cfg(
+        tmp_path,
+        users={"mu_sinr_target_db": 60.0},
+        output={"directory": str(tmp_path / "out4")},
+    )
+    assert cli_main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: leader SINR target infeasible even with all femtocells silenced\n"
+    )
+    assert not (tmp_path / "out4").exists()
 
 
 def test_cli_oracle(tmp_path, capsys):

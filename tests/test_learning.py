@@ -294,36 +294,38 @@ def test_engine_determinism_same_seed(desk_game):
     a = _engine(desk_game, RLA2, seed=5)
     b = _engine(desk_game, RLA2, seed=5)
     for _ in range(100):
-        (ra,), (rb,) = a.step(), b.step()
-        assert ra.actions == rb.actions
-        assert ra.utilities == rb.utilities
+        (ra,), (rb,) = a.run(1), b.run(1)
+        assert ra.actions.tolist() == rb.actions.tolist()
+        assert ra.utilities.tolist() == rb.utilities.tolist()
     for qa, qb in zip(a.q[0], b.q[0]):
         assert np.array_equal(qa, qb)
 
 
 def test_engine_trace_record_contents(desk_game):
     eng = _engine(desk_game, RLA1, seed=6)
-    (rec,) = eng.step()
+    (trace,) = eng.run(5)
     g = desk_game
-    assert rec.step == 0
-    assert len(rec.actions) == g.num_users
-    for i in range(g.num_users):
-        p_w = g.users[i].action_set.levels_w[rec.actions[i]]
-        assert rec.powers_dbm[i] == pytest.approx(sl.watt_to_dbm(p_w), rel=1e-12)
-        idx = rec.actions
-        assert rec.utilities[i] == eng.u_phys[0, i][idx]
-        assert rec.sinr_lin[i] == eng.sinr_tensors[0, i][idx]
+    assert trace.steps.tolist() == [0, 1, 2, 3, 4]
+    assert trace.action_dims == g.action_dims
+    for k in range(5):
+        idx = tuple(trace.actions[k].tolist())
+        assert len(idx) == g.num_users
+        for i in range(g.num_users):
+            p_w = g.users[i].action_set.levels_w[idx[i]]
+            assert trace.powers_dbm[k, i] == pytest.approx(sl.watt_to_dbm(p_w), rel=1e-12)
+            assert trace.utilities[k, i] == eng.u_phys[0, i][idx]
+            assert trace.sinr_lin[k, i] == eng.sinr_tensors[0, i][idx]
     # logged strategies are the pre-update (uniform) ones
-    for y, m in zip(rec.strategies, g.action_dims):
-        assert np.allclose(y, 1.0 / m)
+    for y, m in zip(trace.strategies[0], g.action_dims):
+        assert np.allclose(y[:m], 1.0 / m)
 
 
 def test_engine_run_log_decimation(desk_game):
     eng = _engine(desk_game, NONCOOP, seed=7)
-    (records,) = eng.run(10, log_every=3)
-    assert [r.step for r in records] == [0, 3, 6, 9]
-    (records,) = _engine(desk_game, NONCOOP, seed=7).run(10, log_every=4)
-    assert [r.step for r in records] == [0, 4, 8, 9]
+    (trace,) = eng.run(10, log_every=3)
+    assert trace.steps.tolist() == [0, 3, 6, 9]
+    (trace,) = _engine(desk_game, NONCOOP, seed=7).run(10, log_every=4)
+    assert trace.steps.tolist() == [0, 4, 8, 9]
 
 
 def test_engine_per_user_normalization(desk_game):
@@ -372,8 +374,8 @@ def test_leader_update_uses_exact_expectation(desk_game):
     # after one step the leader's Q entry equals alpha * U_0(a0, uniform followers)
     eng = _engine(desk_game, RLA1, seed=8)
     uniform = [np.full(m, 1.0 / m) for m in desk_game.action_dims[1:]]
-    (rec,) = eng.step()
-    a0 = rec.actions[0]
+    (trace,) = eng.run(1)
+    a0 = trace.actions[0, 0]
     expected_q = 0.1 * full_expected_utility(eng.u_norm[0, 0][a0], uniform)
     q0 = eng.q[0][0]
     assert q0[a0] == pytest.approx(expected_q, rel=1e-12)
