@@ -75,6 +75,19 @@ def _override(config, section: str, flag: str, **changes) -> None:
         raise ConfigError(f"{flag}: {exc}") from None
 
 
+class _Unresolved(Exception):
+    """The leader's SINR target is infeasible even with every femtocell silenced."""
+
+
+def _resolved_game(config):
+    """``build_game(config)``; raises ``_Unresolved`` (exit 2) when the
+    protection protocol cannot make the leader feasible."""
+    prepared = build_game(config)
+    if prepared.unresolved:
+        raise _Unresolved
+    return prepared
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -84,10 +97,7 @@ def _cmd_run(args) -> int:
     if args.algo != "all":
         config.learning.algorithms = (args.algo,)
 
-    prepared = build_game(config)
-    if prepared.unresolved:
-        print("error: leader SINR target infeasible even with all femtocells silenced", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    prepared = _resolved_game(config)
     result = run_experiment(config, prepared)
 
     outdir = config.output.directory
@@ -137,10 +147,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = load_config(args.config)
-    prepared = build_game(config)
-    if prepared.unresolved:
-        print("error: leader SINR target infeasible even with all femtocells silenced", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    prepared = _resolved_game(config)
     se = stackelberg_oracle(prepared.game)
     game = prepared.game
     profile = (se.leader_action_index,) + se.follower_action_indices
@@ -166,10 +173,7 @@ def _cmd_dynamics(args) -> int:
         raise ConfigError("dynamics --steps: must be >= 1")
     if args.out is not None:
         config.output.directory = args.out
-    prepared = build_game(config)
-    if prepared.unresolved:
-        print("error: leader SINR target infeasible even with all femtocells silenced", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    prepared = _resolved_game(config)
     game = prepared.game
     initial = [np.full(m, 1.0 / m) for m in game.action_dims]
     try:
@@ -206,6 +210,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except _Unresolved:
+        print("error: leader SINR target infeasible even with all femtocells silenced", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

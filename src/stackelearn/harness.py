@@ -314,11 +314,10 @@ def emit_trace_csv(trace: Trace, algo: str, path: str, user_ids) -> None:
     """Trace CSV, step-major / user-minor, one header row, full precision.
 
     Each column is formatted in one pass over its distinct values (bit
-    patterns, so ``-0.0`` keeps its sign); a user's ``y_j`` cells past its
-    own action count are blank."""
-    kept, n, max_actions = trace.strategies.shape
+    patterns, so ``-0.0`` keeps its sign)."""
+    kept, n, num_actions = trace.strategies.shape
     header = "step,user,algo,action_idx,power_dbm,sinr_lin,utility,expected_utility"
-    header += "".join(f",y_{j}" for j in range(max_actions))
+    header += "".join(f",y_{j}" for j in range(num_actions))
 
     def cells(column, fmt=repr) -> list[str]:
         flat = np.ascontiguousarray(column).reshape(-1)
@@ -336,12 +335,7 @@ def emit_trace_csv(trace: Trace, algo: str, path: str, user_ids) -> None:
         cells(trace.utilities),
         cells(trace.expected_utilities),
     ]
-    for j in range(max_actions):
-        y_j = cells(trace.strategies[:, :, j])
-        for i, m in enumerate(trace.action_dims):
-            if j >= m:
-                y_j[i::n] = [""] * kept
-        columns.append(y_j)
+    columns += [cells(trace.strategies[:, :, j]) for j in range(num_actions)]
     _write_lines(path, [header] + list(map(",".join, zip(*columns))))
 
 

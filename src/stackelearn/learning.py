@@ -9,18 +9,19 @@ Three schemes share one step loop:
 * ``rla2`` -- followers additionally hold a belief over the *other*
   followers' joint actions, nudged by a conjecture rule proportional to the
   change in their own strategy, and evaluate utilities against that belief.
-  A follower with belief factor 0 runs the plain ``rla1`` update, so the
-  two schemes coincide exactly (bitwise) when all belief factors are zero.
+  Every follower uses the one belief factor of ``LearnerSettings``; at 0
+  they run the plain ``rla1`` update, so the two schemes coincide exactly
+  (bitwise).
 * ``noncoop`` -- every user, leader included, does bandit Q-learning on the
   raw realized utility with no information exchange.
 
 One ``StackelbergLearning`` engine advances a batch of R independent
 replicates of a scheme in lockstep, one game and one generator each, and
-reports every result per replicate.  The replicates may play different
-games with the same action grids (such as two points of a sweep); each
-replicate is bitwise equal to a one-replicate batch on its own game and
-generator.  The scalar helpers below are the reference semantics it is
-tested against.
+reports every result per replicate.  Every user of a game has the same
+number M of power levels.  The replicates may play different games with
+equal ``action_dims`` (such as two points of a sweep); each replicate is
+bitwise equal to a one-replicate batch on its own game and generator.  The
+scalar helpers below are the reference semantics it is tested against.
 
 Each user's utilities are rescaled by that user's own maximum pure-profile
 utility before learning (``game.normalize_utility``), so one default
@@ -216,14 +217,11 @@ class LearnerSettings:
 @dataclass(frozen=True, eq=False)
 class Trace:
     """One replicate's logged learning steps in physical units, as arrays
-    over its K kept steps (n users, M the largest action set).
+    over its K kept steps (n users, M power levels each).
 
     Each row describes one step as it was taken: the strategies it sampled
     from (before its update), the actions it sampled, and the powers, SINRs,
     realized utilities and expected utilities under those strategies.
-    ``strategies`` is zero-padded to M like
-    ``StackelbergLearning.strategy_batch``; user i's strategy is
-    ``strategies[:, i, :action_dims[i]]``.
     """
 
     steps: np.ndarray  # (K,) engine step index
@@ -233,21 +231,6 @@ class Trace:
     utilities: np.ndarray  # (K, n)
     expected_utilities: np.ndarray  # (K, n)
     strategies: np.ndarray  # (K, n, M)
-    action_dims: tuple[int, ...]
-
-
-@dataclass
-class _BeliefGroup:
-    """rla2 followers with a nonzero belief factor and beliefs of one size B."""
-
-    users: slice | np.ndarray  # the G members' user indices
-    deltas: np.ndarray  # (G,) belief factors
-    # flat positions in the stacked normalized utilities of member g's
-    # (leader, other followers) block at own action 0 in replicate r's
-    # game, (R, G, M0 * B); its own action a adds a * strides[g]
-    positions: np.ndarray
-    strides: np.ndarray  # (G,)
-    beliefs: np.ndarray  # (R, G, B)
 
 
 class StackelbergLearning:
@@ -255,7 +238,8 @@ class StackelbergLearning:
 
     ``games`` and ``rngs`` hold one game and one generator per replicate (a
     single run is a batch of one).  The games may differ but must share
-    their ``action_dims``.  Each replicate draws only from its own
+    their ``action_dims``, and every user of a game must have the same
+    number M of power levels.  Each replicate draws only from its own
     generator, one uniform per user per step in user order, and reads only
     its own game, so its results do not depend on the replicates run beside
     it.
@@ -267,12 +251,13 @@ class StackelbergLearning:
     values (realized utilities, the leader target, rla2 belief blocks, trace
     columns) gathers at the replicate's point.
 
-    Agent state carries a leading replicate axis and is padded to the
-    largest action set M: ``q_batch`` and ``strategy_batch`` are (R, n, M),
-    ``u_hat_batch`` and ``count_batch`` (R, n-1, M, M0).  ``step`` returns
-    the (R, n) actions it sampled and ``run`` one ``Trace`` per replicate;
-    the properties ``q``, ``strategies``, ``estimates`` and ``beliefs``
-    return one list of per-user copies per replicate.
+    Agent state carries a leading replicate axis: ``q_batch`` and
+    ``strategy_batch`` are (R, n, M), ``u_hat_batch`` and ``count_batch``
+    (R, n-1, M, M), and ``belief_batch`` (R, n-1, M^(n-2)), every rla2
+    follower using ``settings.belief_factor``.  ``step`` returns the (R, n)
+    actions it sampled and ``run`` one ``Trace`` per replicate; the
+    properties ``q``, ``strategies``, ``estimates`` and ``beliefs`` return
+    one list of per-user copies per replicate.
 
     Each replicate is bitwise equal to a run of the scalar helpers
     (``sample_action``, ``q_update``, ``JointEstimate``,
@@ -293,7 +278,6 @@ class StackelbergLearning:
         algorithm: str,
         rngs: list[np.random.Generator],
         settings: LearnerSettings,
-        belief_factors=None,
     ):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -304,7 +288,11 @@ class StackelbergLearning:
         if len(games) != len(rngs):
             raise ValueError("one game per replicate generator is required")
         self.games = list({id(game): game for game in games}.values())
-        self.dims = dims = self.games[0].action_dims
+        dims = self.games[0].action_dims
+        if len(set(dims)) != 1:
+            raise ValueError(
+                f"every user needs the same number of power levels, not action_dims {dims}"
+            )
         if any(game.action_dims != dims for game in self.games):
             raise ValueError("the games of a batch must have equal action_dims")
         point_of = {id(game): p for p, game in enumerate(self.games)}
@@ -316,8 +304,7 @@ class StackelbergLearning:
         n = self.num_users = len(dims)
         k = n - 1
         r = self.num_replicates = len(self.rngs)
-        m = max(dims)
-        m0 = dims[0]
+        m = self.num_actions = dims[0]
         profiles = math.prod(dims)
         shape = (len(self.games), n) + dims
         u_phys, u_norm, sinr = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -336,28 +323,31 @@ class StackelbergLearning:
         # realized value is one gather at this base plus the profile offset
         self._user_base = (self.points[:, None] * n + np.arange(n)) * profiles
         self._profile_strides = np.array([math.prod(dims[i + 1 :]) for i in range(n)])
-        # (P, n, M) power of every action in dBm, zero-padded like the strategies
-        self._powers_dbm = np.zeros((len(self.games), n, m))
-        for p, game in enumerate(self.games):
-            for i, user in enumerate(game.users):
-                self._powers_dbm[p, i, : dims[i]] = [watt_to_dbm(w) for w in user.action_set.levels_w]
+        # (P, n, M) power of every action in dBm
+        self._powers_dbm = np.array(
+            [[[watt_to_dbm(w) for w in user.action_set.levels_w] for user in game.users]
+             for game in self.games]
+        )
 
         self.temperature = self.settings.temperature
-
-        if belief_factors is None:
-            belief_factors = [self.settings.belief_factor] * k
-        if len(belief_factors) != k:
-            raise ValueError("one belief factor per follower is required")
-        self.belief_factors = [float(d) for d in belief_factors]
-
-        self._ragged = any(d != m for d in dims)
-        self._last_action = np.array(dims) - 1
         self.q_batch = np.zeros((r, n, m))
-        self.strategy_batch = self._boltzmann(self.q_batch)
+        self.strategy_batch = _softmax_rows(self.q_batch, self.temperature)
         self._prev_strategy_batch = self.strategy_batch
-        self.u_hat_batch = np.zeros((r, k, m, m0))
-        self.count_batch = np.zeros((r, k, m, m0), dtype=np.int64)
-        self._belief_groups = self._make_belief_groups() if algorithm == RLA2 else []
+        self.u_hat_batch = np.zeros((r, k, m, m))
+        self.count_batch = np.zeros((r, k, m, m), dtype=np.int64)
+        # rla2 beliefs over the other followers' joint actions; with belief
+        # factor 0 they stay uniform and the followers run the rla1 update
+        beliefs = m ** max(n - 2, 0)
+        self.belief_batch = np.full((r, k, beliefs), 1.0 / beliefs)
+        self._conjecture = algorithm == RLA2 and settings.belief_factor != 0.0 and k > 0
+        if self._conjecture:
+            # flat positions in ``u_norm`` of follower i's (leader, other
+            # followers) block at own action 0 in replicate r's game,
+            # (R, n-1, M * M^(n-2)); its own action a adds a * strides[i-1]
+            index = np.arange(profiles).reshape(dims)
+            blocks = np.array([np.moveaxis(index, i, 0)[0].ravel() for i in range(1, n)])
+            self._belief_positions = self._user_base[:, 1:, None] + blocks
+            self._belief_strides = self._profile_strides[1:]
         # uniforms drawn ahead by ``run``, (steps, R, n, 1), and the next one
         self._uniforms = np.empty((0, r, n, 1))
         self._next_uniform = 0
@@ -369,32 +359,6 @@ class StackelbergLearning:
         self._row_base = (np.arange(r * k) * m).reshape(r, k)
         self.t = 0
 
-    def _other_dims(self, follower: int) -> tuple[int, ...]:
-        return tuple(m for j, m in enumerate(self.dims) if j not in (0, follower))
-
-    def _make_belief_groups(self) -> list[_BeliefGroup]:
-        by_size: dict[int, list[int]] = {}
-        for i in range(1, self.num_users):
-            if self.belief_factors[i - 1] != 0.0:
-                by_size.setdefault(math.prod(self._other_dims(i)), []).append(i)
-        profiles = math.prod(self.dims)
-        groups = []
-        for size, users in by_size.items():
-            blocks = [
-                np.moveaxis(np.arange(profiles).reshape(self.dims), i, 0)[0].ravel() for i in users
-            ]
-            contiguous = users == list(range(users[0], users[-1] + 1))
-            groups.append(
-                _BeliefGroup(
-                    users=slice(users[0], users[-1] + 1) if contiguous else np.array(users),
-                    deltas=np.array([self.belief_factors[i - 1] for i in users]),
-                    positions=self._user_base[:, users, None] + np.array(blocks),
-                    strides=self._profile_strides[users],
-                    beliefs=np.full((self.num_replicates, len(users), size), 1.0 / size),
-                )
-            )
-        return groups
-
     def _chain_columns(self, first: int, lead: int, batch: int) -> list[tuple]:
         """Indices into a strategy array with ``batch`` leading axes, such as
         ``strategy_batch`` (1), giving the column of user j, for j = n-1 down
@@ -405,12 +369,13 @@ class StackelbergLearning:
         for j in range(self.num_users - 1, first - 1, -1):
             ndim = lead + (j - first + 1 if j > first else 2)
             columns.append(
-                (slice(None),) * batch + (None,) * (ndim - batch - 2) + (j, slice(0, self.dims[j]), None)
+                (slice(None),) * batch + (None,) * (ndim - batch - 2) + (j, slice(None), None)
             )
         return columns
 
-    def _per_user_rows(self, batch: np.ndarray) -> list:
-        return [[row[i, :m].copy() for i, m in enumerate(self.dims)] for row in batch]
+    @staticmethod
+    def _per_user_rows(batch: np.ndarray) -> list:
+        return [[row.copy() for row in rows] for rows in batch]
 
     @property
     def strategies(self) -> list:
@@ -428,10 +393,10 @@ class StackelbergLearning:
 
         def per_follower(r):
             out = []
-            for i in range(1, self.num_users):
-                est = JointEstimate(self.dims[i], self.dims[0])
-                est.u_hat[...] = self.u_hat_batch[r, i - 1, : self.dims[i]]
-                est.counts[...] = self.count_batch[r, i - 1, : self.dims[i]]
+            for i in range(self.num_users - 1):
+                est = JointEstimate(self.num_actions, self.num_actions)
+                est.u_hat[...] = self.u_hat_batch[r, i]
+                est.counts[...] = self.count_batch[r, i]
                 out.append(est)
             return out
 
@@ -440,29 +405,9 @@ class StackelbergLearning:
     @property
     def beliefs(self) -> list:
         """rla2 contention beliefs per replicate, one axis per other
-        follower; followers that never update theirs keep the uniform one."""
-        uniform = [np.full(self._other_dims(i), 1.0 / math.prod(self._other_dims(i)))
-                   for i in range(1, self.num_users)]
-
-        def per_follower(r):
-            out = [b.copy() for b in uniform]
-            for group in self._belief_groups:
-                users = np.arange(self.num_users)[group.users]
-                for g, i in enumerate(users):
-                    out[i - 1] = group.beliefs[r, g].reshape(self._other_dims(i)).copy()
-            return out
-
-        return [per_follower(r) for r in range(self.num_replicates)]
-
-    def _boltzmann(self, q: np.ndarray) -> np.ndarray:
-        """``boltzmann_strategy`` of every (replicate, user) row; padding
-        entries of a smaller action set get probability 0."""
-        if self._ragged:
-            y = np.zeros_like(q)
-            for i, m in enumerate(self.dims):
-                y[:, i, :m] = _softmax_rows(q[:, i, :m], self.temperature)
-            return y
-        return _softmax_rows(q, self.temperature)
+        follower; they stay uniform unless the followers conjecture."""
+        shape = (self.num_actions,) * max(self.num_users - 2, 0)
+        return [[b.reshape(shape).copy() for b in rows] for rows in self.belief_batch]
 
     def _draw(self, steps: int) -> np.ndarray:
         """Uniforms for ``steps`` steps, shaped (steps, R, n, 1)."""
@@ -473,10 +418,7 @@ class StackelbergLearning:
         """``sample_action`` for every (replicate, user): the action is the
         number of inner CDF points at or below the uniform."""
         cdf = self.strategy_batch.cumsum(axis=-1)
-        actions = np.add.reduce(cdf[..., :-1] <= u, axis=-1)
-        if self._ragged:
-            np.minimum(actions, self._last_action, out=actions)
-        return actions
+        return np.add.reduce(cdf[..., :-1] <= u, axis=-1)
 
     @staticmethod
     def _contract(out: np.ndarray, columns: list[tuple], y: np.ndarray) -> np.ndarray:
@@ -504,7 +446,7 @@ class StackelbergLearning:
         # the larger of the ``u_phys`` stack and the strategy buffer
         tensors = self.u_phys[self.points]  # (R, n, *dims)
         budget = max(self.u_phys.size, strategies.size)
-        block = max(1, budget * self.dims[-1] // tensors.size)
+        block = max(1, budget * self.num_actions // tensors.size)
         expected = np.empty(actions.shape)
         for k in range(0, len(strategies), block):
             y = strategies[k : k + block]
@@ -512,7 +454,7 @@ class StackelbergLearning:
             expected[k : k + block] = self._contract(stack, self._trace_columns, y)
         return [
             Trace(steps, actions[:, r], powers[:, r], sinr[:, r], utilities[:, r],
-                  expected[:, r], strategies[:, r], self.dims)
+                  expected[:, r], strategies[:, r])
             for r in range(self.num_replicates)
         ]
 
@@ -520,7 +462,7 @@ class StackelbergLearning:
         """Realize utilities, update estimators and Q-values, then regenerate
         every strategy from the new Q-values."""
         y = self.strategy_batch
-        m0 = self.dims[0]
+        m = self.num_actions
         flat = self._user_base + (actions @ self._profile_strides)[:, None]
         realized = self._u_norm_flat[flat]  # (R, n)
         q_cells = self._q_base + actions
@@ -532,20 +474,22 @@ class StackelbergLearning:
             u0 = self.u_norm[self.points, 0, actions[:, 0]]
             targets[:, 0] = self._contract(u0, self._leader_columns, y)
             if self.num_users > 1:
-                rows = self._row_base + actions[:, 1:]  # (R, K) rows of M0 cells
-                cells = rows * m0 + actions[:, :1]
+                rows = self._row_base + actions[:, 1:]  # (R, K) rows of M cells
+                cells = rows * m + actions[:, :1]
                 u_hat = self.u_hat_batch.reshape(-1)
                 counts = self.count_batch.reshape(-1)
                 visits = counts[cells] + 1
                 old = u_hat[cells]
                 u_hat[cells] = old + (realized[:, 1:] - old) / visits
                 counts[cells] = visits
-                estimates = self.u_hat_batch.reshape(-1, 1, m0)[rows]  # (R, K, 1, M0)
-                targets[:, 1:] = np.matmul(estimates, y[:, None, 0, :m0, None])[..., 0, 0]
-            if self._belief_groups:
-                change = y.reshape(-1)[q_cells] - self._prev_strategy_batch.reshape(-1)[q_cells]
-                for group in self._belief_groups:
-                    targets[:, group.users] = self._belief_targets(group, actions, change)
+                if self._conjecture:
+                    followers = q_cells[:, 1:]
+                    prev = self._prev_strategy_batch.reshape(-1)
+                    change = y.reshape(-1)[followers] - prev[followers]
+                    targets[:, 1:] = self._belief_targets(actions[:, 1:], change)
+                else:
+                    estimates = self.u_hat_batch.reshape(-1, 1, m)[rows]  # (R, K, 1, M)
+                    targets[:, 1:] = np.matmul(estimates, y[:, None, 0, :, None])[..., 0, 0]
 
         q = self.q_batch.reshape(-1)
         old = q[q_cells]
@@ -555,26 +499,26 @@ class StackelbergLearning:
         decay = self.settings.temperature_decay
         if decay != 1.0:
             self.temperature *= decay
-        self.strategy_batch = self._boltzmann(self.q_batch)
+        self.strategy_batch = _softmax_rows(self.q_batch, self.temperature)
         self.t += 1
 
-    def _belief_targets(self, group: _BeliefGroup, actions, change) -> np.ndarray:
-        """``conjecture_adjust`` the group's beliefs, then return
-        ``rla2_estimated_expected_utility`` of each member's action."""
-        shift = group.deltas * change[:, group.users]  # (R, G)
-        clipped = np.clip(group.beliefs - shift[..., None], 0.0, 1.0)
+    def _belief_targets(self, actions, change) -> np.ndarray:
+        """``conjecture_adjust`` every follower's belief by its (R, n-1)
+        strategy ``change`` at its own ``actions``, then return
+        ``rla2_estimated_expected_utility`` of those actions."""
+        shift = self.settings.belief_factor * change
+        clipped = np.clip(self.belief_batch - shift[..., None], 0.0, 1.0)
         total = np.add.reduce(clipped, axis=-1, keepdims=True)
         if not total.all():  # clipped entries are >= 0, so this is total <= 0
             empty = total[..., 0] <= 0
             clipped[empty] = 1.0 / clipped.shape[-1]
             total[empty] = 1.0
-        group.beliefs = clipped / total
-        m0 = self.dims[0]
-        own = (actions[:, group.users] * group.strides)[..., None]
-        sub = self._u_norm_flat[group.positions + own]  # (R, G, M0 * B)
-        sub = sub.reshape(sub.shape[:2] + (m0, -1))
-        over_leader = np.matmul(sub, group.beliefs[..., None])  # (R, G, M0, 1)
-        y0 = self.strategy_batch[:, None, None, 0, :m0]
+        self.belief_batch = clipped / total
+        own = (actions * self._belief_strides)[..., None]
+        sub = self._u_norm_flat[self._belief_positions + own]  # (R, n-1, M * M^(n-2))
+        sub = sub.reshape(sub.shape[:2] + (self.num_actions, -1))
+        over_leader = np.matmul(sub, self.belief_batch[..., None])  # (R, n-1, M, 1)
+        y0 = self.strategy_batch[:, None, None, 0]
         return np.matmul(y0, over_leader)[..., 0, 0]
 
     def step(self) -> np.ndarray:

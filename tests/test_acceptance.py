@@ -58,13 +58,9 @@ def _terminal_leader_eu(engine):
     return full_expected_utility(engine.u_phys[0, 0], engine.strategies[0])
 
 
-def _run(game, algo, replicate, belief_factors=None):
+def _run(game, algo, replicate):
     engine = StackelbergLearning(
-        [game],
-        algo,
-        [learning_rng(44, algo, replicate=replicate)],
-        LearnerSettings(alpha=ALPHA),
-        belief_factors=belief_factors,
+        [game], algo, [learning_rng(44, algo, replicate=replicate)], LearnerSettings(alpha=ALPHA)
     )
     engine.run(NUM_STEPS, log_every=NUM_STEPS)
     return engine
@@ -286,17 +282,13 @@ def test_criterion_6_estimator_convergence(game):
 
 
 # ---------------------------------------------------------------------------
-# 7. rla2 with zero belief factors reduces exactly to rla1
+# 7. rla2 with belief factor 0 reduces exactly to rla1
 
 
 def test_criterion_7_zero_delta_reduction(game):
     a = StackelbergLearning([game], RLA1, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA))
     b = StackelbergLearning(
-        [game],
-        RLA2,
-        [learning_rng(44, RLA1)],
-        LearnerSettings(alpha=ALPHA),
-        belief_factors=[0.0] * game.num_followers,
+        [game], RLA2, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA, belief_factor=0.0)
     )
     steps = 1000
     for _ in range(steps):

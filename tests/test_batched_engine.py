@@ -35,7 +35,7 @@ SEEDS = (11, 12, 13)
 class ReferenceLearner:
     """One sequential run built from the scalar helpers."""
 
-    def __init__(self, game, algorithm, rng, settings, belief_factors):
+    def __init__(self, game, algorithm, rng, settings):
         self.algorithm = algorithm
         self.rng = rng
         self.settings = settings
@@ -44,7 +44,6 @@ class ReferenceLearner:
         self.u_phys = [utility_tensor(game, i) for i in range(n)]
         self.u_norm = [t / (max(float(t.max()), 0.0) or 1.0) for t in self.u_phys]
         self.tau = settings.temperature
-        self.deltas = belief_factors
         self.q = [np.zeros(m) for m in self.dims]
         self.y = [boltzmann_strategy(q, self.tau) for q in self.q]
         self.prev_y = [y.copy() for y in self.y]
@@ -72,7 +71,7 @@ class ReferenceLearner:
             for i in range(1, n):
                 est = self.estimates[i - 1]
                 est.update(actions[i], actions[0], realized[i])
-                delta = self.deltas[i - 1]
+                delta = self.settings.belief_factor
                 if self.algorithm == RLA2 and delta != 0.0:
                     self.beliefs[i - 1] = conjecture_adjust(
                         self.beliefs[i - 1],
@@ -106,44 +105,33 @@ def _assert_bitwise(engine, refs):
         assert _bytes(engine.beliefs[r]) == _bytes(ref.beliefs)
 
 
-def _ragged_game(rng):
-    """Leader with 4 power levels, followers with 3 and 2."""
-    game = random_game(rng, num_users=3, num_actions=3)
-    users = (
-        sl.UserParams(game.users[0].sinr_target_lin, game.users[0].circuit_power_w,
-                      sl.ActionSet.from_dbm((18.0, 22.0, 26.0, 30.0))),
-        game.users[1],
-        sl.UserParams(game.users[2].sinr_target_lin, game.users[2].circuit_power_w,
-                      sl.ActionSet.from_dbm((20.0, 30.0))),
-    )
-    return sl.GameInstance(gains=np.array(game.gains), users=users,
-                           bandwidth_hz=game.bandwidth_hz, noise_power_w=game.noise_power_w)
-
-
 GAMES = {
     "default": lambda desk_game: desk_game,
     "leader_only": lambda _: random_game(np.random.default_rng(21), num_users=1),
     "five_femtocells": lambda _: random_game(np.random.default_rng(22), num_users=6, num_actions=4),
-    "ragged": lambda _: _ragged_game(np.random.default_rng(23)),
 }
 
 
-@pytest.mark.parametrize("algorithm", [RLA1, RLA2, NONCOOP])
+# rla2 conjectures at belief factor 2.5 and runs the rla1 update at 0
+SCHEMES = [
+    pytest.param(RLA1, 2.5, id=RLA1),
+    pytest.param(RLA2, 2.5, id=RLA2),
+    pytest.param(RLA2, 0.0, id="rla2_delta0"),
+    pytest.param(NONCOOP, 2.5, id=NONCOOP),
+]
+
+
+@pytest.mark.parametrize(("algorithm", "belief_factor"), SCHEMES)
 @pytest.mark.parametrize("game_name", sorted(GAMES))
-def test_batch_matches_reference_bitwise(desk_game, algorithm, game_name):
+def test_batch_matches_reference_bitwise(desk_game, algorithm, belief_factor, game_name):
     game = GAMES[game_name](desk_game)
-    k = game.num_followers
-    # every other follower runs with belief factor 0 (the rla1 update)
-    deltas = [0.0 if j % 2 else 1.5 + j for j in range(k)]
-    settings = sl.LearnerSettings(temperature=0.08, temperature_decay=0.9995)
-    engine = StackelbergLearning(
-        [game] * len(SEEDS), algorithm, [np.random.default_rng(s) for s in SEEDS],
-        settings, belief_factors=deltas,
+    settings = sl.LearnerSettings(
+        temperature=0.08, temperature_decay=0.9995, belief_factor=belief_factor
     )
-    refs = [
-        ReferenceLearner(game, algorithm, np.random.default_rng(s), settings, deltas)
-        for s in SEEDS
-    ]
+    engine = StackelbergLearning(
+        [game] * len(SEEDS), algorithm, [np.random.default_rng(s) for s in SEEDS], settings
+    )
+    refs = [ReferenceLearner(game, algorithm, np.random.default_rng(s), settings) for s in SEEDS]
     # interleave single steps (chunk 0) with traced runs of one step and
     # decimated runs, including one that spans more than one block of uniforms
     for chunk, log_every in ((1, 1), (37, 5), (0, None), (1, 1), (1100, 7), (2, 1), (5, 5)):
@@ -204,28 +192,24 @@ def _relevel(game, low_dbm):
 
 
 def _trace_fields(trace):
-    return (trace.action_dims,) + tuple(_bytes((
+    return _bytes((
         trace.steps, trace.actions, trace.powers_dbm, trace.sinr_lin,
         trace.utilities, trace.expected_utilities, trace.strategies,
-    )))
+    ))
 
 
-@pytest.mark.parametrize("algorithm", [RLA1, RLA2, NONCOOP])
-@pytest.mark.parametrize("shape", ["uniform", "ragged"])
-def test_mixed_point_batch_matches_single_point_runs(algorithm, shape):
-    make = (lambda g: g) if shape == "uniform" else ragged_game
-    a = make(random_game(np.random.default_rng(31), num_users=4))
-    b = make(random_game(np.random.default_rng(32), num_users=4))
+# "uniform": every user of each game has the same number of power levels
+@pytest.mark.parametrize("algorithm", [RLA1, RLA2, NONCOOP], ids=lambda a: f"uniform-{a}")
+def test_mixed_point_batch_matches_single_point_runs(algorithm):
+    a = random_game(np.random.default_rng(31), num_users=4)
+    b = random_game(np.random.default_rng(32), num_users=4)
     games = [a, b, a, _relevel(b, 14.0), b]
     # a sweep reuses replicate r's stream at every point
     seeds = [40, 40, 41, 40, 41]
-    deltas = [1.5, 0.0, 2.5]  # follower 2 runs the rla1 update
-    settings = sl.LearnerSettings(temperature=0.08, temperature_decay=0.9995)
-    engine = StackelbergLearning(
-        games, algorithm, [np.random.default_rng(s) for s in seeds], settings, belief_factors=deltas
-    )
+    settings = sl.LearnerSettings(temperature=0.08, temperature_decay=0.9995, belief_factor=2.5)
+    engine = StackelbergLearning(games, algorithm, [np.random.default_rng(s) for s in seeds], settings)
     singles = [
-        StackelbergLearning([g], algorithm, [np.random.default_rng(s)], settings, belief_factors=deltas)
+        StackelbergLearning([g], algorithm, [np.random.default_rng(s)], settings)
         for g, s in zip(games, seeds)
     ]
     assert len(engine.games) == 3
@@ -255,6 +239,11 @@ def test_batch_rejects_unequal_action_dims(desk_game):
     with pytest.raises(ValueError, match="action_dims"):
         StackelbergLearning(
             [desk_game, other], RLA1, [np.random.default_rng(s) for s in (1, 2)], sl.LearnerSettings()
+        )
+    # one game whose users have 4, 2 and 3 power levels
+    with pytest.raises(ValueError, match="action_dims"):
+        StackelbergLearning(
+            [ragged_game(desk_game)], RLA1, [np.random.default_rng(1)], sl.LearnerSettings()
         )
 
 

@@ -1,11 +1,10 @@
-import hashlib
 import json
 import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stackelearn as sl
@@ -24,8 +23,6 @@ from stackelearn.harness import (
 )
 from stackelearn.game import best_response, leader_feasible, utility
 from stackelearn.learning import AUTO_TEMPERATURE_FRACTION, full_expected_utility
-
-from conftest import ragged_game, random_game
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +161,24 @@ _DB_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-400
         },
     ),
     grid=st.lists(_DB_VALUES, min_size=1, max_size=3),
+    feasibility=st.booleans(),
 )
-def test_accepted_radio_values_build_a_game(users, grid):
+# the default game relaxes the FU targets for 3 rounds; a 10 dB MU target
+# silences femtocell 1, and 20 dB silences both
+@example(users={}, grid=[3], feasibility=True)
+@example(users={"mu_sinr_target_db": 10}, grid=[20], feasibility=False)
+def test_accepted_radio_values_build_a_game(users, grid, feasibility):
     # what parse_config accepts in these sections, build_game can convert
     try:
-        cfg = parse_config({"users": users, "sweep": {"gamma0_grid_db": grid}})
+        cfg = parse_config(
+            {"users": users, "sweep": {"gamma0_grid_db": grid}, "feasibility": {"enabled": feasibility}}
+        )
     except ConfigError:
         return
-    build_game(cfg)
-    for gamma0_db in cfg.sweep.gamma0_grid_db:
-        build_game(cfg, gamma0_db=gamma0_db)
+    for gamma0_db in (None,) + cfg.sweep.gamma0_grid_db:
+        game = build_game(cfg, gamma0_db=gamma0_db).game
+        # silencing and target relaxation leave every user on the one grid
+        assert len(set(game.action_dims)) == 1
 
 
 def test_parse_config_temperature_auto():
@@ -193,9 +198,10 @@ def test_load_config_round_trip(tmp_path):
 
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError, match="invalid JSON"):
-        load_config(str(path))
+    for data in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(str(path))
 
 
 def test_default_config_overrides():
@@ -335,29 +341,6 @@ def test_trace_csv_shape(small_result, tmp_path):
     assert float(first[4]) in [20.0, 25.0, 30.0]
     y = [float(x) for x in first[-3:]]
     assert sum(y) == pytest.approx(1.0, abs=1e-12)
-
-
-# sha256 of the ragged trace below, recorded from the row-by-row emitter
-RAGGED_TRACE_SHA256 = "4f673f6aac0c48ce5cd708a4a8b9e0ecc25be0e59b1fe15d79b42d3c3f4cfb39"
-
-
-def test_trace_csv_ragged_blank_cells(tmp_path):
-    game = ragged_game(random_game(np.random.default_rng(23), num_users=3))
-    assert game.action_dims == (4, 2, 3)
-    engine = sl.StackelbergLearning([game], sl.RLA2, [np.random.default_rng(5)], sl.LearnerSettings())
-    path = tmp_path / "trace.csv"
-    emit_trace_csv(engine.run(4, log_every=2)[0], sl.RLA2, str(path), user_ids=(0, 2, 3))
-    data = path.read_bytes()
-    lines = data.decode().strip().split("\n")
-    assert lines[0].endswith(",expected_utility,y_0,y_1,y_2,y_3")
-    assert len(lines) == 1 + 3 * 3
-    for row, line in enumerate(lines[1:]):
-        fields = line.split(",")
-        m = game.action_dims[row % 3]
-        assert fields[1] == str((0, 2, 3)[row % 3])
-        assert all(fields[8 + j] for j in range(m))
-        assert fields[8 + m :] == [""] * (4 - m)
-    assert hashlib.sha256(data).hexdigest() == RAGGED_TRACE_SHA256
 
 
 def test_sweep_results_and_csv(small_cfg, tmp_path):
@@ -507,6 +490,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, learning={"alpha": 2.0})
     assert cli_main(["run", "--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert cli_main(["oracle", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {bad}: invalid JSON")
 
 
 def test_cli_missing_config_io_exit_code(tmp_path, capsys):
@@ -521,8 +508,12 @@ def test_cli_infeasible_exit_code(tmp_path, capsys):
         learning={"num_steps": 10},
         output={"directory": str(tmp_path / "out3")},
     )
-    assert cli_main(["run", "--config", cfg]) == 2
-    assert "infeasible" in capsys.readouterr().err
+    for command in ("run", "oracle", "dynamics"):
+        assert cli_main([command, "--config", cfg]) == 2, command
+        assert capsys.readouterr().err == (
+            "error: leader SINR target infeasible even with all femtocells silenced\n"
+        )
+    assert not os.path.exists(tmp_path / "out3")
 
 
 def test_cli_run_unresolved_builds_no_engine(tmp_path, capsys, monkeypatch):

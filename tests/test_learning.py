@@ -259,10 +259,10 @@ def test_rla2_estimate_scalar_belief_single_follower():
         assert got == pytest.approx(float(leader_y @ t[:, a]), rel=1e-12)
 
 
-def _engine(game, algo, seed=0, settings=None, belief_factors=None):
+def _engine(game, algo, seed=0, settings=None):
     """A one-replicate engine; its results are replicate 0 of each list."""
     return StackelbergLearning(
-        [game], algo, [np.random.default_rng(seed)], settings or sl.LearnerSettings(), belief_factors
+        [game], algo, [np.random.default_rng(seed)], settings or sl.LearnerSettings()
     )
 
 
@@ -306,7 +306,6 @@ def test_engine_trace_record_contents(desk_game):
     (trace,) = eng.run(5)
     g = desk_game
     assert trace.steps.tolist() == [0, 1, 2, 3, 4]
-    assert trace.action_dims == g.action_dims
     for k in range(5):
         idx = tuple(trace.actions[k].tolist())
         assert len(idx) == g.num_users
@@ -317,7 +316,7 @@ def test_engine_trace_record_contents(desk_game):
             assert trace.sinr_lin[k, i] == eng.sinr_tensors[0, i][idx]
     # logged strategies are the pre-update (uniform) ones
     for y, m in zip(trace.strategies[0], g.action_dims):
-        assert np.allclose(y[:m], 1.0 / m)
+        assert np.allclose(y, 1.0 / m)
 
 
 def test_engine_run_log_decimation(desk_game):
@@ -334,13 +333,6 @@ def test_engine_per_user_normalization(desk_game):
         assert tn.tobytes() == want.tobytes()
         assert tn.tobytes() == (t / (max(float(t.max()), 0.0) or 1.0)).tobytes()
         assert float(tn.max()) == pytest.approx(1.0)
-
-
-def test_engine_belief_factor_validation(desk_game):
-    with pytest.raises(ValueError):
-        _engine(desk_game, RLA2, belief_factors=[1.0])  # needs one per follower
-    eng = _engine(desk_game, RLA2, belief_factors=[0.0, 0.0])
-    assert eng.belief_factors == [0.0, 0.0]
 
 
 def test_learner_settings_validation():
