@@ -149,11 +149,11 @@ def _cmd_oracle(args) -> int:
     config = load_config(args.config)
     prepared = _resolved_game(config)
     se = stackelberg_oracle(prepared.game)
-    game = prepared.game
     profile = (se.leader_action_index,) + se.follower_action_indices
+    powers_w = prepared.game.powers_from_indices(profile)
     print(f"pure follower NE everywhere: {se.is_pure_se}")
     for reduced, uid in enumerate(prepared.user_ids):
-        power_dbm = watt_to_dbm(game.users[reduced].action_set.levels_w[profile[reduced]])
+        power_dbm = watt_to_dbm(powers_w[reduced])
         role = "MU" if uid == 0 else f"FU{uid}"
         print(
             f"{role}: action {profile[reduced]} ({power_dbm:.1f} dBm), "
@@ -175,7 +175,8 @@ def _cmd_dynamics(args) -> int:
         config.output.directory = args.out
     prepared = _resolved_game(config)
     game = prepared.game
-    initial = [np.full(m, 1.0 / m) for m in game.action_dims]
+    m = len(game.action_set)
+    initial = np.full((game.num_users, m), 1.0 / m)
     try:
         trajectory = integrate_dynamics(
             initial,

@@ -34,34 +34,29 @@ class DynamicsDivergence(RuntimeError):
         self.step_index = step_index
 
 
-def _floor_profile(profile) -> list[np.ndarray]:
-    out = []
-    for y in profile:
-        y = np.maximum(np.asarray(y, dtype=float), PROB_FLOOR)
-        out.append(y / y.sum())
-    return out
+def _floor_profile(profile) -> np.ndarray:
+    y = np.maximum(np.asarray(profile, dtype=float), PROB_FLOOR)
+    return y / y.sum(axis=-1, keepdims=True)
 
 
 def strategy_derivative(
     profile, utilities: list[np.ndarray], alpha: float, temperature: float
-) -> list[np.ndarray]:
-    """Evaluate the strategy vector field at a profile.
+) -> np.ndarray:
+    """Evaluate the strategy vector field at an (n, M) profile.
 
-    Returns one derivative vector per user; each sums to zero (the field is
-    tangent to the product of simplices).
+    Returns the (n, M) derivative; each user's row sums to zero (the field
+    is tangent to the product of simplices).
     """
     if not temperature > 0:
         raise ValueError("temperature must be > 0")
     ys = _floor_profile(profile)
-    derivs = []
-    for i in range(len(utilities)):
-        y = ys[i]
+    derivs = np.empty_like(ys)
+    for i, y in enumerate(ys):
         u_actions = action_expected_utilities(utilities[i], ys, i)
         mean_u = float(y @ u_actions)
         log_y = np.log(y)
         entropy_term = log_y - float(y @ log_y)
-        d = (alpha / temperature) * y * ((u_actions - mean_u) - temperature * entropy_term)
-        derivs.append(d)
+        derivs[i] = (alpha / temperature) * y * ((u_actions - mean_u) - temperature * entropy_term)
     return derivs
 
 
@@ -72,12 +67,13 @@ def integrate_dynamics(
     temperature: float,
     step_size: float,
     num_steps: int,
-) -> list[list[np.ndarray]]:
-    """Fixed-step RK4 integration of the strategy field.
+) -> np.ndarray:
+    """Fixed-step RK4 integration of the strategy field from an (n, M)
+    profile.
 
     Each accepted step renormalizes every strategy back onto its simplex.
-    Returns the trajectory including the initial profile (``num_steps + 1``
-    entries).  A step that leaves a non-finite or negative entry before the
+    Returns the (num_steps + 1, n, M) trajectory, the initial profile
+    first.  A step that leaves a non-finite or negative entry before the
     floor (a divergence, or an overshoot past the simplex boundary) aborts
     with the offending step index; numpy's floating-point warnings on the way
     there are silenced, since the check reports the step.
@@ -90,26 +86,20 @@ def integrate_dynamics(
     def field(profile):
         return strategy_derivative(profile, utilities, alpha, temperature)
 
-    def axpy(profile, derivs, scale):
-        return [y + scale * d for y, d in zip(profile, derivs)]
-
     current = _floor_profile(initial)
-    trajectory = [current]
+    trajectory = np.empty((num_steps + 1,) + current.shape)
+    trajectory[0] = current
     h = step_size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(num_steps):
             k1 = field(current)
-            k2 = field(axpy(current, k1, h / 2))
-            k3 = field(axpy(current, k2, h / 2))
-            k4 = field(axpy(current, k3, h))
-            nxt = [
-                y + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                for y, a, b, c, d in zip(current, k1, k2, k3, k4)
-            ]
-            if any(not (np.all(np.isfinite(y)) and y.min() >= 0) for y in nxt):
+            k2 = field(current + h / 2 * k1)
+            k3 = field(current + h / 2 * k2)
+            k4 = field(current + h * k3)
+            nxt = current + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not (np.all(np.isfinite(nxt)) and nxt.min() >= 0):
                 raise DynamicsDivergence(step)
-            current = _floor_profile(nxt)
-            trajectory.append(current)
+            current = trajectory[step + 1] = _floor_profile(nxt)
     return trajectory
 
 
@@ -120,29 +110,29 @@ def stationarity_check(
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
     derivs = strategy_derivative(profile, utilities, alpha, temperature)
-    residual = max(float(np.max(np.abs(d))) for d in derivs)
+    residual = float(np.max(np.abs(derivs)))
     return residual < tolerance, residual
 
 
 def logit_residual(profile, utilities: list[np.ndarray], temperature: float) -> float:
-    """Max over users of ||y_i - softmax(U_i(., y_-i) / temperature)||_1.
+    """Max over users of ||y_i - softmax(U_i(., y_-i) / temperature)||_1 at
+    an (n, M) profile.
 
     Interior rest points of the field are logit (quantal-response) fixed
     points, where this residual is 0.  Unlike ``stationarity_check``, whose
     max-norm carries a factor y and so reads ~0 at every vertex, it stays
     large at a vertex that is not a smoothed best response.
     """
-    ys = [np.asarray(y, dtype=float) for y in profile]
-    residuals = []
-    for i, u_i in enumerate(utilities):
-        logit = boltzmann_strategy(action_expected_utilities(u_i, ys, i), temperature)
-        residuals.append(float(np.abs(ys[i] - logit).sum()))
-    return max(residuals)
+    ys = np.asarray(profile, dtype=float)
+    logits = [
+        boltzmann_strategy(action_expected_utilities(u_i, ys, i), temperature)
+        for i, u_i in enumerate(utilities)
+    ]
+    return float(np.abs(ys - logits).sum(axis=-1).max())
 
 
 def total_variation(profile_a, profile_b) -> float:
-    """Max over users of the per-user total-variation distance."""
-    return max(
-        0.5 * float(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)).sum())
-        for a, b in zip(profile_a, profile_b)
-    )
+    """Max over users of the total-variation distance between two (n, M)
+    profiles."""
+    diff = np.asarray(profile_a, dtype=float) - np.asarray(profile_b, dtype=float)
+    return 0.5 * float(np.abs(diff).sum(axis=-1).max())

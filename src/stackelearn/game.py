@@ -2,8 +2,9 @@
 
 User 0 (the macro user) is the leader; users 1..N (femto users) are the
 followers.  Payoffs are thresholded energy efficiencies: rate per consumed
-watt when the user's SINR target is met, zero otherwise.  Action sets are
-finite power grids, so equilibria can be found by exhaustive enumeration.
+watt when the user's SINR target is met, zero otherwise.  Every user picks
+from one finite power grid, so equilibria can be found by exhaustive
+enumeration.
 
 Scalar operations (`sinr`, `energy_efficiency`, `utility`) are deliberately
 written in plain Python with a fixed summation order so that independent
@@ -50,11 +51,10 @@ class ActionSet:
 
 @dataclass(frozen=True)
 class UserParams:
-    """SINR target (linear), circuit power (W) and power grid of one user."""
+    """SINR target (linear) and circuit power (W) of one user."""
 
     sinr_target_lin: float
     circuit_power_w: float
-    action_set: ActionSet
 
     def __post_init__(self):
         if not (math.isfinite(self.sinr_target_lin) and self.sinr_target_lin > 0):
@@ -68,10 +68,12 @@ class GameInstance:
     """One immutable network realization bound to per-user parameters.
 
     ``gains[j, i]`` is the channel gain from user j to base station i.
+    Every user chooses its power from the one grid ``action_set``.
     """
 
     gains: np.ndarray
     users: tuple[UserParams, ...]
+    action_set: ActionSet
     bandwidth_hz: float
     noise_power_w: float
 
@@ -95,10 +97,10 @@ class GameInstance:
 
     @property
     def action_dims(self) -> tuple[int, ...]:
-        return tuple(len(u.action_set) for u in self.users)
+        return (len(self.action_set),) * len(self.users)
 
     def powers_from_indices(self, indices: Sequence[int]) -> list[float]:
-        return [self.users[i].action_set.levels_w[a] for i, a in enumerate(indices)]
+        return [self.action_set.levels_w[a] for a in indices]
 
 
 @dataclass(frozen=True)
@@ -148,13 +150,11 @@ def joint_action_space(game: GameInstance):
 
 
 def _power_grids(game: GameInstance) -> list[np.ndarray]:
-    """Each user's power levels, shaped to broadcast along that user's axis
-    of the joint action grid."""
+    """The power levels, shaped to broadcast along each user's axis of the
+    joint action grid."""
     n = game.num_users
-    return [
-        np.array(u.action_set.levels_w).reshape((-1,) + (1,) * (n - 1 - i))
-        for i, u in enumerate(game.users)
-    ]
+    levels = np.array(game.action_set.levels_w)
+    return [levels.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
 
 
 def sinr_tensor(game: GameInstance, i: int) -> np.ndarray:
@@ -325,8 +325,8 @@ def stackelberg_oracle(game: GameInstance) -> EquilibriumResult:
 def leader_feasible(game: GameInstance, follower_level: int) -> bool:
     """Can the leader meet its SINR target at max power while every follower
     transmits at power level index ``follower_level`` (-1: its max)?"""
-    powers = [game.users[0].action_set.levels_w[-1]]
-    powers += [u.action_set.levels_w[follower_level] for u in game.users[1:]]
+    levels = game.action_set.levels_w
+    powers = [levels[-1]] + [levels[follower_level]] * game.num_followers
     return sinr(0, powers, game) >= game.users[0].sinr_target_lin
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,16 +87,6 @@ class SweepResult:
     active: tuple[bool, ...]
 
 
-def _reduced_game(game: GameInstance, keep: list[int]) -> GameInstance:
-    gains = game.gains[np.ix_(keep, keep)].copy()
-    return GameInstance(
-        gains=gains,
-        users=tuple(game.users[i] for i in keep),
-        bandwidth_hz=game.bandwidth_hz,
-        noise_power_w=game.noise_power_w,
-    )
-
-
 def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> PreparedGame:
     """Construct the game for one experiment (or one sweep point).
 
@@ -112,16 +102,16 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
     gains = gain_matrix(topology, net.path_loss_exponent, net.shadowing_sigma_db, rng)
 
     mu_target_db = config.users.mu_sinr_target_db if gamma0_db is None else gamma0_db
-    action_set = ActionSet.from_dbm(config.users.action_set_dbm)
     circuit_w = dbm_to_watt(config.users.circuit_power_dbm)
-    users = [UserParams(db_to_linear(mu_target_db), circuit_w, action_set)]
+    users = [UserParams(db_to_linear(mu_target_db), circuit_w)]
     users += [
-        UserParams(db_to_linear(config.users.fu_sinr_target_db), circuit_w, action_set)
+        UserParams(db_to_linear(config.users.fu_sinr_target_db), circuit_w)
         for _ in range(net.num_femtocells)
     ]
     game = GameInstance(
         gains=np.array(gains),
         users=tuple(users),
+        action_set=ActionSet.from_dbm(config.users.action_set_dbm),
         bandwidth_hz=net.bandwidth_hz,
         noise_power_w=net.noise_power_w,
     )
@@ -143,7 +133,9 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
         worst = max(candidates, key=lambda k: game.gains[k + 1, 0])
         active[worst] = False
         keep = [0] + [k + 1 for k in range(n_fu) if active[k]]
-        reduced = _reduced_game(game, keep)
+        reduced = replace(
+            game, gains=game.gains[np.ix_(keep, keep)], users=tuple(game.users[i] for i in keep)
+        )
 
     unresolved = not leader_feasible(reduced, 0)
     return PreparedGame(
@@ -374,19 +366,14 @@ def emit_summary_csv(rows: list[dict], path: str) -> None:
     _write_lines(path, lines)
 
 
-def emit_dynamics_csv(trajectory, step_size: float, path: str, user_ids) -> None:
-    if trajectory:
-        max_actions = max(len(y) for y in trajectory[0])
-    else:
-        max_actions = 0
-    header = "step,time,user" + "".join(f",y_{j}" for j in range(max_actions))
-    lines = [header]
-    for t, profile in enumerate(trajectory):
-        for i, y in enumerate(profile):
-            fields = [str(t), _fmt(t * step_size), str(user_ids[i])]
-            fields += [_fmt(float(p)) for p in y]
-            fields += [""] * (max_actions - len(y))
-            lines.append(",".join(fields))
+def emit_dynamics_csv(trajectory: np.ndarray, step_size: float, path: str, user_ids) -> None:
+    """Dynamics CSV of a (steps+1, n, M) trajectory, step-major / user-minor."""
+    num_actions = trajectory.shape[-1]
+    lines = ["step,time,user" + "".join(f",y_{j}" for j in range(num_actions))]
+    for t, profile in enumerate(trajectory.tolist()):
+        head = f"{t},{_fmt(t * step_size)},"
+        for uid, y in zip(user_ids, profile):
+            lines.append(head + ",".join([str(uid)] + [_fmt(p) for p in y]))
     _write_lines(path, lines)
 
 

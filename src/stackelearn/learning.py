@@ -17,8 +17,8 @@ Three schemes share one step loop:
 
 One ``StackelbergLearning`` engine advances a batch of R independent
 replicates of a scheme in lockstep, one game and one generator each, and
-reports every result per replicate.  Every user of a game has the same
-number M of power levels.  The replicates may play different games with
+reports every result per replicate.  Every user of a game picks from the
+game's one grid of M power levels.  The replicates may play different games with
 equal ``action_dims`` (such as two points of a sweep); each replicate is
 bitwise equal to a one-replicate batch on its own game and generator.  The
 scalar helpers below are the reference semantics it is tested against.
@@ -238,8 +238,7 @@ class StackelbergLearning:
 
     ``games`` and ``rngs`` hold one game and one generator per replicate (a
     single run is a batch of one).  The games may differ but must share
-    their ``action_dims``, and every user of a game must have the same
-    number M of power levels.  Each replicate draws only from its own
+    their ``action_dims``.  Each replicate draws only from its own
     generator, one uniform per user per step in user order, and reads only
     its own game, so its results do not depend on the replicates run beside
     it.
@@ -255,9 +254,9 @@ class StackelbergLearning:
     ``strategy_batch`` are (R, n, M), ``u_hat_batch`` and ``count_batch``
     (R, n-1, M, M), and ``belief_batch`` (R, n-1, M^(n-2)), every rla2
     follower using ``settings.belief_factor``.  ``step`` returns the (R, n)
-    actions it sampled and ``run`` one ``Trace`` per replicate; the
-    properties ``q``, ``strategies``, ``estimates`` and ``beliefs`` return
-    one list of per-user copies per replicate.
+    actions it sampled and ``run`` one ``Trace`` per replicate.  The
+    properties ``q`` and ``strategies`` return (R, n, M) copies, and
+    ``estimates`` and ``beliefs`` one list of per-user copies per replicate.
 
     Each replicate is bitwise equal to a run of the scalar helpers
     (``sample_action``, ``q_update``, ``JointEstimate``,
@@ -289,10 +288,6 @@ class StackelbergLearning:
             raise ValueError("one game per replicate generator is required")
         self.games = list({id(game): game for game in games}.values())
         dims = self.games[0].action_dims
-        if len(set(dims)) != 1:
-            raise ValueError(
-                f"every user needs the same number of power levels, not action_dims {dims}"
-            )
         if any(game.action_dims != dims for game in self.games):
             raise ValueError("the games of a batch must have equal action_dims")
         point_of = {id(game): p for p, game in enumerate(self.games)}
@@ -323,10 +318,9 @@ class StackelbergLearning:
         # realized value is one gather at this base plus the profile offset
         self._user_base = (self.points[:, None] * n + np.arange(n)) * profiles
         self._profile_strides = np.array([math.prod(dims[i + 1 :]) for i in range(n)])
-        # (P, n, M) power of every action in dBm
+        # (P, M) power of every action in dBm
         self._powers_dbm = np.array(
-            [[[watt_to_dbm(w) for w in user.action_set.levels_w] for user in game.users]
-             for game in self.games]
+            [[watt_to_dbm(w) for w in game.action_set.levels_w] for game in self.games]
         )
 
         self.temperature = self.settings.temperature
@@ -373,19 +367,15 @@ class StackelbergLearning:
             )
         return columns
 
-    @staticmethod
-    def _per_user_rows(batch: np.ndarray) -> list:
-        return [[row.copy() for row in rows] for rows in batch]
+    @property
+    def strategies(self) -> np.ndarray:
+        """A copy of the current (R, n, M) strategies."""
+        return self.strategy_batch.copy()
 
     @property
-    def strategies(self) -> list:
-        """Current strategies: per replicate, per user."""
-        return self._per_user_rows(self.strategy_batch)
-
-    @property
-    def q(self) -> list:
-        """Current Q-values: per replicate, per user."""
-        return self._per_user_rows(self.q_batch)
+    def q(self) -> np.ndarray:
+        """A copy of the current (R, n, M) Q-values."""
+        return self.q_batch.copy()
 
     @property
     def estimates(self) -> list:
@@ -436,11 +426,10 @@ class StackelbergLearning:
         """One ``Trace`` per replicate from the kept steps' (K, R, n)
         actions and (K, R, n, M) strategies: every other column is one
         gather or one blocked contraction over all of them."""
-        n = self.num_users
         flat = self._user_base + (actions @ self._profile_strides)[..., None]  # (K, R, n)
         sinr = self._sinr_flat[flat]
         utilities = self._u_phys_flat[flat]
-        powers = self._powers_dbm[self.points[:, None], np.arange(n), actions]
+        powers = self._powers_dbm[self.points[:, None], actions]
         # each user's expected utility under each kept step's strategies, in
         # blocks of kept steps whose first product holds no more cells than
         # the larger of the ``u_phys`` stack and the strategy buffer

@@ -75,7 +75,7 @@ def _independent_equilibrium(game):
     reusing any package enumeration code."""
     h = game.gains
     n = game.num_users
-    dims = [len(u.action_set) for u in game.users]
+    dims = [len(game.action_set)] * n
 
     def my_sinr(i, powers):
         interference = 0.0
@@ -91,7 +91,7 @@ def _independent_equilibrium(game):
         return 0.0
 
     def powers_of(profile):
-        return [game.users[i].action_set.levels_w[a] for i, a in enumerate(profile)]
+        return [game.action_set.levels_w[a] for a in profile]
 
     def follower_nes(p0):
         nes = []

@@ -8,6 +8,8 @@ A batch over several games (the points of a sweep) must match one-replicate
 engines, each on its own game and generator.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from stackelearn.learning import (
     sample_action,
 )
 
-from conftest import ragged_game, random_game
+from conftest import random_game
 
 SEEDS = (11, 12, 13)
 
@@ -181,14 +183,9 @@ def test_batch_rejects_empty_generator_list(desk_game):
 
 
 def _relevel(game, low_dbm):
-    """The game with every user's power grid respaced from ``low_dbm`` to 30 dBm."""
-    users = tuple(
-        sl.UserParams(u.sinr_target_lin, u.circuit_power_w,
-                      sl.ActionSet.from_dbm(tuple(np.linspace(low_dbm, 30.0, len(u.action_set)))))
-        for u in game.users
-    )
-    return sl.GameInstance(gains=np.array(game.gains), users=users,
-                           bandwidth_hz=game.bandwidth_hz, noise_power_w=game.noise_power_w)
+    """The game with its power grid respaced from ``low_dbm`` to 30 dBm."""
+    levels = np.linspace(low_dbm, 30.0, len(game.action_set))
+    return dataclasses.replace(game, action_set=sl.ActionSet.from_dbm(tuple(levels)))
 
 
 def _trace_fields(trace):
@@ -198,7 +195,7 @@ def _trace_fields(trace):
     ))
 
 
-# "uniform": every user of each game has the same number of power levels
+# "uniform": every game has one power grid
 @pytest.mark.parametrize("algorithm", [RLA1, RLA2, NONCOOP], ids=lambda a: f"uniform-{a}")
 def test_mixed_point_batch_matches_single_point_runs(algorithm):
     a = random_game(np.random.default_rng(31), num_users=4)
@@ -235,16 +232,14 @@ def test_mixed_point_batch_matches_single_point_runs(algorithm):
 
 
 def test_batch_rejects_unequal_action_dims(desk_game):
-    other = random_game(np.random.default_rng(21), num_users=2)
-    with pytest.raises(ValueError, match="action_dims"):
-        StackelbergLearning(
-            [desk_game, other], RLA1, [np.random.default_rng(s) for s in (1, 2)], sl.LearnerSettings()
-        )
-    # one game whose users have 4, 2 and 3 power levels
-    with pytest.raises(ValueError, match="action_dims"):
-        StackelbergLearning(
-            [ragged_game(desk_game)], RLA1, [np.random.default_rng(1)], sl.LearnerSettings()
-        )
+    rng = np.random.default_rng(21)
+    # fewer users, then as many users with four power levels
+    for other in (random_game(rng, num_users=2), random_game(rng, num_users=3, num_actions=4)):
+        with pytest.raises(ValueError, match="action_dims"):
+            StackelbergLearning(
+                [desk_game, other], RLA1, [np.random.default_rng(s) for s in (1, 2)],
+                sl.LearnerSettings(),
+            )
 
 
 def test_batch_rejects_one_game_per_generator_mismatch(desk_game):

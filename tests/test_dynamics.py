@@ -98,11 +98,10 @@ def test_integrate_returns_full_trajectory(desk_game):
     utilities = normalized_utility_tensors(desk_game)
     initial = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
     traj = integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.05, num_steps=50)
-    assert len(traj) == 51
-    for profile in traj:
-        for y in profile:
-            assert np.all(y >= PROB_FLOOR / 2)
-            assert abs(y.sum() - 1.0) < 1e-9
+    assert isinstance(traj, np.ndarray)
+    assert traj.shape == (51, desk_game.num_users, len(desk_game.action_set))
+    assert np.all(traj >= PROB_FLOOR / 2)
+    assert np.all(np.abs(traj.sum(axis=-1) - 1.0) < 1e-9)
     with pytest.raises(ValueError):
         integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.0, num_steps=50)
     for steps in (0, -3):

@@ -21,18 +21,17 @@ from stackelearn.game import (
 )
 from stackelearn.harness import complete_information_reference
 
-from conftest import ragged_game, random_game, random_simplex
+from conftest import random_game, random_simplex
 
 
 def _two_user_game(gains=None, targets=(1.0, 1.0)):
     if gains is None:
         gains = np.array([[1e-6, 1e-11], [1e-11, 1e-6]])
     actions = sl.ActionSet.from_dbm((20.0, 25.0, 30.0))
-    users = tuple(
-        sl.UserParams(sinr_target_lin=t, circuit_power_w=0.01, action_set=actions)
-        for t in targets
+    users = tuple(sl.UserParams(sinr_target_lin=t, circuit_power_w=0.01) for t in targets)
+    return sl.GameInstance(
+        gains=gains, users=users, action_set=actions, bandwidth_hz=1e6, noise_power_w=1e-14
     )
-    return sl.GameInstance(gains=gains, users=users, bandwidth_hz=1e6, noise_power_w=1e-14)
 
 
 def test_sinr_hand_computed():
@@ -108,7 +107,6 @@ def test_utility_tensor_matches_scalar_op(desk_game):
     for n in (3, 5):
         # enough 5-level grids that np.log2 in place of math.log2 shows
         games += [random_game(rng, num_users=n, num_actions=n) for _ in range(3)]
-        games.append(ragged_game(random_game(rng, num_users=n)))
     for g in games:
         for i in range(g.num_users):
             want_u = np.empty(g.action_dims)
@@ -246,9 +244,11 @@ def test_feasibility_adjust_noop_when_feasible(desk_game):
 
 def _table_game(tables):
     levels = sl.ActionSet.from_dbm((20.0, 25.0, 30.0))
-    users = tuple(sl.UserParams(1.0, 0.01, levels) for _ in tables)
+    users = tuple(sl.UserParams(1.0, 0.01) for _ in tables)
     gains = np.full((len(tables), len(tables)), 1e-9)
-    return sl.GameInstance(gains=gains, users=users, bandwidth_hz=1e6, noise_power_w=1e-14)
+    return sl.GameInstance(
+        gains=gains, users=users, action_set=levels, bandwidth_hz=1e6, noise_power_w=1e-14
+    )
 
 
 def _install_tables(monkeypatch, tables):

@@ -21,7 +21,7 @@ from stackelearn.learning import (
     sample_action,
 )
 
-from conftest import ragged_game, random_game, random_simplex
+from conftest import random_game, random_simplex
 
 
 def test_boltzmann_reference_points():
@@ -209,7 +209,6 @@ def test_action_expected_utilities_bitwise_equals_tensordot_chain(desk_game):
     rng = np.random.default_rng(14)
     games = [
         desk_game,
-        ragged_game(random_game(rng, num_users=5)),
         random_game(rng, num_users=5, num_actions=5),
         random_game(rng, num_users=6, num_actions=4),
     ]
@@ -280,6 +279,20 @@ def test_engine_initial_state(desk_game):
     assert len(eng.estimates[0]) == desk_game.num_followers
 
 
+def test_engine_state_properties_are_array_copies(desk_game):
+    engine = StackelbergLearning(
+        [desk_game] * 2, RLA2, [np.random.default_rng(s) for s in (1, 2)], sl.LearnerSettings()
+    )
+    engine.run(20)
+    for name, batch in (("strategies", engine.strategy_batch), ("q", engine.q_batch)):
+        before = batch.copy()
+        got = getattr(engine, name)
+        assert isinstance(got, np.ndarray) and got.shape == (2, 3, 3)
+        assert got.tobytes() == before.tobytes()
+        got[...] = -1.0
+        assert batch.tobytes() == before.tobytes(), name
+
+
 def test_engine_strategies_stay_on_simplex(desk_game):
     for algo in (RLA1, RLA2, NONCOOP):
         eng = _engine(desk_game, algo, seed=4)
@@ -310,7 +323,7 @@ def test_engine_trace_record_contents(desk_game):
         idx = tuple(trace.actions[k].tolist())
         assert len(idx) == g.num_users
         for i in range(g.num_users):
-            p_w = g.users[i].action_set.levels_w[idx[i]]
+            p_w = g.action_set.levels_w[idx[i]]
             assert trace.powers_dbm[k, i] == pytest.approx(sl.watt_to_dbm(p_w), rel=1e-12)
             assert trace.utilities[k, i] == eng.u_phys[0, i][idx]
             assert trace.sinr_lin[k, i] == eng.sinr_tensors[0, i][idx]
