@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import Topology, db_to_linear, dbm_to_watt, gain_matrix, generate_topology
+from .channel import db_to_linear, dbm_to_watt, gain_matrix, generate_topology
 from .config import ExperimentConfig
 from .game import (
     ActionSet,
@@ -51,7 +51,6 @@ class PreparedGame:
     """
 
     game: GameInstance
-    topology: Topology
     active: tuple[bool, ...]
     user_ids: tuple[int, ...]
     feasibility: FeasibilityOutcome | None
@@ -71,10 +70,8 @@ class CompleteInfoResult:
 class ExperimentResult:
     prepared: PreparedGame
     traces: dict[str, Trace]
-    terminal_strategies: dict[str, list[np.ndarray]]
     oracle: EquilibriumResult
     complete_info: CompleteInfoResult
-    config: ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,6 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
     unresolved = not leader_feasible(reduced, 0)
     return PreparedGame(
         game=reduced,
-        topology=topology,
         active=tuple(active),
         user_ids=tuple(keep),
         feasibility=feas,
@@ -180,7 +176,6 @@ def run_experiment(config: ExperimentConfig, prepared: PreparedGame | None = Non
     if prepared is None:
         prepared = build_game(config)
     traces: dict[str, Trace] = {}
-    terminal: dict[str, list[np.ndarray]] = {}
     for algo in config.learning.algorithms:
         engine = StackelbergLearning(
             [prepared.game], algo, [learning_rng(config.seeds.base_seed, algo)], config.learning
@@ -188,14 +183,11 @@ def run_experiment(config: ExperimentConfig, prepared: PreparedGame | None = Non
         traces[algo] = engine.run(
             config.learning.num_steps, log_every=config.learning.trace_decimation
         )[0]
-        terminal[algo] = engine.strategies[0]
     return ExperimentResult(
         prepared=prepared,
         traces=traces,
-        terminal_strategies=terminal,
         oracle=stackelberg_oracle(prepared.game),
         complete_info=complete_information_reference(prepared.game),
-        config=config,
     )
 
 
@@ -296,12 +288,6 @@ def compare_summary(result: ExperimentResult) -> list[dict]:
     return rows
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def emit_trace_csv(trace: Trace, algo: str, path: str, user_ids) -> None:
     """Trace CSV, step-major / user-minor, one header row, full precision.
 
@@ -311,17 +297,17 @@ def emit_trace_csv(trace: Trace, algo: str, path: str, user_ids) -> None:
     header = "step,user,algo,action_idx,power_dbm,sinr_lin,utility,expected_utility"
     header += "".join(f",y_{j}" for j in range(num_actions))
 
-    def cells(column, fmt=repr) -> list[str]:
+    def cells(column) -> list[str]:
         flat = np.ascontiguousarray(column).reshape(-1)
         values, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
-        text = list(map(fmt, values.view(flat.dtype).tolist()))
+        text = list(map(str, values.view(flat.dtype).tolist()))
         return [text[i] for i in inverse.tolist()]
 
     columns = [
-        cells(np.repeat(trace.steps, n), str),
+        cells(np.repeat(trace.steps, n)),
         [str(u) for u in user_ids[:n]] * kept,
         [algo] * (kept * n),
-        cells(trace.actions, str),
+        cells(trace.actions),
         cells(trace.powers_dbm),
         cells(trace.sinr_lin),
         cells(trace.utilities),
@@ -339,11 +325,11 @@ def emit_sweep_csv(results: list[SweepResult], path: str) -> None:
             lines.append(
                 ",".join(
                     [
-                        _fmt(res.gamma0_db),
+                        str(res.gamma0_db),
                         res.algo,
                         str(k + 1),
-                        _fmt(float(lin)),
-                        _fmt(db),
+                        str(float(lin)),
+                        str(db),
                         str(int(res.active[k])),
                     ]
                 )
@@ -362,7 +348,7 @@ def emit_summary_csv(rows: list[dict], path: str) -> None:
     ]
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in header))
+        lines.append(",".join(str(row[k]) for k in header))
     _write_lines(path, lines)
 
 
@@ -371,9 +357,9 @@ def emit_dynamics_csv(trajectory: np.ndarray, step_size: float, path: str, user_
     num_actions = trajectory.shape[-1]
     lines = ["step,time,user" + "".join(f",y_{j}" for j in range(num_actions))]
     for t, profile in enumerate(trajectory.tolist()):
-        head = f"{t},{_fmt(t * step_size)},"
+        head = f"{t},{t * step_size},"
         for uid, y in zip(user_ids, profile):
-            lines.append(head + ",".join([str(uid)] + [_fmt(p) for p in y]))
+            lines.append(head + ",".join([str(uid)] + list(map(str, y))))
     _write_lines(path, lines)
 
 

@@ -309,9 +309,8 @@ def test_run_experiment_structure(small_result, small_cfg):
     for algo, trace in res.traces.items():
         assert trace.steps[0] == 0
         assert trace.steps[-1] == small_cfg.learning.num_steps - 1
-        assert len(res.terminal_strategies[algo]) == res.prepared.game.num_users
-        for y in res.terminal_strategies[algo]:
-            assert abs(y.sum() - 1.0) < 1e-9
+        assert trace.strategies.shape[1] == res.prepared.game.num_users
+        assert np.all(np.abs(trace.strategies.sum(axis=-1) - 1.0) < 1e-9)
     assert res.oracle.utilities[0] >= 0
 
 
