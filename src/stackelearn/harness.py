@@ -76,12 +76,16 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Replicate-averaged terminal FU SINRs at one sweep point."""
+    """Replicate-averaged terminal FU SINRs at one sweep point.
+
+    ``unresolved`` marks a point whose leader target is infeasible even with
+    every femtocell silenced (``PreparedGame.unresolved``)."""
 
     gamma0_db: float
     algo: str
     fu_expected_sinr_lin: tuple[float, ...]  # per original follower, 0 when silenced
     active: tuple[bool, ...]
+    unresolved: bool
 
 
 def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> PreparedGame:
@@ -199,7 +203,8 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
     and averaged over the replicates actually run: the first
     ``sweep.replicates`` entries of ``seeds.replicate_offsets`` (all of
     ``range(sweep.replicates)`` when unset).  Silenced femtocells contribute
-    zero SINR.
+    zero SINR; a point that stays infeasible with all of them silenced is
+    flagged ``unresolved``.
 
     Each point's game is built once.  One engine per (point, algorithm)
     runs the point's replicates in lockstep, replicate offset r drawing from
@@ -234,6 +239,7 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
                     algo=algo,
                     fu_expected_sinr_lin=tuple(sums / len(offsets)),
                     active=prepared.active,
+                    unresolved=prepared.unresolved,
                 )
             )
     return results
@@ -318,7 +324,7 @@ def emit_trace_csv(trace: Trace, algo: str, path: str, user_ids) -> None:
 
 
 def emit_sweep_csv(results: list[SweepResult], path: str) -> None:
-    lines = ["gamma0_db,algo,fu_index,expected_sinr_lin,expected_sinr_db,active"]
+    lines = ["gamma0_db,algo,fu_index,expected_sinr_lin,expected_sinr_db,active,unresolved"]
     for res in results:
         for k, lin in enumerate(res.fu_expected_sinr_lin):
             db = 10.0 * math.log10(lin) if lin > 0 else -math.inf
@@ -331,6 +337,7 @@ def emit_sweep_csv(results: list[SweepResult], path: str) -> None:
                         str(float(lin)),
                         str(db),
                         str(int(res.active[k])),
+                        str(int(res.unresolved)),
                     ]
                 )
             )

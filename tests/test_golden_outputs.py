@@ -38,9 +38,9 @@ GOLDEN = {
     "run/trace_rla1.csv": "751eaf5fc42eff05e5d36e952e54393e362279064493cc9812e5b4ffd4b501d8",
     "run/trace_rla2.csv": "29073e93309baa82edca308a66939673c51b14f870806a15bf33eeb1dcf7de90",
     "sweep/stdout": "f92e5304d4065236223bc2a697cf97ac5eef86eb5aa1643266787aae63f3bb1a",
-    "sweep/sweep_gamma0.csv": "8051f99f347096d488505ac32bd61a0b44b84b538719cc4aeac59a72e5e9d68c",
+    "sweep/sweep_gamma0.csv": "452ee34db6551d96b550a9faa3e75aa99ae11bd93b09923791845b440c65bbc9",
     "sweep-grid/stdout": "353531b06aa2331d6bfe3e8e858680667775dcd3610b548a9edbb95875b003fd",
-    "sweep-grid/sweep_gamma0.csv": "4dcb754eebd94392b93d5a7c4f843d14b1dd764d75e0f3c788582e083432e797",
+    "sweep-grid/sweep_gamma0.csv": "9573cfd2c7efac2d705838d7461be9c4530f8e9a9f2d8d48b3dba5ae1419de1b",
     "dynamics/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
     "dynamics/dynamics.csv": "b3f569056b7be45e2b79d2492c736497ed3d52f743c039ef1e745de8a46c6246",
     "oracle/stdout": "6be1000e2466312afd45cb73a8397f430e06886149bd451b06ed018b2234de16",

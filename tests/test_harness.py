@@ -356,13 +356,27 @@ def test_sweep_results_and_csv(small_cfg, tmp_path):
     path = tmp_path / "sweep.csv"
     emit_sweep_csv(results, str(path))
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "gamma0_db,algo,fu_index,expected_sinr_lin,expected_sinr_db,active"
+    assert lines[0] == "gamma0_db,algo,fu_index,expected_sinr_lin,expected_sinr_db,active,unresolved"
     assert len(lines) == 1 + len(results) * small_cfg.network.num_femtocells
     # a silenced follower serializes as -inf dB
     for line in lines[1:]:
         fields = line.split(",")
         if fields[5] == "0":
             assert fields[3] == "0.0" and fields[4] == "-inf"
+
+
+def test_sweep_flags_unresolved_points(tmp_path):
+    # at 60 dB the leader misses its target even with every femtocell silenced
+    cfg = default_config(learning={"num_steps": 20}, sweep={"gamma0_grid_db": [0.0, 60.0]})
+    results = sweep_gamma0(cfg)
+    assert [(r.gamma0_db, r.unresolved) for r in results] == [
+        (0.0, False), (0.0, False), (60.0, True), (60.0, True)
+    ]
+    assert not any(results[-1].active)
+    path = tmp_path / "sweep.csv"
+    emit_sweep_csv(results, str(path))
+    rows = [line.split(",") for line in path.read_text().strip().split("\n")[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [("0.0", "0")] * 4 + [("60.0", "1")] * 4
 
 
 def test_sweep_replicate_offsets():
