@@ -93,8 +93,8 @@ def integrate_dynamics(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(num_steps):
             k1 = field(current)
-            k2 = field(current + h / 2 * k1)
-            k3 = field(current + h / 2 * k2)
+            k2 = field(current + (h / 2) * k1)
+            k3 = field(current + (h / 2) * k2)
             k4 = field(current + h * k3)
             nxt = current + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if not (np.all(np.isfinite(nxt)) and nxt.min() >= 0):
