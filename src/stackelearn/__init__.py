@@ -25,11 +25,8 @@ from .game import (
     FeasibilityOutcome,
     GameInstance,
     UserParams,
-    best_response,
     energy_efficiency,
-    expected_utility,
     feasibility_adjust,
-    follower_pure_nash,
     normalized_utility_tensors,
     sinr,
     sinr_tensor,
@@ -54,16 +51,11 @@ from .learning import (
     NONCOOP,
     RLA1,
     RLA2,
-    JointEstimate,
     LearnerSettings,
     StackelbergLearning,
     Trace,
     boltzmann_strategy,
-    conjecture_adjust,
     full_expected_utility,
-    q_update,
-    rla2_estimated_expected_utility,
-    sample_action,
 )
 
 __version__ = "0.1.0"

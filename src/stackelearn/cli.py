@@ -134,6 +134,8 @@ def _cmd_sweep(args) -> int:
             raise ConfigError("sweep: --from, --to and --points must be given together")
         if args.points < 2:
             raise ConfigError("sweep --points: must be >= 2")
+        if not (math.isfinite(args.from_db) and math.isfinite(args.to_db)):
+            raise ConfigError("sweep --from/--to: must be finite")
         grid = tuple(np.linspace(args.from_db, args.to_db, args.points).tolist())
         _override(config, "sweep", "sweep --from/--to/--points", gamma0_grid_db=grid)
     if args.replicates is not None:

@@ -10,13 +10,12 @@ Scalar operations (`sinr`, `energy_efficiency`, `utility`) are deliberately
 written in plain Python with a fixed summation order so that independent
 re-enumerations reproduce them bit-for-bit.  They are the reference
 semantics: `sinr_tensor` and `utility_tensor` broadcast the same operations
-over the joint action grid, and every game query (best response, follower
-equilibria, the oracle) reads those tensors.
+over the joint action grid, and the oracle and iterated best response read
+those tensors (the tests' scalar enumerations are in `tests/reference.py`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -144,11 +143,6 @@ def utility(i: int, powers_w: Sequence[float], game: GameInstance) -> float:
     return 0.0
 
 
-def joint_action_space(game: GameInstance):
-    """Iterator over all joint action index tuples."""
-    return itertools.product(*(range(m) for m in game.action_dims))
-
-
 def _power_grids(game: GameInstance) -> list[np.ndarray]:
     """The power levels, shaped to broadcast along each user's axis of the
     joint action grid."""
@@ -202,35 +196,6 @@ def normalized_utility_tensors(game: GameInstance) -> list[np.ndarray]:
     return [normalize_utility(utility_tensor(game, i)) for i in range(game.num_users)]
 
 
-def expected_utility(i: int, strategies: Sequence[np.ndarray], game: GameInstance) -> float:
-    """Expected utility of user i under a mixed strategy profile.
-
-    Exhaustive enumeration over the product action space; strategies must
-    live on their simplices and match the users' action set sizes.
-    """
-    if len(strategies) != game.num_users:
-        raise ValueError("one strategy per user is required")
-    for s, m in zip(strategies, game.action_dims):
-        if len(s) != m:
-            raise ValueError("strategy length does not match the user's action set")
-    total = 0.0
-    for idx in joint_action_space(game):
-        prob = 1.0
-        for s, a in zip(strategies, idx):
-            prob *= s[a]
-        if prob != 0.0:
-            total += utility(i, game.powers_from_indices(idx), game) * prob
-    return total
-
-
-def best_response(i: int, actions: Sequence[int], game: GameInstance) -> int:
-    """Best pure action of user i with all opponents fixed.
-
-    ``actions[i]`` is ignored.  Ties break toward the lowest power index.
-    """
-    return _best_response(utility_tensor(game, i), i, actions)
-
-
 def _best_response(u_i: np.ndarray, i: int, profile: Sequence[int]) -> int:
     index = list(profile)
     index[i] = slice(None)
@@ -271,19 +236,6 @@ def _follower_nash_mask(utilities: Sequence[np.ndarray]) -> np.ndarray:
     for i in range(1, len(utilities)):
         mask &= utilities[i] == utilities[i].max(axis=i, keepdims=True)
     return mask
-
-
-def follower_pure_nash(leader_action: int, game: GameInstance) -> list[tuple[int, ...]]:
-    """All pure Nash equilibria of the follower game for a fixed leader action,
-    in lexicographic order.
-
-    A follower profile qualifies when no follower has a strictly improving
-    unilateral deviation.  May be empty: the discretized game need not have
-    a pure NE.
-    """
-    utilities = [utility_tensor(game, i) for i in range(game.num_users)]
-    nash = _follower_nash_mask(utilities)[leader_action]
-    return [tuple(int(a) for a in fol) for fol in np.argwhere(nash)]
 
 
 def stackelberg_oracle(game: GameInstance) -> EquilibriumResult:

@@ -20,8 +20,8 @@ replicates of a scheme in lockstep, one game and one generator each, and
 reports every result per replicate.  Every user of a game picks from the
 game's one grid of M power levels.  The replicates may play different games with
 equal ``action_dims`` (such as two points of a sweep); each replicate is
-bitwise equal to a one-replicate batch on its own game and generator.  The
-scalar helpers below are the reference semantics it is tested against.
+bitwise equal to a one-replicate batch on its own game and generator, and
+to the scalar reference semantics in ``tests/reference.py``.
 
 Each user's utilities are rescaled by that user's own maximum pure-profile
 utility before learning (``game.normalize_utility``), so one default
@@ -57,85 +57,6 @@ def boltzmann_strategy(q: np.ndarray, temperature: float) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
-
-
-def sample_action(strategy: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample of an action index from a probability vector."""
-    u = rng.random()
-    acc = 0.0
-    for j in range(len(strategy) - 1):
-        acc += strategy[j]
-        if u < acc:
-            return j
-    return len(strategy) - 1
-
-
-def q_update(q: np.ndarray, action: int, target: float, alpha: float) -> np.ndarray:
-    """Single-entry Q recursion q[a] <- q[a] + alpha (target - q[a])."""
-    if not 0 <= alpha < 1:
-        raise ValueError("alpha must lie in [0, 1)")
-    out = q.copy()
-    out[action] += alpha * (target - out[action])
-    return out
-
-
-class JointEstimate:
-    """Running-average utility per (own action, leader action) cell."""
-
-    def __init__(self, own_dim: int, leader_dim: int):
-        self.u_hat = np.zeros((own_dim, leader_dim))
-        self.counts = np.zeros((own_dim, leader_dim), dtype=np.int64)
-
-    def update(self, own_action: int, leader_action: int, realized_utility: float) -> None:
-        c = self.counts[own_action, leader_action]
-        self.u_hat[own_action, leader_action] += (
-            realized_utility - self.u_hat[own_action, leader_action]
-        ) / (c + 1)
-        self.counts[own_action, leader_action] = c + 1
-
-    def estimate(self, own_action: int, leader_strategy: np.ndarray) -> float:
-        """Estimated expected utility of an own action, weighting the cell
-        averages by the leader's broadcast strategy."""
-        return float(leader_strategy @ self.u_hat[own_action])
-
-
-def conjecture_adjust(
-    belief: np.ndarray, delta: float, own_prob_new: float, own_prob_old: float
-) -> np.ndarray:
-    """Shift a contention belief by -delta * (change in own action probability).
-
-    The raw shift can leave the simplex; entries are clamped to [0, 1] and
-    renormalized.  ``delta == 0`` is the identity.
-    """
-    if delta < 0:
-        raise ValueError("belief factor must be >= 0")
-    raw = belief - delta * (own_prob_new - own_prob_old)
-    clipped = np.clip(raw, 0.0, 1.0)
-    total = clipped.sum()
-    if total <= 0:
-        return np.full_like(belief, 1.0 / belief.size)
-    return clipped / total
-
-
-def rla2_estimated_expected_utility(
-    own_action: int,
-    follower_index: int,
-    leader_strategy: np.ndarray,
-    belief: np.ndarray,
-    u_i: np.ndarray,
-) -> float:
-    """Belief-weighted expected utility of an own action for an rla2 follower.
-
-    ``u_i`` is the follower's utility tensor over the joint action grid
-    (axes ordered by user index); the environment supplies it exactly.
-    ``belief`` has one axis per other follower, in user order.
-    """
-    sub = np.take(u_i, own_action, axis=follower_index)  # axes: leader, other followers
-    if belief.ndim:
-        over_leader = np.tensordot(sub, belief, axes=(list(range(1, sub.ndim)), list(range(belief.ndim))))
-    else:
-        over_leader = sub * belief
-    return float(leader_strategy @ over_leader)
 
 
 @functools.lru_cache(maxsize=64)
@@ -255,16 +176,16 @@ class StackelbergLearning:
     (R, n-1, M, M), and ``belief_batch`` (R, n-1, M^(n-2)), every rla2
     follower using ``settings.belief_factor``.  ``step`` returns the (R, n)
     actions it sampled and ``run`` one ``Trace`` per replicate.  The
-    properties ``q`` and ``strategies`` return (R, n, M) copies, and
-    ``estimates`` and ``beliefs`` one list of per-user copies per replicate.
+    properties ``q`` and ``strategies`` return (R, n, M) copies,
+    ``estimates`` copies of ``(u_hat_batch, count_batch)`` and ``beliefs``
+    a copy of ``belief_batch``.
 
-    Each replicate is bitwise equal to a run of the scalar helpers
-    (``sample_action``, ``q_update``, ``JointEstimate``,
-    ``conjecture_adjust``, ``full_expected_utility``,
-    ``rla2_estimated_expected_utility``, ``boltzmann_strategy``).  To keep
-    it so, every batched contraction is the same BLAS call per replicate
-    as the scalar one: a dot per follower estimate and per final
-    expectation, matrix-vector products along the chains.
+    Each replicate is bitwise equal to a run of the scalar reference
+    helpers in ``tests/reference.py``, with ``full_expected_utility`` and
+    ``boltzmann_strategy`` from this module.  To keep it so, every batched
+    contraction is the same BLAS call per replicate as the scalar one: a
+    dot per follower estimate and per final expectation, matrix-vector
+    products along the chains.
     """
 
     # Uniforms drawn per replicate at once by ``run``: memory stays bounded
@@ -378,26 +299,17 @@ class StackelbergLearning:
         return self.q_batch.copy()
 
     @property
-    def estimates(self) -> list:
-        """Follower utility estimates as ``JointEstimate`` copies, per replicate."""
-
-        def per_follower(r):
-            out = []
-            for i in range(self.num_users - 1):
-                est = JointEstimate(self.num_actions, self.num_actions)
-                est.u_hat[...] = self.u_hat_batch[r, i]
-                est.counts[...] = self.count_batch[r, i]
-                out.append(est)
-            return out
-
-        return [per_follower(r) for r in range(self.num_replicates)]
+    def estimates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the follower estimate cells and their visit counts,
+        each (R, n-1, M, M): own action by leader action."""
+        return self.u_hat_batch.copy(), self.count_batch.copy()
 
     @property
-    def beliefs(self) -> list:
-        """rla2 contention beliefs per replicate, one axis per other
-        follower; they stay uniform unless the followers conjecture."""
-        shape = (self.num_actions,) * max(self.num_users - 2, 0)
-        return [[b.reshape(shape).copy() for b in rows] for rows in self.belief_batch]
+    def beliefs(self) -> np.ndarray:
+        """A copy of the (R, n-1, M^(n-2)) rla2 beliefs over the other
+        followers' joint actions, in user order; they stay uniform unless
+        the followers conjecture."""
+        return self.belief_batch.copy()
 
     def _draw(self, steps: int) -> np.ndarray:
         """Uniforms for ``steps`` steps, shaped (steps, R, n, 1)."""

@@ -1,0 +1,148 @@
+"""Scalar reference semantics for the batched engine and the game tensors.
+
+Nothing in the package calls these; the tests check the game tensors, the
+oracle and the lockstep engine against them.  The game helpers enumerate
+the joint action grid one profile at a time, and the learning helpers
+advance one user of one replicate at a time.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Sequence
+
+import numpy as np
+
+from stackelearn.game import (
+    GameInstance,
+    _best_response,
+    _follower_nash_mask,
+    utility,
+    utility_tensor,
+)
+
+
+def joint_action_space(game: GameInstance):
+    """Iterator over all joint action index tuples."""
+    return itertools.product(*(range(m) for m in game.action_dims))
+
+
+def expected_utility(i: int, strategies: Sequence[np.ndarray], game: GameInstance) -> float:
+    """Expected utility of user i under a mixed strategy profile.
+
+    Exhaustive enumeration over the product action space; strategies must
+    live on their simplices and match the users' action set sizes.
+    """
+    if len(strategies) != game.num_users:
+        raise ValueError("one strategy per user is required")
+    for s, m in zip(strategies, game.action_dims):
+        if len(s) != m:
+            raise ValueError("strategy length does not match the user's action set")
+    total = 0.0
+    for idx in joint_action_space(game):
+        prob = 1.0
+        for s, a in zip(strategies, idx):
+            prob *= s[a]
+        if prob != 0.0:
+            total += utility(i, game.powers_from_indices(idx), game) * prob
+    return total
+
+
+def best_response(i: int, actions: Sequence[int], game: GameInstance) -> int:
+    """Best pure action of user i with all opponents fixed.
+
+    ``actions[i]`` is ignored.  Ties break toward the lowest power index.
+    """
+    return _best_response(utility_tensor(game, i), i, actions)
+
+
+def follower_pure_nash(leader_action: int, game: GameInstance) -> list[tuple[int, ...]]:
+    """All pure Nash equilibria of the follower game for a fixed leader action,
+    in lexicographic order.
+
+    A follower profile qualifies when no follower has a strictly improving
+    unilateral deviation.  May be empty: the discretized game need not have
+    a pure NE.
+    """
+    utilities = [utility_tensor(game, i) for i in range(game.num_users)]
+    nash = _follower_nash_mask(utilities)[leader_action]
+    return [tuple(int(a) for a in fol) for fol in np.argwhere(nash)]
+
+
+def sample_action(strategy: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF sample of an action index from a probability vector."""
+    u = rng.random()
+    acc = 0.0
+    for j in range(len(strategy) - 1):
+        acc += strategy[j]
+        if u < acc:
+            return j
+    return len(strategy) - 1
+
+
+def q_update(q: np.ndarray, action: int, target: float, alpha: float) -> np.ndarray:
+    """Single-entry Q recursion q[a] <- q[a] + alpha (target - q[a])."""
+    if not 0 <= alpha < 1:
+        raise ValueError("alpha must lie in [0, 1)")
+    out = q.copy()
+    out[action] += alpha * (target - out[action])
+    return out
+
+
+class JointEstimate:
+    """Running-average utility per (own action, leader action) cell."""
+
+    def __init__(self, own_dim: int, leader_dim: int):
+        self.u_hat = np.zeros((own_dim, leader_dim))
+        self.counts = np.zeros((own_dim, leader_dim), dtype=np.int64)
+
+    def update(self, own_action: int, leader_action: int, realized_utility: float) -> None:
+        c = self.counts[own_action, leader_action]
+        self.u_hat[own_action, leader_action] += (
+            realized_utility - self.u_hat[own_action, leader_action]
+        ) / (c + 1)
+        self.counts[own_action, leader_action] = c + 1
+
+    def estimate(self, own_action: int, leader_strategy: np.ndarray) -> float:
+        """Estimated expected utility of an own action, weighting the cell
+        averages by the leader's broadcast strategy."""
+        return float(leader_strategy @ self.u_hat[own_action])
+
+
+def conjecture_adjust(
+    belief: np.ndarray, delta: float, own_prob_new: float, own_prob_old: float
+) -> np.ndarray:
+    """Shift a contention belief by -delta * (change in own action probability).
+
+    The raw shift can leave the simplex; entries are clamped to [0, 1] and
+    renormalized.  ``delta == 0`` is the identity.
+    """
+    if delta < 0:
+        raise ValueError("belief factor must be >= 0")
+    raw = belief - delta * (own_prob_new - own_prob_old)
+    clipped = np.clip(raw, 0.0, 1.0)
+    total = clipped.sum()
+    if total <= 0:
+        return np.full_like(belief, 1.0 / belief.size)
+    return clipped / total
+
+
+def rla2_estimated_expected_utility(
+    own_action: int,
+    follower_index: int,
+    leader_strategy: np.ndarray,
+    belief: np.ndarray,
+    u_i: np.ndarray,
+) -> float:
+    """Belief-weighted expected utility of an own action for an rla2 follower.
+
+    ``u_i`` is the follower's utility tensor over the joint action grid
+    (axes ordered by user index); the environment supplies it exactly.
+    ``belief`` has one axis per other follower, in user order.
+    """
+    sub = np.take(u_i, own_action, axis=follower_index)  # axes: leader, other followers
+    if belief.ndim:
+        over_leader = np.tensordot(sub, belief, axes=(list(range(1, sub.ndim)), list(range(belief.ndim))))
+    else:
+        over_leader = sub * belief
+    return float(leader_strategy @ over_leader)

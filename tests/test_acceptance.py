@@ -27,11 +27,12 @@ from stackelearn.learning import (
     NONCOOP,
     RLA1,
     RLA2,
-    JointEstimate,
     LearnerSettings,
     StackelbergLearning,
     full_expected_utility,
 )
+
+from reference import JointEstimate
 
 ALPHA = 0.1
 NUM_STEPS = 5000

@@ -19,17 +19,19 @@ from stackelearn.learning import (
     NONCOOP,
     RLA1,
     RLA2,
-    JointEstimate,
     StackelbergLearning,
     boltzmann_strategy,
-    conjecture_adjust,
     full_expected_utility,
+)
+
+from conftest import random_game
+from reference import (
+    JointEstimate,
+    conjecture_adjust,
     q_update,
     rla2_estimated_expected_utility,
     sample_action,
 )
-
-from conftest import random_game
 
 SEEDS = (11, 12, 13)
 
@@ -98,12 +100,12 @@ def _bytes(arrays):
 
 
 def _assert_bitwise(engine, refs):
+    u_hat, counts = engine.estimates
     for r, ref in enumerate(refs):
         assert _bytes(engine.q[r]) == _bytes(ref.q)
         assert _bytes(engine.strategies[r]) == _bytes(ref.y)
-        est = engine.estimates[r]
-        assert _bytes(e.u_hat for e in est) == _bytes(e.u_hat for e in ref.estimates)
-        assert _bytes(e.counts for e in est) == _bytes(e.counts for e in ref.estimates)
+        assert _bytes(u_hat[r]) == _bytes(e.u_hat for e in ref.estimates)
+        assert _bytes(counts[r]) == _bytes(e.counts for e in ref.estimates)
         assert _bytes(engine.beliefs[r]) == _bytes(ref.beliefs)
 
 
@@ -224,9 +226,7 @@ def test_mixed_point_batch_matches_single_point_runs(algorithm):
             assert _bytes(engine.q[r]) == _bytes(single.q[0])
             assert _bytes(engine.strategies[r]) == _bytes(single.strategies[0])
             assert _bytes(engine.beliefs[r]) == _bytes(single.beliefs[0])
-            assert _bytes(e.u_hat for e in engine.estimates[r]) == _bytes(
-                e.u_hat for e in single.estimates[0]
-            )
+            assert _bytes(engine.estimates[0][r]) == _bytes(single.estimates[0][0])
     # one stream on three games took three paths
     assert len({engine.strategy_batch[r].tobytes() for r in (0, 1, 3)}) == 3
 

@@ -6,12 +6,8 @@ import pytest
 
 import stackelearn as sl
 from stackelearn.game import (
-    best_response,
     energy_efficiency,
-    expected_utility,
     feasibility_adjust,
-    follower_pure_nash,
-    joint_action_space,
     leader_feasible,
     sinr,
     sinr_tensor,
@@ -22,6 +18,7 @@ from stackelearn.game import (
 from stackelearn.harness import complete_information_reference
 
 from conftest import random_game, random_simplex
+from reference import best_response, expected_utility, follower_pure_nash, joint_action_space
 
 
 def _two_user_game(gains=None, targets=(1.0, 1.0)):

@@ -21,8 +21,10 @@ from stackelearn.harness import (
     run_experiment,
     sweep_gamma0,
 )
-from stackelearn.game import best_response, leader_feasible, utility
+from stackelearn.game import leader_feasible, utility
 from stackelearn.learning import AUTO_TEMPERATURE_FRACTION, full_expected_utility
+
+from reference import best_response
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +605,10 @@ def test_cli_dynamics_bad_steps_is_config_error(tmp_path, capsys, steps):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_sweep_grid_goes_through_config_checks(tmp_path, capsys):
+@pytest.mark.parametrize(("low", "high"), [("0", "1e308"), ("0", "inf"), ("nan", "0")])
+def test_cli_sweep_grid_goes_through_config_checks(tmp_path, capsys, low, high):
     cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
-    assert cli_main(["sweep", "--config", cfg, "--from", "0", "--to", "1e308", "--points", "2"]) == 1
+    assert cli_main(["sweep", "--config", cfg, "--from", low, "--to", high, "--points", "2"]) == 1
     assert "--to" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 

@@ -5,23 +5,26 @@ import pytest
 
 import stackelearn as sl
 from stackelearn.config import LearningConfig
-from stackelearn.game import expected_utility, normalized_utility_tensors, utility_tensor
+from stackelearn.game import normalized_utility_tensors, utility_tensor
 from stackelearn.learning import (
     NONCOOP,
     RLA1,
     RLA2,
-    JointEstimate,
     StackelbergLearning,
     action_expected_utilities,
     boltzmann_strategy,
-    conjecture_adjust,
     full_expected_utility,
+)
+
+from conftest import random_game, random_simplex
+from reference import (
+    JointEstimate,
+    conjecture_adjust,
+    expected_utility,
     q_update,
     rla2_estimated_expected_utility,
     sample_action,
 )
-
-from conftest import random_game, random_simplex
 
 
 def test_boltzmann_reference_points():
@@ -276,7 +279,11 @@ def test_engine_initial_state(desk_game):
         assert np.allclose(y, 1.0 / m)
     for q in eng.q[0]:
         assert np.all(q == 0.0)
-    assert len(eng.estimates[0]) == desk_game.num_followers
+    u_hat, counts = eng.estimates
+    fresh = [JointEstimate(m, desk_game.action_dims[0]) for m in desk_game.action_dims[1:]]
+    assert len(u_hat[0]) == desk_game.num_followers
+    assert u_hat[0].tobytes() == b"".join(e.u_hat.tobytes() for e in fresh)
+    assert counts[0].tobytes() == b"".join(e.counts.tobytes() for e in fresh)
 
 
 def test_engine_state_properties_are_array_copies(desk_game):
@@ -284,12 +291,18 @@ def test_engine_state_properties_are_array_copies(desk_game):
         [desk_game] * 2, RLA2, [np.random.default_rng(s) for s in (1, 2)], sl.LearnerSettings()
     )
     engine.run(20)
-    for name, batch in (("strategies", engine.strategy_batch), ("q", engine.q_batch)):
+    u_hat, counts = engine.estimates
+    for name, got, batch, shape in (
+        ("strategies", engine.strategies, engine.strategy_batch, (2, 3, 3)),
+        ("q", engine.q, engine.q_batch, (2, 3, 3)),
+        ("estimates u_hat", u_hat, engine.u_hat_batch, (2, 2, 3, 3)),
+        ("estimates counts", counts, engine.count_batch, (2, 2, 3, 3)),
+        ("beliefs", engine.beliefs, engine.belief_batch, (2, 2, 3)),
+    ):
         before = batch.copy()
-        got = getattr(engine, name)
-        assert isinstance(got, np.ndarray) and got.shape == (2, 3, 3)
-        assert got.tobytes() == before.tobytes()
-        got[...] = -1.0
+        assert isinstance(got, np.ndarray) and got.shape == shape, name
+        assert got.tobytes() == before.tobytes(), name
+        got[...] = -1
         assert batch.tobytes() == before.tobytes(), name
 
 

@@ -9,22 +9,16 @@ import pytest
 import stackelearn as sl
 from stackelearn.dynamics import strategy_derivative
 from stackelearn.game import (
-    expected_utility,
-    follower_pure_nash,
     normalized_utility_tensors,
     sinr,
     stackelberg_oracle,
     utility,
     utility_tensor,
 )
-from stackelearn.learning import (
-    boltzmann_strategy,
-    conjecture_adjust,
-    full_expected_utility,
-    q_update,
-)
+from stackelearn.learning import boltzmann_strategy, full_expected_utility
 
 from conftest import random_game, random_simplex
+from reference import conjecture_adjust, expected_utility, follower_pure_nash, q_update
 
 
 def test_simplex_invariants():
