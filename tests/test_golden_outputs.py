@@ -3,7 +3,8 @@
 The commands run on the default config with 300 learning steps: ``run``,
 ``sweep`` over two leader targets with one replicate, ``sweep`` over seven
 leader targets with two replicates, ``dynamics`` for 200 steps and
-``oracle``.  The digests were recorded with numpy 2.4.6 on
+``oracle``.  ``dynamics`` also runs for 200 steps on a 6-user game:
+5 femtocells, 5 power levels, a -20 dB leader target.  The digests were recorded with numpy 2.4.6 on
 CPython 3.11 (x86-64); a refactor that keeps them keeps every number the
 package prints.  A different numpy or BLAS build may change last bits, and
 with them the digests.
@@ -28,7 +29,16 @@ COMMANDS = {
     # two points per action-dims group, and three leader-only points
     "sweep-grid": ["sweep", "--from", "0", "--to", "30", "--points", "7", "--replicates", "2"],
     "dynamics": ["dynamics", "--steps", "200"],
+    "dynamics-n5m5": ["dynamics", "--steps", "200"],
     "oracle": ["oracle"],
+}
+
+# Config entries beyond the shared ones, per command.
+CONFIGS = {
+    "dynamics-n5m5": {
+        "network": {"num_femtocells": 5},
+        "users": {"action_set_dbm": [14.0, 18.0, 22.0, 26.0, 30.0], "mu_sinr_target_db": -20.0},
+    },
 }
 
 GOLDEN = {
@@ -43,6 +53,8 @@ GOLDEN = {
     "sweep-grid/sweep_gamma0.csv": "9573cfd2c7efac2d705838d7461be9c4530f8e9a9f2d8d48b3dba5ae1419de1b",
     "dynamics/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
     "dynamics/dynamics.csv": "b3f569056b7be45e2b79d2492c736497ed3d52f743c039ef1e745de8a46c6246",
+    "dynamics-n5m5/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
+    "dynamics-n5m5/dynamics.csv": "9ed6aa1b0ee933840948efb76494a9501bf52bc178770768ea51e2ed76295118",
     "oracle/stdout": "6be1000e2466312afd45cb73a8397f430e06886149bd451b06ed018b2234de16",
 }
 
@@ -53,7 +65,8 @@ def _digests(workdir: Path) -> dict[str, str]:
     for name, argv in COMMANDS.items():
         out = workdir / name
         config = workdir / f"{name}.json"
-        config.write_text(json.dumps({"learning": {"num_steps": 300}, "output": {"directory": str(out)}}))
+        raw = {"learning": {"num_steps": 300}, "output": {"directory": str(out)}, **CONFIGS.get(name, {})}
+        config.write_text(json.dumps(raw))
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             code = cli_main(argv + ["--config", str(config)])
