@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import watt_to_dbm
 from .config import ConfigError, load_config
-from .dynamics import DynamicsDivergence, integrate_dynamics
+from .dynamics import DynamicsDivergence, FieldTensors, integrate_dynamics
 from .game import normalized_utility_tensors, stackelberg_oracle
 from .harness import (
     build_game,
@@ -182,7 +182,7 @@ def _cmd_dynamics(args) -> int:
     try:
         trajectory = integrate_dynamics(
             initial,
-            normalized_utility_tensors(game),
+            FieldTensors(normalized_utility_tensors(game)),
             config.learning.alpha,
             config.learning.temperature,
             args.step_size,

@@ -9,8 +9,8 @@ replicator-style vector field with an entropy (exploration) term:
 
 with U_i the exact expected utility of action j against the other users'
 mixed strategies.  Stationary points of this field are the candidate
-equilibria the learners settle on.  Every function takes the per-user
-utility tensors on the normalized scale the learners use
+equilibria the learners settle on.  Every function takes a ``FieldTensors``:
+the per-user utility tensors on the normalized scale the learners use
 (``game.normalized_utility_tensors``), so residuals are comparable to learner
 temperatures.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .learning import action_expected_utilities, boltzmann_strategy
+from .learning import _softmax_rows
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
 # singularities; strategies are renormalized after flooring.
@@ -34,13 +34,79 @@ class DynamicsDivergence(RuntimeError):
         self.step_index = step_index
 
 
+class FieldTensors:
+    """Every user's utility tensor, stacked for the batched field.
+
+    ``FieldTensors(normalized_utility_tensors(game))`` copies the n tensors
+    of shape (M,) * n into one (n, M^(n-1), M) stack; the list is not kept.
+    ``expected_utilities`` contracts every user's tensor at once, one other
+    user per batched ``np.matmul``, and is bitwise equal to contracting each
+    user's tensor alone with ``np.tensordot``, trailing user first.  Two
+    layout rules fix those bits:
+
+    * each user's remaining axes stay in ascending order, its own axis
+      among them, as in the one-user chain;
+    * the last contraction of every user i >= 1 (over user 0's axis) reads a
+      transposed view of its (M, M) matrix, as a transposed 2-D tensor
+      reshapes without a copy; every earlier contraction of a non-trailing
+      axis reads a C-order copy.
+
+    With n >= 3, user n-1's first contraction is over its second-to-last
+    axis (user n-2's); that copy does not depend on the profile, so the
+    stack holds it in place of user n-1's own layout.
+    """
+
+    def __init__(self, utilities):
+        n = len(utilities)
+        shape = np.shape(utilities[0]) if n else ()
+        if n == 0 or len(shape) != n or any(np.shape(t) != (shape[0],) * n for t in utilities):
+            raise ValueError("utilities: need one tensor of shape (M,) * n for each of n >= 1 users")
+        m = shape[0]
+        self.num_users, self.num_actions = n, m
+        self.stack = np.empty((n, m ** (n - 1), m))
+        for i, t in enumerate(utilities):
+            if n >= 3 and i == n - 1:
+                self.stack[i].reshape(-1, m, m)[...] = np.reshape(t, (-1, m, m)).swapaxes(-1, -2)
+            else:
+                self.stack[i] = np.reshape(t, (-1, m))
+        # Contraction k = n-1, ..., 2: users below k contract their last axis
+        # with user k's strategy, the others their second-to-last axis with
+        # user k-1's.  The last contraction (k = 1) is done apart.
+        self._columns = [
+            np.array([k] * k + [k - 1] * (n - k)) for k in range(n - 1, 1, -1)
+        ]
+
+    def expected_utilities(self, profile: np.ndarray) -> np.ndarray:
+        """U_i(a, Y_-i) for every user i and action a at an (n, M) profile:
+        the (n, M) expected utilities against the other users' strategies."""
+        n, m = self.num_users, self.num_actions
+        out = self.stack
+        for k, columns in zip(range(n - 1, 1, -1), self._columns):
+            if k < n - 1:
+                blocks = out.reshape(n, -1, m, m)
+                out = np.concatenate((blocks[:k], blocks[k:].swapaxes(-1, -2))).reshape(n, -1, m)
+            out = np.matmul(out, profile[columns][:, :, None]).reshape(n, -1, m)
+        if n == 1:
+            return out.reshape(1, m).copy()
+        # user 0 contracts user 1's axis in C order, every other user
+        # user 0's axis through a transposed view
+        return np.concatenate(
+            ([np.matmul(out[0], profile[1])], np.matmul(out[1:].swapaxes(-1, -2), profile[0]))
+        )
+
+
 def _floor_profile(profile) -> np.ndarray:
     y = np.maximum(np.asarray(profile, dtype=float), PROB_FLOOR)
     return y / y.sum(axis=-1, keepdims=True)
 
 
+def _row_dot(ys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each row's ``y @ v`` as an (n, 1) column, with the same dot per row."""
+    return np.matmul(ys[:, None, :], values[:, :, None])[:, 0]
+
+
 def strategy_derivative(
-    profile, utilities: list[np.ndarray], alpha: float, temperature: float
+    profile, tensors: FieldTensors, alpha: float, temperature: float
 ) -> np.ndarray:
     """Evaluate the strategy vector field at an (n, M) profile.
 
@@ -50,19 +116,16 @@ def strategy_derivative(
     if not temperature > 0:
         raise ValueError("temperature must be > 0")
     ys = _floor_profile(profile)
-    derivs = np.empty_like(ys)
-    for i, y in enumerate(ys):
-        u_actions = action_expected_utilities(utilities[i], ys, i)
-        mean_u = float(y @ u_actions)
-        log_y = np.log(y)
-        entropy_term = log_y - float(y @ log_y)
-        derivs[i] = (alpha / temperature) * y * ((u_actions - mean_u) - temperature * entropy_term)
-    return derivs
+    u_actions = tensors.expected_utilities(ys)
+    mean_u = _row_dot(ys, u_actions)
+    log_y = np.log(ys)
+    entropy_term = log_y - _row_dot(ys, log_y)
+    return (alpha / temperature) * ys * ((u_actions - mean_u) - temperature * entropy_term)
 
 
 def integrate_dynamics(
     initial,
-    utilities: list[np.ndarray],
+    tensors: FieldTensors,
     alpha: float,
     temperature: float,
     step_size: float,
@@ -84,7 +147,7 @@ def integrate_dynamics(
         raise ValueError("num_steps must be >= 1")
 
     def field(profile):
-        return strategy_derivative(profile, utilities, alpha, temperature)
+        return strategy_derivative(profile, tensors, alpha, temperature)
 
     current = _floor_profile(initial)
     trajectory = np.empty((num_steps + 1,) + current.shape)
@@ -104,17 +167,17 @@ def integrate_dynamics(
 
 
 def stationarity_check(
-    profile, utilities: list[np.ndarray], alpha: float, temperature: float, tolerance: float
+    profile, tensors: FieldTensors, alpha: float, temperature: float, tolerance: float
 ) -> tuple[bool, float]:
     """Max-norm of the field at a profile and whether it is below tolerance."""
     if tolerance <= 0:
         raise ValueError("tolerance must be > 0")
-    derivs = strategy_derivative(profile, utilities, alpha, temperature)
+    derivs = strategy_derivative(profile, tensors, alpha, temperature)
     residual = float(np.max(np.abs(derivs)))
     return residual < tolerance, residual
 
 
-def logit_residual(profile, utilities: list[np.ndarray], temperature: float) -> float:
+def logit_residual(profile, tensors: FieldTensors, temperature: float) -> float:
     """Max over users of ||y_i - softmax(U_i(., y_-i) / temperature)||_1 at
     an (n, M) profile.
 
@@ -123,11 +186,10 @@ def logit_residual(profile, utilities: list[np.ndarray], temperature: float) -> 
     max-norm carries a factor y and so reads ~0 at every vertex, it stays
     large at a vertex that is not a smoothed best response.
     """
+    if temperature <= 0:
+        raise ValueError("temperature must be > 0")
     ys = np.asarray(profile, dtype=float)
-    logits = [
-        boltzmann_strategy(action_expected_utilities(u_i, ys, i), temperature)
-        for i, u_i in enumerate(utilities)
-    ]
+    logits = _softmax_rows(tensors.expected_utilities(ys), temperature)
     return float(np.abs(ys - logits).sum(axis=-1).max())
 
 

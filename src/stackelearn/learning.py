@@ -31,7 +31,6 @@ differ by orders of magnitude); traces report physical units.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -57,44 +56,6 @@ def boltzmann_strategy(q: np.ndarray, temperature: float) -> np.ndarray:
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
-
-
-@functools.lru_cache(maxsize=64)
-def _contraction_plan(shape: tuple[int, ...], user: int) -> tuple:
-    """``np.tensordot``'s own steps for contracting every axis of a tensor of
-    ``shape`` but ``user``'s, one ``(perm, rows, m, rest, j)`` per other user j.
-
-    Trailing axes go first so earlier axis numbers stay valid: user j's axis
-    is axis j below ``user`` and the last axis above it.  ``perm`` moves that
-    axis last (None when it already is).
-    """
-    plan = []
-    for j in range(len(shape) - 1, -1, -1):
-        if j == user:
-            continue
-        last = len(shape) - 1
-        axis = j if j < user else last
-        rest = shape[:axis] + shape[axis + 1 :]
-        perm = None if axis == last else tuple(k for k in range(last + 1) if k != axis) + (axis,)
-        plan.append((perm, math.prod(rest), shape[axis], rest, j))
-        shape = rest
-    return tuple(plan)
-
-
-def action_expected_utilities(tensor: np.ndarray, strategies, user: int) -> np.ndarray:
-    """U_i(a, Y_{-i}) for every action a of ``user``: the expected value of
-    ``tensor`` over everyone's strategies except the user's own.
-
-    Each contraction is the transpose, reshape and ``np.dot`` that
-    ``np.tensordot`` performs, so the result is bitwise equal to a
-    ``tensordot`` chain without its per-call argument handling.
-    """
-    out = tensor
-    for perm, rows, m, rest, j in _contraction_plan(tensor.shape, user):
-        if perm is not None:
-            out = out.transpose(perm)
-        out = np.dot(out.reshape(rows, m), strategies[j].reshape(m, 1)).reshape(rest)
-    return out
 
 
 def full_expected_utility(tensor: np.ndarray, strategies) -> float:

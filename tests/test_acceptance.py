@@ -16,6 +16,7 @@ import stackelearn as sl
 from stackelearn.cli import main as cli_main
 from stackelearn.config import default_config
 from stackelearn.dynamics import (
+    FieldTensors,
     integrate_dynamics,
     logit_residual,
     stationarity_check,
@@ -231,7 +232,7 @@ def test_criterion_5_dynamics_stationarity(game):
     profile = [np.mean(tail[:, i, :m], axis=0) for i, m in enumerate(game.action_dims)]
     profile = [y / y.sum() for y in profile]
 
-    utilities = normalized_utility_tensors(game)
+    utilities = FieldTensors(normalized_utility_tensors(game))
     tau = engine.temperature
     ok, residual = stationarity_check(profile, utilities, ALPHA, tau, tolerance=1e-2)
     assert ok, f"dynamics residual {residual:.3g} >= 1e-2"

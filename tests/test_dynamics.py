@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import stackelearn as sl
+import stackelearn.dynamics
 from stackelearn.dynamics import (
     PROB_FLOOR,
     DynamicsDivergence,
+    FieldTensors,
     integrate_dynamics,
     logit_residual,
     stationarity_check,
@@ -16,6 +18,7 @@ from stackelearn.dynamics import (
 from stackelearn.game import normalized_utility_tensors, utility_tensor
 
 from conftest import random_game, random_simplex
+from reference import per_user_logit_residual, per_user_strategy_derivative
 
 
 def _expected_action_utilities(u_i, ys, i):
@@ -63,7 +66,7 @@ def test_derivative_matches_finite_difference_oracle():
         utilities = normalized_utility_tensors(g)
         ys = [random_simplex(rng, m) for m in g.action_dims]
         alpha, tau = 0.1, 0.05
-        got = strategy_derivative(ys, utilities, alpha, tau)
+        got = strategy_derivative(ys, FieldTensors(utilities), alpha, tau)
         ref = _fd_derivative(ys, utilities, alpha, tau)
         for a, b in zip(got, ref):
             assert np.allclose(a, b, rtol=1e-4, atol=1e-6)
@@ -74,7 +77,7 @@ def test_derivative_is_tangent_to_simplex():
     for _ in range(100):
         g = random_game(rng, num_users=2, num_actions=3)
         ys = [random_simplex(rng, m) for m in g.action_dims]
-        derivs = strategy_derivative(ys, normalized_utility_tensors(g), 0.1, 0.05)
+        derivs = strategy_derivative(ys, FieldTensors(normalized_utility_tensors(g)), 0.1, 0.05)
         for d in derivs:
             assert abs(d.sum()) < 1e-10
 
@@ -82,7 +85,7 @@ def test_derivative_is_tangent_to_simplex():
 def test_derivative_rejects_non_positive_temperature(desk_game):
     ys = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
     with pytest.raises(ValueError):
-        strategy_derivative(ys, normalized_utility_tensors(desk_game), 0.1, -1.0)
+        strategy_derivative(ys, FieldTensors(normalized_utility_tensors(desk_game)), 0.1, -1.0)
 
 
 def test_normalized_tensors_match_learner_scale(desk_game):
@@ -95,7 +98,7 @@ def test_normalized_tensors_match_learner_scale(desk_game):
 
 
 def test_integrate_returns_full_trajectory(desk_game):
-    utilities = normalized_utility_tensors(desk_game)
+    utilities = FieldTensors(normalized_utility_tensors(desk_game))
     initial = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
     traj = integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.05, num_steps=50)
     assert isinstance(traj, np.ndarray)
@@ -110,7 +113,7 @@ def test_integrate_returns_full_trajectory(desk_game):
 
 
 def test_integration_settles_to_stationary_point(desk_game):
-    utilities = normalized_utility_tensors(desk_game)
+    utilities = FieldTensors(normalized_utility_tensors(desk_game))
     initial = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
     traj = integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.05, num_steps=4000)
     ok, residual = stationarity_check(traj[-1], utilities, 0.1, 0.05, tolerance=1e-4)
@@ -121,7 +124,7 @@ def test_integration_settles_to_stationary_point(desk_game):
 
 
 def test_stationarity_check_tolerances(desk_game):
-    utilities = normalized_utility_tensors(desk_game)
+    utilities = FieldTensors(normalized_utility_tensors(desk_game))
     ys = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
     ok_loose, res = stationarity_check(ys, utilities, 0.1, 0.05, tolerance=1e6)
     assert ok_loose
@@ -143,7 +146,7 @@ def test_total_variation_reference_points():
 def test_divergence_reports_step_index(desk_game):
     initial = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
     # pathological utility scale + absurd step size overflow the RK4 update
-    utilities = [np.asarray(t) * 1e300 for t in normalized_utility_tensors(desk_game)]
+    utilities = FieldTensors([np.asarray(t) * 1e300 for t in normalized_utility_tensors(desk_game)])
     with pytest.raises(DynamicsDivergence) as err:
         integrate_dynamics(initial, utilities, 0.1, 1e-9, step_size=1e12, num_steps=50)
     assert err.value.step_index >= 0
@@ -151,7 +154,7 @@ def test_divergence_reports_step_index(desk_game):
 
 def test_overshoot_is_divergence(desk_game):
     """A step that leaves negative mass is rejected, not floored onto a vertex."""
-    utilities = normalized_utility_tensors(desk_game)
+    utilities = FieldTensors(normalized_utility_tensors(desk_game))
     initial = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
     with pytest.raises(DynamicsDivergence) as err:
         integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=1e6, num_steps=3)
@@ -159,10 +162,42 @@ def test_overshoot_is_divergence(desk_game):
 
 
 def test_logit_residual_is_large_at_a_vertex(desk_game):
-    utilities = normalized_utility_tensors(desk_game)
+    utilities = FieldTensors(normalized_utility_tensors(desk_game))
     tau = 0.05
     # everyone at the lowest power: the leader's best response is the highest
     vertex = [np.eye(m)[0] for m in desk_game.action_dims]
     assert logit_residual(vertex, utilities, tau) == pytest.approx(2.0, abs=1e-6)
     ok, residual = stationarity_check(vertex, utilities, 0.1, tau, tolerance=1e-9)
     assert ok and residual < 1e-10
+
+
+def test_field_tensors_reject_ragged_or_missing_tensors(desk_game):
+    tensors = normalized_utility_tensors(desk_game)
+    for bad in ([], tensors[:2], [tensors[0], tensors[1], tensors[2][:2]]):
+        with pytest.raises(ValueError, match="utilities"):
+            FieldTensors(bad)
+
+
+def test_trajectory_bitwise_equals_per_user_field(monkeypatch):
+    """RK4 on the batched field is byte for byte RK4 on the one-user-at-a-time
+    reference field, on 5 femtocells x 5 levels and on the 1-femtocell game."""
+    five_femtocells = sl.parse_config(
+        {
+            "network": {"num_femtocells": 5},
+            "users": {"action_set_dbm": [14.0, 18.0, 22.0, 26.0, 30.0], "mu_sinr_target_db": -20.0},
+        }
+    )
+    games = [sl.build_game(five_femtocells).game, random_game(np.random.default_rng(31), 2, 5)]
+    for g in games:
+        utilities = normalized_utility_tensors(g)
+        initial = np.full((g.num_users, 5), 0.2)
+        args = (0.1, 0.05, 0.05, 200)
+        got = integrate_dynamics(initial, FieldTensors(utilities), *args)
+        with monkeypatch.context() as patch:
+            patch.setattr(stackelearn.dynamics, "strategy_derivative", per_user_strategy_derivative)
+            want = integrate_dynamics(initial, utilities, *args)
+        assert got.tobytes() == want.tobytes()
+        for profile in (got[-1], got[len(got) // 2]):
+            assert logit_residual(profile, FieldTensors(utilities), 0.05) == per_user_logit_residual(
+                profile, utilities, 0.05
+            )

@@ -5,13 +5,13 @@ import pytest
 
 import stackelearn as sl
 from stackelearn.config import LearningConfig
+from stackelearn.dynamics import FieldTensors
 from stackelearn.game import normalized_utility_tensors, utility_tensor
 from stackelearn.learning import (
     NONCOOP,
     RLA1,
     RLA2,
     StackelbergLearning,
-    action_expected_utilities,
     boltzmann_strategy,
     full_expected_utility,
 )
@@ -19,6 +19,7 @@ from stackelearn.learning import (
 from conftest import random_game, random_simplex
 from reference import (
     JointEstimate,
+    action_expected_utilities,
     conjecture_adjust,
     expected_utility,
     q_update,
@@ -181,17 +182,18 @@ def test_action_expected_utilities_matches_enumeration():
     rng = np.random.default_rng(10)
     for _ in range(50):
         g = random_game(rng, num_users=3, num_actions=3)
-        ys = [random_simplex(rng, m) for m in g.action_dims]
-        for i in range(g.num_users):
-            t = utility_tensor(g, i)
+        ys = np.array([random_simplex(rng, m) for m in g.action_dims])
+        tensors = [utility_tensor(g, i) for i in range(g.num_users)]
+        batched = FieldTensors(tensors).expected_utilities(ys)
+        for i, t in enumerate(tensors):
             vec = action_expected_utilities(t, ys, i)
             for a in range(g.action_dims[i]):
                 pure = [y.copy() for y in ys]
                 pure[i] = np.zeros(g.action_dims[i])
                 pure[i][a] = 1.0
-                assert vec[a] == pytest.approx(
-                    expected_utility(i, pure, g), rel=1e-10, abs=1e-9
-                )
+                want = expected_utility(i, pure, g)
+                assert vec[a] == pytest.approx(want, rel=1e-10, abs=1e-9)
+                assert batched[i, a] == pytest.approx(want, rel=1e-10, abs=1e-9)
             # full expectation consistency
             assert full_expected_utility(t, ys) == pytest.approx(
                 float(ys[i] @ vec), rel=1e-10, abs=1e-9
@@ -209,21 +211,31 @@ def _tensordot_chain(tensor, strategies, user):
 
 
 def test_action_expected_utilities_bitwise_equals_tensordot_chain(desk_game):
+    """The batched field kernel, user by user, against the one-user chains.
+
+    n = 1 has no contraction; n = 2 has only the last one, which reads a
+    transposed view; n >= 3 also reads C-order copies and the pre-swapped
+    last user.
+    """
     rng = np.random.default_rng(14)
-    games = [
-        desk_game,
-        random_game(rng, num_users=5, num_actions=5),
-        random_game(rng, num_users=6, num_actions=4),
+    games = [desk_game] + [
+        random_game(rng, num_users=n, num_actions=m)
+        for n in (1, 2, 3, 4, 6)
+        for m in (3, 4, 5, 7)
     ]
     for g in games:
         tensors = normalized_utility_tensors(g)
-        for _ in range(4):
-            ys = [random_simplex(rng, m) for m in g.action_dims]
+        field = FieldTensors(tensors)
+        for _ in range(3):
+            ys = np.array([random_simplex(rng, m) for m in g.action_dims])
+            batched = field.expected_utilities(ys)
+            assert batched.shape == (g.num_users, len(g.action_set))
             for i, t in enumerate(tensors):
-                got = action_expected_utilities(t, ys, i)
+                chain = action_expected_utilities(t, ys, i)
                 want = _tensordot_chain(t, ys, i)
-                assert got.shape == want.shape == (g.action_dims[i],)
-                assert got.tobytes() == want.tobytes(), (g.action_dims, i)
+                assert chain.shape == want.shape == (g.action_dims[i],)
+                assert chain.tobytes() == want.tobytes(), (g.action_dims, i)
+                assert batched[i].tobytes() == want.tobytes(), (g.action_dims, i)
 
 
 def test_rla2_estimate_matches_enumeration():

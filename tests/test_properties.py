@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import stackelearn as sl
-from stackelearn.dynamics import strategy_derivative
+from stackelearn.dynamics import FieldTensors, strategy_derivative
 from stackelearn.game import (
     normalized_utility_tensors,
     sinr,
@@ -56,7 +56,7 @@ def test_dynamics_field_tangent_to_simplex():
         ys = [random_simplex(rng, m) for m in g.action_dims]
         alpha = float(rng.uniform(0.01, 0.5))
         tau = float(10.0 ** rng.uniform(-2, 0))
-        for d in strategy_derivative(ys, normalized_utility_tensors(g), alpha, tau):
+        for d in strategy_derivative(ys, FieldTensors(normalized_utility_tensors(g)), alpha, tau):
             assert abs(d.sum()) < 1e-10
 
 
