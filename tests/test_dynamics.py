@@ -180,7 +180,7 @@ def test_field_tensors_reject_ragged_or_missing_tensors(desk_game):
 
 def test_trajectory_bitwise_equals_per_user_field(monkeypatch):
     """RK4 on the batched field is byte for byte RK4 on the one-user-at-a-time
-    reference field, on 5 femtocells x 5 levels and on the 1-femtocell game."""
+    reference field, on 5 femtocells x 5 levels and on a 2-user game."""
     five_femtocells = sl.parse_config(
         {
             "network": {"num_femtocells": 5},
