@@ -3,10 +3,10 @@
 The commands run on the default config with 300 learning steps: ``run``,
 ``sweep`` over two leader targets with one replicate, ``sweep`` over seven
 leader targets with two replicates, ``dynamics`` for 200 steps and
-``oracle``.  ``dynamics`` also runs for 200 steps on a 6-user game:
-5 femtocells, 5 power levels, a -20 dB leader target.  The digests were recorded with numpy 2.4.6 on
-CPython 3.11 (x86-64); a refactor that keeps them keeps every number the
-package prints.  A different numpy or BLAS build may change last bits, and
+``oracle``.  ``run``, ``oracle`` and ``dynamics`` (200 steps) also run on
+a 6-user game: 5 femtocells, 5 power levels, a -20 dB leader target.  The
+digests were recorded with numpy 2.4.6 on CPython 3.11 (x86-64); a refactor
+that keeps them keeps every number the package prints.  A different numpy or BLAS build may change last bits, and
 with them the digests.
 
     PYTHONPATH=src python tests/test_golden_outputs.py   # print the digests
@@ -31,15 +31,18 @@ COMMANDS = {
     "dynamics": ["dynamics", "--steps", "200"],
     "dynamics-n5m5": ["dynamics", "--steps", "200"],
     "oracle": ["oracle"],
+    "run-n5m5": ["run"],
+    "oracle-n5m5": ["oracle"],
+}
+
+# The 6-user game of the benchmark's ``scale-n5m5`` workload.
+N5M5 = {
+    "network": {"num_femtocells": 5},
+    "users": {"action_set_dbm": [14.0, 18.0, 22.0, 26.0, 30.0], "mu_sinr_target_db": -20.0},
 }
 
 # Config entries beyond the shared ones, per command.
-CONFIGS = {
-    "dynamics-n5m5": {
-        "network": {"num_femtocells": 5},
-        "users": {"action_set_dbm": [14.0, 18.0, 22.0, 26.0, 30.0], "mu_sinr_target_db": -20.0},
-    },
-}
+CONFIGS = {"dynamics-n5m5": N5M5, "run-n5m5": N5M5, "oracle-n5m5": N5M5}
 
 GOLDEN = {
     "run/stdout": "46793ca8f22e2e79cf263cb7cfbfc3e523564fed06367642b9ce668f7a3e83ab",
@@ -56,6 +59,12 @@ GOLDEN = {
     "dynamics-n5m5/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
     "dynamics-n5m5/dynamics.csv": "9ed6aa1b0ee933840948efb76494a9501bf52bc178770768ea51e2ed76295118",
     "oracle/stdout": "6be1000e2466312afd45cb73a8397f430e06886149bd451b06ed018b2234de16",
+    "run-n5m5/stdout": "9d37daf76eb9bfe78d6656818609a0b6f59b4a3fef5ede8436c3119a9c2b59a8",
+    "run-n5m5/summary.csv": "f5cf1e664407b52f0830c72b148c0a551acdc88b5c317e5e7cbd4dbec7f3f8d5",
+    "run-n5m5/trace_noncoop.csv": "cf7645090ef9e8a692ac47ea965421cd2ea0e4e52fe538e62d9d58220f95afda",
+    "run-n5m5/trace_rla1.csv": "fad8a8892952209346387eea9ab8268e7cc1d5d94c54a135d47034f73a09c0fd",
+    "run-n5m5/trace_rla2.csv": "648bd05f8ed29b710a2f9bc25f25d247fe8480d72137b85fa44ca06a738286a7",
+    "oracle-n5m5/stdout": "22437463ed68ea45eb209cc033543ad36598c9c38dfa0a1f409203d489f5413f",
 }
 
 
