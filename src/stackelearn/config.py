@@ -64,9 +64,11 @@ class LearningConfig(LearnerSettings):
             raise ValueError(
                 f"temperature: temperature * temperature_decay ** num_steps must be >= {tiny:g}"
             )
-        for name in self.algorithms:
+        for k, name in enumerate(self.algorithms):
             if name not in ALGORITHMS:
                 raise ValueError(f"algorithms: unknown algorithm {name!r}")
+            if name in self.algorithms[:k]:
+                raise ValueError(f"algorithms: {name!r} is listed twice")
         if self.trace_decimation < 1:
             raise ValueError("trace_decimation: must be >= 1")
 

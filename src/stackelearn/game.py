@@ -12,12 +12,16 @@ re-enumerations reproduce them bit-for-bit.  They are the reference
 semantics: `sinr_tensor` and `utility_tensor` broadcast the same operations
 over the joint action grid, and the oracle and iterated best response read
 those tensors (the tests' scalar enumerations are in `tests/reference.py`).
+
+Each user's tensors are built once per `GameInstance`, on first use, and
+every later call returns that one read-only copy, so the learners, the
+oracle, the references and the dynamics share them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -75,6 +79,9 @@ class GameInstance:
     action_set: ActionSet
     bandwidth_hz: float
     noise_power_w: float
+    # ``sinr_tensor`` and ``utility_tensor`` built so far (see ``_shared_row``);
+    # ``dataclasses.replace`` gives the new game an empty one
+    _tensors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.gains.setflags(write=False)
@@ -151,36 +158,64 @@ def _power_grids(game: GameInstance) -> list[np.ndarray]:
     return [levels.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
 
 
+def _shared_row(game: GameInstance, kind: str, i: int, build) -> np.ndarray:
+    """Row i of the game's (n, *dims) ``kind`` stack, filled by
+    ``build(game, i)`` on first use.  Rows are handed out read-only, and the
+    stack itself turns read-only once every row is built."""
+    entry = game._tensors.get(kind)
+    if entry is None:
+        stack = np.empty((game.num_users,) + game.action_dims)
+        entry = game._tensors[kind] = (stack, [False] * game.num_users)
+    stack, built = entry
+    if not built[i]:
+        stack[i] = build(game, i)
+        built[i] = True
+        if all(built):
+            stack.setflags(write=False)
+    row = stack[i]
+    row.setflags(write=False)
+    return row
+
+
 def sinr_tensor(game: GameInstance, i: int) -> np.ndarray:
-    """Linear SINR of user i tabulated over the full joint action grid.
+    """Linear SINR of user i tabulated over the full joint action grid: the
+    game's shared, read-only copy, built on first use.
 
     Broadcasts `sinr` over the grid with the same operations in the same
-    order, so every entry equals the scalar value bit for bit.
+    order, so every entry equals the scalar value bit for bit.  The n users'
+    tensors are the rows, in user order, of one (n, *dims) array.
     """
+    return _shared_row(game, "sinr", i, _build_sinr_tensor)
+
+
+def utility_tensor(game: GameInstance, i: int) -> np.ndarray:
+    """Utility of user i tabulated over the full joint action grid: the
+    game's shared, read-only copy, built on first use from `sinr_tensor`.
+
+    Bit-exact to `utility`: the logarithm is `math.log2` per entry, because
+    `np.log2` can differ from it in the last ulp.  Like `sinr_tensor`, the
+    n users' tensors are the rows of one (n, *dims) array.
+    """
+    return _shared_row(game, "utility", i, _build_utility_tensor)
+
+
+def _build_sinr_tensor(game: GameInstance, i: int) -> np.ndarray:
     h = game.gains
     powers = _power_grids(game)
     interference = 0.0
     for j in range(game.num_users):
         if j != i:
             interference = interference + h[j, i] * powers[j]
-    out = h[i, i] * powers[i] / (interference + game.noise_power_w)
-    out.setflags(write=False)
-    return out
+    return h[i, i] * powers[i] / (interference + game.noise_power_w)
 
 
-def utility_tensor(game: GameInstance, i: int) -> np.ndarray:
-    """Utility of user i tabulated over the full joint action grid.
-
-    Bit-exact to `utility`: the logarithm is `math.log2` per entry, because
-    `np.log2` can differ from it in the last ulp.
-    """
+def _build_utility_tensor(game: GameInstance, i: int) -> np.ndarray:
     gamma = sinr_tensor(game, i)
     user = game.users[i]
     out = np.fromiter(map(math.log2, (1.0 + gamma).flat), float, gamma.size).reshape(gamma.shape)
     out *= game.bandwidth_hz
     out /= user.circuit_power_w + _power_grids(game)[i]
     out[gamma < user.sinr_target_lin] = 0.0
-    out.setflags(write=False)
     return out
 
 

@@ -26,6 +26,7 @@ from .game import (
     feasibility_adjust,
     iterated_best_response,
     leader_feasible,
+    sinr_tensor,
     stackelberg_oracle,
     utility_tensor,
 )
@@ -181,12 +182,10 @@ def run_experiment(config: ExperimentConfig, prepared: PreparedGame | None = Non
         prepared = build_game(config)
     traces: dict[str, Trace] = {}
     for algo in config.learning.algorithms:
-        engine = StackelbergLearning(
+        # no name holds the engine, so it is freed before the next one is built
+        traces[algo] = StackelbergLearning(
             [prepared.game], algo, [learning_rng(config.seeds.base_seed, algo)], config.learning
-        )
-        traces[algo] = engine.run(
-            config.learning.num_steps, log_every=config.learning.trace_decimation
-        )[0]
+        ).run(config.learning.num_steps, log_every=config.learning.trace_decimation)[0]
     return ExperimentResult(
         prepared=prepared,
         traces=traces,
@@ -231,7 +230,7 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
                     for reduced_idx in range(1, prepared.game.num_users):
                         original = prepared.user_ids[reduced_idx]
                         sums[original - 1] += full_expected_utility(
-                            engine.sinr_tensors[0, reduced_idx], strategies
+                            sinr_tensor(prepared.game, reduced_idx), strategies
                         )
             results.append(
                 SweepResult(

@@ -125,10 +125,12 @@ class StackelbergLearning:
     its own game, so its results do not depend on the replicates run beside
     it.
 
-    The tensors are built once per distinct game (by identity, in order of
+    The tensors are read once per distinct game (by identity, in order of
     first appearance, listed in ``games``) and stacked with a leading point
-    axis: ``u_phys``, ``u_norm`` and ``sinr_tensors`` are (P, n, *dims), and
-    ``points[r]`` is replicate r's index into them.  Every read of a game's
+    axis: ``u_phys``, ``u_norm`` and ``sinr_tensors`` are read-only
+    (P, n, *dims) arrays, and ``points[r]`` is replicate r's index into
+    them.  With one game, ``u_phys`` and ``sinr_tensors`` are views of the
+    game's shared tensors, not copies.  Every read of a game's
     values (realized utilities, the leader target, rla2 belief blocks, trace
     columns) gathers at the replicate's point.
 
@@ -183,15 +185,13 @@ class StackelbergLearning:
         r = self.num_replicates = len(self.rngs)
         m = self.num_actions = dims[0]
         profiles = math.prod(dims)
-        shape = (len(self.games), n) + dims
-        u_phys, u_norm, sinr = np.empty(shape), np.empty(shape), np.empty(shape)
-        for p, game in enumerate(self.games):
+        u_phys = _point_stack([[utility_tensor(game, i) for i in range(n)] for game in self.games])
+        sinr = _point_stack([[sinr_tensor(game, i) for i in range(n)] for game in self.games])
+        u_norm = np.empty(u_phys.shape)
+        for p in range(len(self.games)):
             for i in range(n):
-                u_phys[p, i] = utility_tensor(game, i)
                 u_norm[p, i] = normalize_utility(u_phys[p, i])
-                sinr[p, i] = sinr_tensor(game, i)
-        for tensors in (u_phys, u_norm, sinr):
-            tensors.setflags(write=False)
+        u_norm.setflags(write=False)
         self.u_phys, self.u_norm, self.sinr_tensors = u_phys, u_norm, sinr
         self._u_norm_flat = u_norm.reshape(-1)
         self._u_phys_flat = u_phys.reshape(-1)
@@ -306,7 +306,11 @@ class StackelbergLearning:
         # each user's expected utility under each kept step's strategies, in
         # blocks of kept steps whose first product holds no more cells than
         # the larger of the ``u_phys`` stack and the strategy buffer
-        tensors = self.u_phys[self.points]  # (R, n, *dims)
+        # (R, n, *dims); with one game, a broadcast view rather than R copies
+        if len(self.games) == 1:
+            tensors = np.broadcast_to(self.u_phys, (self.num_replicates,) + self.u_phys.shape[1:])
+        else:
+            tensors = self.u_phys[self.points]
         budget = max(self.u_phys.size, strategies.size)
         block = max(1, budget * self.num_actions // tensors.size)
         expected = np.empty(actions.shape)
@@ -418,6 +422,30 @@ class StackelbergLearning:
                 else:
                     self.step()
         return self._traces(steps, actions, strategies)
+
+
+def _point_stack(tensors: list[list[np.ndarray]]) -> np.ndarray:
+    """P games' n per-user tensors as one read-only (P, n, *dims) array.
+
+    With one game whose tensors are, in order, the rows of one read-only
+    array (a game's shared ``utility_tensor`` or ``sinr_tensor``), this is
+    a view of that array; otherwise a copy."""
+    rows = tensors[0]
+    base = rows[0].base
+    if (
+        len(tensors) == 1
+        and isinstance(base, np.ndarray)
+        and not base.flags.writeable
+        and len(base) == len(rows)
+        and all(
+            row.base is base and row.__array_interface__ == base[i].__array_interface__
+            for i, row in enumerate(rows)
+        )
+    ):
+        return base[None]
+    out = np.array(tensors)
+    out.setflags(write=False)
+    return out
 
 
 def _softmax_rows(q: np.ndarray, temperature: float) -> np.ndarray:

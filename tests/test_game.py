@@ -1,10 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import stackelearn as sl
+import stackelearn.game as game_mod
+from stackelearn import harness
 from stackelearn.game import (
     energy_efficiency,
     feasibility_adjust,
@@ -114,6 +117,107 @@ def test_utility_tensor_matches_scalar_op(desk_game):
                 want_s[idx] = sinr(i, powers, g)
             assert utility_tensor(g, i).tobytes() == want_u.tobytes()
             assert sinr_tensor(g, i).tobytes() == want_s.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# shared tensors: built once per game, never carried into a derived game
+
+
+def _tensor_bytes(game):
+    return [
+        (sinr_tensor(game, i).tobytes(), utility_tensor(game, i).tobytes())
+        for i in range(game.num_users)
+    ]
+
+
+def _never_queried(game):
+    """A new game with the same parameters, whose tensors are built afresh."""
+    return sl.GameInstance(
+        gains=np.array(game.gains),
+        users=game.users,
+        action_set=game.action_set,
+        bandwidth_hz=game.bandwidth_hz,
+        noise_power_w=game.noise_power_w,
+    )
+
+
+def _reading_tensors(monkeypatch, module):
+    """Make ``module.leader_feasible`` read every tensor of each game it
+    checks, so that a protocol derives its games from games whose tensors
+    are built.  Returns the checked games, in order."""
+    checked = []
+    real = module.leader_feasible
+
+    def reading(game, follower_level):
+        _tensor_bytes(game)
+        checked.append(game)
+        return real(game, follower_level)
+
+    monkeypatch.setattr(module, "leader_feasible", reading)
+    return checked
+
+
+def test_shared_tensors_are_built_once_and_read_only(monkeypatch):
+    builds = []
+    real = game_mod._build_utility_tensor
+
+    def counting(game, i):
+        builds.append(i)
+        return real(game, i)
+
+    monkeypatch.setattr(game_mod, "_build_utility_tensor", counting)
+    g = random_game(np.random.default_rng(5))
+    first = utility_tensor(g, 1)
+    again = utility_tensor(g, 1)
+    assert np.shares_memory(first, again) and builds == [1]
+    tensors = [first, again] + [f(g, i) for f in (sinr_tensor, utility_tensor) for i in range(3)]
+    assert builds == [1, 0, 2]
+    for tensor in tensors:
+        with pytest.raises(ValueError):
+            tensor[0, 0, 0] = 1.0
+        # once every user's tensor is built, the shared array is read-only too
+        with pytest.raises(ValueError):
+            tensor.setflags(write=True)
+
+
+def test_feasibility_adjusted_game_builds_its_own_tensors(desk_game, monkeypatch):
+    # the leader fails its target at any follower power; the follower
+    # targets lie inside their SINR ranges, so relaxing them changes utilities
+    users = (sl.UserParams(1e3, 0.01), sl.UserParams(1e6, 0.01), sl.UserParams(1e4, 0.01))
+    game = replace(desk_game, users=users)
+    checked = _reading_tensors(monkeypatch, game_mod)
+    out = feasibility_adjust(game, 0.5, 3)
+    assert out.rounds_applied == 3 and not out.feasible
+    assert checked[0] is game and checked[-1] is out.game
+    relaxed = _tensor_bytes(out.game)
+    assert relaxed == _tensor_bytes(_never_queried(out.game))
+    for i, ((s, u), (s0, u0)) in enumerate(zip(relaxed, _tensor_bytes(game))):
+        assert s == s0  # same gains and powers
+        assert (u == u0) == (i == 0)  # only the follower targets were relaxed
+
+
+def test_silenced_game_builds_its_own_tensors(monkeypatch):
+    checked = _reading_tensors(monkeypatch, harness)
+    prepared = harness.build_game(sl.default_config(), gamma0_db=10.0)
+    (silenced,) = [k + 1 for k, a in enumerate(prepared.active) if not a]
+    full = checked[0]
+    assert full.num_users == 3 and checked[-1] is prepared.game
+    assert _tensor_bytes(prepared.game) == _tensor_bytes(_never_queried(prepared.game))
+    # the leader sees less interference than with the silenced femtocell at min power
+    at_min = np.take(sinr_tensor(full, 0), 0, axis=silenced)
+    assert np.all(sinr_tensor(prepared.game, 0) > at_min)
+
+
+def test_replaced_game_builds_its_own_tensors(desk_game):
+    before = _tensor_bytes(desk_game)
+    wider = replace(desk_game, bandwidth_hz=2 * desk_game.bandwidth_hz)
+    same = replace(desk_game)
+    assert _tensor_bytes(wider) == _tensor_bytes(_never_queried(wider))
+    for (s, u), (s0, u0) in zip(_tensor_bytes(wider), before):
+        assert s == s0 and u != u0
+    assert _tensor_bytes(same) == before
+    assert not np.shares_memory(utility_tensor(same, 0), utility_tensor(desk_game, 0))
+    assert _tensor_bytes(desk_game) == before
 
 
 def test_expected_utility_degenerate_matches_pure(desk_game):

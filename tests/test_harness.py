@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stackelearn as sl
+import stackelearn.game as game_mod
 from stackelearn import harness
 from stackelearn.cli import main as cli_main
 from stackelearn.config import ConfigError, default_config, load_config, parse_config
@@ -88,6 +90,9 @@ def test_parse_config_rejects_unknown_keys():
         pytest.param("network", "noise_power_dbm", 10**400, "network.noise_power_dbm",
                      id="network-noise_power_dbm-huge-int"),
         ("learning", "algorithms", 3, "learning.algorithms"),
+        # each scheme's trace is keyed by its name, so a repeat would replace one
+        ("learning", "algorithms", ["rla1", "rla1"], "learning.algorithms: 'rla1' is listed twice"),
+        ("learning", "algorithms", ["rla2", "noncoop", "rla2"], "learning.algorithms"),
         ("output", "directory", 7, "output.directory"),
         # dB/dBm values without a finite, positive linear value
         *[
@@ -467,6 +472,35 @@ def test_sweep_runs_no_engine_at_leader_only_points(monkeypatch):
             assert any(x > 0 for x in r.fu_expected_sinr_lin)
 
 
+def _counting_builds(monkeypatch) -> dict[str, list]:
+    """Record the (game, user) of every SINR and utility tensor build."""
+    builds = {"sinr": [], "utility": []}
+    for kind, seen in builds.items():
+        real = getattr(game_mod, f"_build_{kind}_tensor")
+
+        def counting(game, i, real=real, seen=seen):
+            seen.append((game, i))
+            return real(game, i)
+
+        monkeypatch.setattr(game_mod, f"_build_{kind}_tensor", counting)
+    return builds
+
+
+def _users_built_per_game(calls) -> list[list[int]]:
+    per_game = defaultdict(list)
+    for game, i in calls:
+        per_game[id(game)].append(i)
+    return sorted(sorted(users) for users in per_game.values())
+
+
+def test_sweep_builds_each_tensor_once_per_point(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    sweep_gamma0(default_config(learning={"num_steps": 20}, sweep={"replicates": 2}))
+    # the points keep 2, 2, 1, 1, 0, 0, 0 femtocells; leader-only points build nothing
+    for kind, calls in builds.items():
+        assert _users_built_per_game(calls) == [[0, 1], [0, 1], [0, 1, 2], [0, 1, 2]], kind
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -509,6 +543,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe{}")
     assert cli_main(["oracle", "--config", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {bad}: invalid JSON")
+    twice = _write_cfg(tmp_path, "twice.json", learning={"algorithms": ["rla1", "rla1"]})
+    assert cli_main(["run", "--config", twice]) == 1
+    assert capsys.readouterr().err.startswith("config error: learning.algorithms")
+
+
+@pytest.mark.parametrize("argv", [["run"], ["oracle"], ["dynamics", "--steps", "5"]])
+def test_cli_builds_each_tensor_once_per_game(tmp_path, capsys, monkeypatch, argv):
+    # the engines, the oracle, the reference and the dynamics share one build
+    builds = _counting_builds(monkeypatch)
+    cfg = _write_cfg(
+        tmp_path, learning={"num_steps": 20}, output={"directory": str(tmp_path / "out")}
+    )
+    assert cli_main(argv + ["--config", cfg]) == 0
+    for kind, calls in builds.items():
+        assert _users_built_per_game(calls) == [[0, 1, 2]], kind  # the prepared 3-user game
 
 
 def test_cli_missing_config_io_exit_code(tmp_path, capsys):
