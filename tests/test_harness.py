@@ -90,9 +90,6 @@ def test_parse_config_rejects_unknown_keys():
         pytest.param("network", "noise_power_dbm", 10**400, "network.noise_power_dbm",
                      id="network-noise_power_dbm-huge-int"),
         ("learning", "algorithms", 3, "learning.algorithms"),
-        # each scheme's trace is keyed by its name, so a repeat would replace one
-        ("learning", "algorithms", ["rla1", "rla1"], "learning.algorithms: 'rla1' is listed twice"),
-        ("learning", "algorithms", ["rla2", "noncoop", "rla2"], "learning.algorithms"),
         ("output", "directory", 7, "output.directory"),
         # dB/dBm values without a finite, positive linear value
         *[
@@ -111,6 +108,9 @@ def test_parse_config_rejects_unknown_keys():
         ("learning", "temperature", 1e-320, "learning.temperature"),
         pytest.param("learning", None, {"temperature_decay": 0.5, "num_steps": 1200},
                      "learning.temperature", id="learning-temperature-decays-to-0"),
+        # each scheme's trace is keyed by its name, so a repeat would replace one
+        ("learning", "algorithms", ["rla1", "rla1"], "learning.algorithms: 'rla1' is listed twice"),
+        ("learning", "algorithms", ["rla2", "noncoop", "rla2"], "learning.algorithms"),
     ],
 )
 def test_parse_config_validates_values(section, key, value, match):
