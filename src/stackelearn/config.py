@@ -96,8 +96,9 @@ class SeedConfig:
     def __post_init__(self):
         if not 0 <= self.base_seed < 2**64:
             raise ValueError("base_seed: must fit in an unsigned 64-bit integer")
-        if any(offset < 0 for offset in self.replicate_offsets or ()):
-            raise ValueError("replicate_offsets: must be >= 0")
+        offsets = self.replicate_offsets or ()
+        if any(offset < 0 for offset in offsets) or len(set(offsets)) < len(offsets):
+            raise ValueError("replicate_offsets: must be distinct (one RNG stream each) and >= 0")
 
 
 @dataclass

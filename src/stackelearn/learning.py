@@ -63,10 +63,32 @@ def full_expected_utility(tensor: np.ndarray, strategies) -> float:
 
     ``full_expected_utility(u0[j0], follower_strategies)`` is the leader's
     exact expected utility of action ``j0``, the rla1/rla2 leader target."""
-    out = tensor
-    for s in reversed(strategies):
-        out = out @ s
-    return float(out)
+    y = np.asarray(strategies, dtype=float)
+    return float(_expect(tensor, y, _chain_plan((), (), range(len(y)), y.shape[-1])))
+
+
+def _chain_plan(batch: tuple, rows: tuple, users: range, m: int) -> list[tuple]:
+    """``_expect``'s (reshape target, strategy column) pairs for a tensor of
+    shape (*batch, *rows, M, ..., M), one M axis per user in ``users``,
+    against strategies of shape (*batch, n, M).  One batch axis may be -1."""
+    lead = (slice(None),) * len(batch)
+    plan = [
+        ((*batch, math.prod(rows) * m ** (j - users[0]), m), lead + (j, slice(None), None))
+        for j in reversed(users[1:])
+    ]
+    if users:
+        plan.append(((*batch, *rows, 1, m), lead + (None,) * len(rows) + (users[0], slice(None), None)))
+    return plan
+
+
+def _expect(out: np.ndarray, y: np.ndarray, plan: list[tuple]) -> np.ndarray:
+    """Contract the user axes of ``out`` with the strategies ``y`` along
+    ``plan``, last user first, into a (*batch, *rows) array: one
+    matrix-vector product per batch element over all its C-order rows of M
+    cells, then one dot per row."""
+    for shape, col in plan:
+        out = np.matmul(out.reshape(shape), y[col])
+    return out[..., 0, 0] if plan else out
 
 
 @dataclass
@@ -144,11 +166,12 @@ class StackelbergLearning:
     a copy of ``belief_batch``.
 
     Each replicate is bitwise equal to a run of the scalar reference
-    helpers in ``tests/reference.py``, with ``full_expected_utility`` and
-    ``boltzmann_strategy`` from this module.  To keep it so, every batched
-    contraction is the same BLAS call per replicate as the scalar one: a
-    dot per follower estimate and per final expectation, matrix-vector
-    products along the chains.
+    helpers in ``tests/reference.py`` with ``boltzmann_strategy`` from this
+    module: every batched product computes each row as the scalar one does,
+    a dot per follower estimate and per final expectation, and one
+    matrix-vector product per replicate over all its rows of M cells along
+    the expected-utility chains (``_expect``), where the scalar chain makes
+    one per M x M block.
     """
 
     # Uniforms drawn per replicate at once by ``run``: memory stays bounded
@@ -227,27 +250,13 @@ class StackelbergLearning:
         # uniforms drawn ahead by ``run``, (steps, R, n, 1), and the next one
         self._uniforms = np.empty((0, r, n, 1))
         self._next_uniform = 0
-        self._leader_columns = self._chain_columns(first=1, lead=1, batch=1)
-        self._trace_columns = self._chain_columns(first=0, lead=3, batch=2)
+        self._leader_plan = _chain_plan((r,), (), range(1, n), m)
+        self._trace_plan = _chain_plan((-1, r), (n,), range(n), m)
 
         # flat offsets of every (replicate, user) row, for one-gather updates
         self._q_base = (np.arange(r * n) * m).reshape(r, n)
         self._row_base = (np.arange(r * k) * m).reshape(r, k)
         self.t = 0
-
-    def _chain_columns(self, first: int, lead: int, batch: int) -> list[tuple]:
-        """Indices into a strategy array with ``batch`` leading axes, such as
-        ``strategy_batch`` (1), giving the column of user j, for j = n-1 down
-        to ``first``, shaped to multiply a tensor with ``lead`` leading axes
-        (the first ``batch`` of them the strategies') and user axes ``first``
-        to j (see ``_contract``)."""
-        columns = []
-        for j in range(self.num_users - 1, first - 1, -1):
-            ndim = lead + (j - first + 1 if j > first else 2)
-            columns.append(
-                (slice(None),) * batch + (None,) * (ndim - batch - 2) + (j, slice(None), None)
-            )
-        return columns
 
     @property
     def strategies(self) -> np.ndarray:
@@ -283,22 +292,10 @@ class StackelbergLearning:
         cdf = self.strategy_batch.cumsum(axis=-1)
         return np.add.reduce(cdf[..., :-1] <= u, axis=-1)
 
-    @staticmethod
-    def _contract(out: np.ndarray, columns: list[tuple], y: np.ndarray) -> np.ndarray:
-        """Contract the trailing user axes of ``out`` with the strategies
-        ``y``, last user first.  Like the scalar ``out @ y_j`` chain, each
-        product is one matrix-vector product per block and the last one a
-        dot, so every replicate gets the scalar chain's bits."""
-        if not columns:
-            return out
-        for col in columns[:-1]:
-            out = np.matmul(out, y[col])[..., 0]
-        return np.matmul(out[..., None, :], y[columns[-1]])[..., 0, 0]
-
     def _traces(self, steps: np.ndarray, actions: np.ndarray, strategies: np.ndarray) -> list[Trace]:
         """One ``Trace`` per replicate from the kept steps' (K, R, n)
         actions and (K, R, n, M) strategies: every other column is one
-        gather or one blocked contraction over all of them."""
+        gather or one flat-row contraction over all of them."""
         flat = self._user_base + (actions @ self._profile_strides)[..., None]  # (K, R, n)
         sinr = self._sinr_flat[flat]
         utilities = self._u_phys_flat[flat]
@@ -317,7 +314,7 @@ class StackelbergLearning:
         for k in range(0, len(strategies), block):
             y = strategies[k : k + block]
             stack = np.broadcast_to(tensors, (len(y),) + tensors.shape)
-            expected[k : k + block] = self._contract(stack, self._trace_columns, y)
+            expected[k : k + block] = _expect(stack, y, self._trace_plan)
         return [
             Trace(steps, actions[:, r], powers[:, r], sinr[:, r], utilities[:, r],
                   expected[:, r], strategies[:, r])
@@ -338,7 +335,7 @@ class StackelbergLearning:
         else:
             targets = np.empty_like(realized)
             u0 = self.u_norm[self.points, 0, actions[:, 0]]
-            targets[:, 0] = self._contract(u0, self._leader_columns, y)
+            targets[:, 0] = _expect(u0, y, self._leader_plan)
             if self.num_users > 1:
                 rows = self._row_base + actions[:, 1:]  # (R, K) rows of M cells
                 cells = rows * m + actions[:, :1]
@@ -403,6 +400,8 @@ class StackelbergLearning:
         the other columns are derived after the loop."""
         if num_steps < 1:
             raise ValueError("num_steps must be >= 1")
+        if log_every < 1:
+            raise ValueError("log_every must be >= 1")
         kept = list(range(0, num_steps, log_every))
         if kept[-1] != num_steps - 1:
             kept.append(num_steps - 1)

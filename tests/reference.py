@@ -4,8 +4,9 @@ field and the game tensors.
 Nothing in the package calls these; the tests check the game tensors, the
 oracle, the lockstep engine and the dynamics against them.  The game helpers
 enumerate the joint action grid one profile at a time, the learning helpers
-advance one user of one replicate at a time, and the field helpers contract
-one user's tensor at a time.
+advance one user of one replicate at a time (the expected-utility chain one
+M x M block at a time), and the field helpers contract one user's tensor at
+a time.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ def expected_utility(i: int, strategies: Sequence[np.ndarray], game: GameInstanc
         if prob != 0.0:
             total += utility(i, game.powers_from_indices(idx), game) * prob
     return total
+
+
+def blocked_expected_utility(tensor: np.ndarray, strategies) -> float:
+    """Expected value of a joint-action tensor under a full strategy profile,
+    last user first: each ``out @ s`` is one matrix-vector product per
+    M x M block, and the last one a dot."""
+    out = tensor
+    for s in reversed(strategies):
+        out = out @ s
+    return float(out)
 
 
 def best_response(i: int, actions: Sequence[int], game: GameInstance) -> int:

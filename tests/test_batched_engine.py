@@ -20,6 +20,8 @@ from stackelearn.learning import (
     RLA1,
     RLA2,
     StackelbergLearning,
+    _chain_plan,
+    _expect,
     boltzmann_strategy,
     full_expected_utility,
 )
@@ -27,6 +29,7 @@ from stackelearn.learning import (
 from conftest import random_game
 from reference import (
     JointEstimate,
+    blocked_expected_utility,
     conjecture_adjust,
     q_update,
     rla2_estimated_expected_utility,
@@ -58,7 +61,7 @@ class ReferenceLearner:
             self.beliefs.append(np.full(shape, 1.0 / max(1, int(np.prod(shape)))))
 
     def expected_utilities(self):
-        return tuple(full_expected_utility(t, self.y) for t in self.u_phys)
+        return tuple(blocked_expected_utility(t, self.y) for t in self.u_phys)
 
     def step(self):
         n = len(self.dims)
@@ -70,7 +73,7 @@ class ReferenceLearner:
             for i in range(n):
                 self.q[i] = q_update(self.q[i], actions[i], realized[i], alpha)
         else:
-            target = full_expected_utility(self.u_norm[0][actions[0]], y[1:])
+            target = blocked_expected_utility(self.u_norm[0][actions[0]], y[1:])
             self.q[0] = q_update(self.q[0], actions[0], target, alpha)
             for i in range(1, n):
                 est = self.estimates[i - 1]
@@ -247,3 +250,37 @@ def test_batch_rejects_one_game_per_generator_mismatch(desk_game):
         StackelbergLearning(
             [desk_game], RLA1, [np.random.default_rng(s) for s in (1, 2)], sl.LearnerSettings()
         )
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flat_chain_matches_blocked_reference_bitwise(n, m):
+    # each flat row's products must have the bits of the blocked ``out @ s`` chain
+    rng = np.random.default_rng(100 * n + m)
+    steps, replicates = 3, 2
+    scales = 10.0 ** rng.integers(-3, 4, (n,) + (1,) * n)  # each user's own magnitude
+    tensors = rng.random((replicates, n) + (m,) * n) * scales
+    y = rng.dirichlet(np.ones(m), size=(steps, replicates, n))
+
+    # trace rows: every user's tensor under every kept step's strategies, the
+    # step axis a zero-stride broadcast as in ``_traces``
+    stack = np.broadcast_to(tensors, (steps,) + tensors.shape)
+    got = _expect(stack, y, _chain_plan((-1, replicates), (n,), range(n), m))
+    want = [
+        [[blocked_expected_utility(tensors[r, i], y[k, r]) for i in range(n)]
+         for r in range(replicates)]
+        for k in range(steps)
+    ]
+    assert got.tobytes() == np.array(want).tobytes()
+
+    # leader targets: one leader action's block per replicate, followers' strategies
+    blocks = tensors[:, 0, -1]
+    for batch in (replicates, 1):
+        got = _expect(blocks[:batch], y[0, :batch], _chain_plan((batch,), (), range(1, n), m))
+        want = [blocked_expected_utility(blocks[r], y[0, r, 1:]) for r in range(batch)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    # the public single-profile form
+    for r in range(replicates):
+        got = full_expected_utility(tensors[r, 0], y[0, r])
+        assert got.hex() == blocked_expected_utility(tensors[r, 0], y[0, r]).hex()

@@ -111,6 +111,9 @@ def test_parse_config_rejects_unknown_keys():
         # each scheme's trace is keyed by its name, so a repeat would replace one
         ("learning", "algorithms", ["rla1", "rla1"], "learning.algorithms: 'rla1' is listed twice"),
         ("learning", "algorithms", ["rla2", "noncoop", "rla2"], "learning.algorithms"),
+        # a repeated offset would run one RNG stream twice and average it as two replicates
+        ("seeds", "replicate_offsets", [3, 3], "seeds.replicate_offsets: must be distinct"),
+        ("seeds", "replicate_offsets", [0, 5, 0], "seeds.replicate_offsets"),
     ],
 )
 def test_parse_config_validates_values(section, key, value, match):
@@ -546,6 +549,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     twice = _write_cfg(tmp_path, "twice.json", learning={"algorithms": ["rla1", "rla1"]})
     assert cli_main(["run", "--config", twice]) == 1
     assert capsys.readouterr().err.startswith("config error: learning.algorithms")
+    again = _write_cfg(tmp_path, "again.json", seeds={"replicate_offsets": [3, 3]})
+    assert cli_main(["sweep", "--config", again]) == 1
+    assert capsys.readouterr().err.startswith("config error: seeds.replicate_offsets")
 
 
 @pytest.mark.parametrize("argv", [["run"], ["oracle"], ["dynamics", "--steps", "5"]])

@@ -365,6 +365,14 @@ def test_engine_run_log_decimation(desk_game):
     assert trace.steps.tolist() == [0, 4, 8, 9]
 
 
+@pytest.mark.parametrize("log_every", [0, -1])
+def test_engine_run_rejects_nonpositive_log_every(desk_game, log_every):
+    eng = _engine(desk_game, NONCOOP, seed=7)
+    with pytest.raises(ValueError, match="log_every must be >= 1"):
+        eng.run(5, log_every=log_every)
+    assert eng.t == 0
+
+
 def test_engine_per_user_normalization(desk_game):
     eng = _engine(desk_game, RLA1)
     for t, tn, want in zip(eng.u_phys[0], eng.u_norm[0], normalized_utility_tensors(desk_game)):
