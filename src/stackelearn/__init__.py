@@ -55,7 +55,6 @@ from .learning import (
     LearnerSettings,
     StackelbergLearning,
     Trace,
-    boltzmann_strategy,
     full_expected_utility,
 )
 

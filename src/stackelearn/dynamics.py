@@ -10,7 +10,8 @@ replicator-style vector field with an entropy (exploration) term:
 with U_i the exact expected utility of action j against the other users'
 mixed strategies.  Stationary points of this field are the candidate
 equilibria the learners settle on.  Every function takes a ``FieldTensors``:
-the per-user utility tensors on the normalized scale the learners use
+the per-user utility tensors on the normalized scale the learners use, read
+in place from the game's shared own-axis-first stack
 (``game.normalized_utility_tensors``), so residuals are comparable to learner
 temperatures.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .learning import _softmax_rows
+from .learning import _point_stack, _softmax_rows
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
 # singularities; strategies are renormalized after flooring.
@@ -37,23 +38,16 @@ class DynamicsDivergence(RuntimeError):
 class FieldTensors:
     """Every user's utility tensor, stacked for the batched field.
 
-    ``FieldTensors(normalized_utility_tensors(game))`` copies the n tensors
-    of shape (M,) * n into one (n, M^(n-1), M) stack; the list is not kept.
-    ``expected_utilities`` contracts every user's tensor at once, one other
-    user per batched ``np.matmul``, and is bitwise equal to contracting each
-    user's tensor alone with ``np.tensordot``, trailing user first.  Two
-    layout rules fix those bits:
-
-    * each user's remaining axes stay in ascending order, its own axis
-      among them, as in the one-user chain;
-    * the last contraction of every user i >= 1 (over user 0's axis) reads a
-      transposed view of its (M, M) matrix, as a transposed 2-D tensor
-      reshapes without a copy; every earlier contraction of a non-trailing
-      axis reads a C-order copy.
-
-    With n >= 3, user n-1's first contraction is over its second-to-last
-    axis (user n-2's); that copy does not depend on the profile, so the
-    stack holds it in place of user n-1's own layout.
+    ``FieldTensors(normalized_utility_tensors(game))`` takes the n tensors
+    of shape (M,) * n, each with its user's own axis first and the other
+    users after it in ascending order, and stacks them with ``_point_stack``
+    into the (n, *dims) ``stack``: for a game's shared rows a view, not a
+    copy.  ``expected_utilities`` contracts every user's tensor at once,
+    last other user first, one batched ``np.matmul`` over the last axis per
+    other user, and is bitwise equal to contracting each user's user-order
+    tensor alone with ``np.tensordot``.  One rule fixes those bits: the last
+    contraction of every user i >= 1 (over user 0's axis) reads a transposed
+    view of a C-order (M, M) copy, as ``np.tensordot`` does.
     """
 
     def __init__(self, utilities):
@@ -61,17 +55,10 @@ class FieldTensors:
         shape = np.shape(utilities[0]) if n else ()
         if n == 0 or len(shape) != n or any(np.shape(t) != (shape[0],) * n for t in utilities):
             raise ValueError("utilities: need one tensor of shape (M,) * n for each of n >= 1 users")
-        m = shape[0]
-        self.num_users, self.num_actions = n, m
-        self.stack = np.empty((n, m ** (n - 1), m))
-        for i, t in enumerate(utilities):
-            if n >= 3 and i == n - 1:
-                self.stack[i].reshape(-1, m, m)[...] = np.reshape(t, (-1, m, m)).swapaxes(-1, -2)
-            else:
-                self.stack[i] = np.reshape(t, (-1, m))
-        # Contraction k = n-1, ..., 2: users below k contract their last axis
-        # with user k's strategy, the others their second-to-last axis with
-        # user k-1's.  The last contraction (k = 1) is done apart.
+        self.num_users, self.num_actions = n, shape[0]
+        self.stack = _point_stack([[np.asarray(t) for t in utilities]])[0]
+        # contraction k = n-1, ..., 2: users below k contract user k's
+        # strategy, the others user k-1's; the last one (k = 1) is done apart
         self._columns = [
             np.array([k] * k + [k - 1] * (n - k)) for k in range(n - 1, 1, -1)
         ]
@@ -80,19 +67,14 @@ class FieldTensors:
         """U_i(a, Y_-i) for every user i and action a at an (n, M) profile:
         the (n, M) expected utilities against the other users' strategies."""
         n, m = self.num_users, self.num_actions
-        out = self.stack
-        for k, columns in zip(range(n - 1, 1, -1), self._columns):
-            if k < n - 1:
-                blocks = out.reshape(n, -1, m, m)
-                out = np.concatenate((blocks[:k], blocks[k:].swapaxes(-1, -2))).reshape(n, -1, m)
+        out = self.stack.reshape(n, -1, m)
+        for columns in self._columns:
             out = np.matmul(out, profile[columns][:, :, None]).reshape(n, -1, m)
         if n == 1:
             return out.reshape(1, m).copy()
-        # user 0 contracts user 1's axis in C order, every other user
-        # user 0's axis through a transposed view
-        return np.concatenate(
-            ([np.matmul(out[0], profile[1])], np.matmul(out[1:].swapaxes(-1, -2), profile[0]))
-        )
+        # each user's own axis by user 0's axis (user 1's for user 0)
+        last = np.ascontiguousarray(out[1:].swapaxes(-1, -2)).swapaxes(-1, -2)
+        return np.concatenate(([np.matmul(out[0], profile[1])], np.matmul(last, profile[0])))
 
 
 def _floor_profile(profile) -> np.ndarray:

@@ -15,7 +15,9 @@ those tensors (the tests' scalar enumerations are in `tests/reference.py`).
 
 Each user's tensors are built once per `GameInstance`, on first use, and
 every later call returns that one read-only copy, so the learners, the
-oracle, the references and the dynamics share them.
+oracle, the references and the dynamics share them.  So are the normalized
+tensors the learners and the dynamics read (`normalized_utility_tensors`),
+each stored with its user's own axis first.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class GameInstance:
     action_set: ActionSet
     bandwidth_hz: float
     noise_power_w: float
-    # ``sinr_tensor`` and ``utility_tensor`` built so far (see ``_shared_row``);
+    # ``sinr_tensor``, ``utility_tensor`` and ``normalized_utility_tensors``
+    # rows built so far (see ``_shared_row``);
     # ``dataclasses.replace`` gives the new game an empty one
     _tensors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -227,8 +230,20 @@ def normalize_utility(tensor: np.ndarray) -> np.ndarray:
 
 
 def normalized_utility_tensors(game: GameInstance) -> list[np.ndarray]:
-    """Every user's ``normalize_utility`` tensor."""
-    return [normalize_utility(utility_tensor(game, i)) for i in range(game.num_users)]
+    """Every user's ``normalize_utility`` tensor with the user's own axis
+    first and the other users after it in ascending order: the game's
+    shared, read-only rows of one (n, *dims) array, built on first use.
+
+    The learners and the dynamics read these rows in place.  Row i at
+    (a_i, a_-i) equals ``normalize_utility(utility_tensor(game, i))`` at
+    that profile.
+    """
+    n = game.num_users
+    return [_shared_row(game, "normalized", i, _build_normalized_tensor) for i in range(n)]
+
+
+def _build_normalized_tensor(game: GameInstance, i: int) -> np.ndarray:
+    return np.moveaxis(normalize_utility(utility_tensor(game, i)), i, 0)
 
 
 def _best_response(u_i: np.ndarray, i: int, profile: Sequence[int]) -> int:

@@ -24,9 +24,11 @@ bitwise equal to a one-replicate batch on its own game and generator, and
 to the scalar reference semantics in ``tests/reference.py``.
 
 Each user's utilities are rescaled by that user's own maximum pure-profile
-utility before learning (``game.normalize_utility``), so one default
-temperature works across users and instances (leader and follower utilities
-differ by orders of magnitude); traces report physical units.
+utility before learning, so one default temperature works across users and
+instances (leader and follower utilities differ by orders of magnitude); the
+engine reads the game's shared normalized tensors
+(``game.normalized_utility_tensors``, each user's own axis first) in place,
+and traces report physical units.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import watt_to_dbm
-from .game import GameInstance, normalize_utility, sinr_tensor, utility_tensor
+from .game import GameInstance, normalized_utility_tensors, sinr_tensor, utility_tensor
 
 RLA1 = "rla1"
 RLA2 = "rla2"
@@ -46,16 +48,6 @@ ALGORITHMS = (RLA1, RLA2, NONCOOP)
 
 # Default Boltzmann temperature as a fraction of the normalized utility scale.
 AUTO_TEMPERATURE_FRACTION = 0.05
-
-
-def boltzmann_strategy(q: np.ndarray, temperature: float) -> np.ndarray:
-    """Softmax of Q-values at the given temperature, overflow-safe."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    z = np.asarray(q, dtype=float) / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def full_expected_utility(tensor: np.ndarray, strategies) -> float:
@@ -151,10 +143,15 @@ class StackelbergLearning:
     first appearance, listed in ``games``) and stacked with a leading point
     axis: ``u_phys``, ``u_norm`` and ``sinr_tensors`` are read-only
     (P, n, *dims) arrays, and ``points[r]`` is replicate r's index into
-    them.  With one game, ``u_phys`` and ``sinr_tensors`` are views of the
-    game's shared tensors, not copies.  Every read of a game's
-    values (realized utilities, the leader target, rla2 belief blocks, trace
-    columns) gathers at the replicate's point.
+    them.  ``u_phys`` and ``sinr_tensors`` hold each user's tensor in user
+    order; ``u_norm`` holds the game's ``normalized_utility_tensors``, each
+    user's own axis first and the other users after it in ascending order.
+    With one game all three are views of the game's shared tensors, not
+    copies.  Every read of a game's values gathers at the replicate's
+    point: a realized value is one gather with per-user strides, the
+    leader target reads the row ``u_norm[p, 0, a_0]``, and an rla2
+    follower i's block (leader by other followers) is the row
+    ``u_norm[p, i, a_i]``.
 
     Agent state carries a leading replicate axis: ``q_batch`` and
     ``strategy_batch`` are (R, n, M), ``u_hat_batch`` and ``count_batch``
@@ -166,12 +163,11 @@ class StackelbergLearning:
     a copy of ``belief_batch``.
 
     Each replicate is bitwise equal to a run of the scalar reference
-    helpers in ``tests/reference.py`` with ``boltzmann_strategy`` from this
-    module: every batched product computes each row as the scalar one does,
-    a dot per follower estimate and per final expectation, and one
-    matrix-vector product per replicate over all its rows of M cells along
-    the expected-utility chains (``_expect``), where the scalar chain makes
-    one per M x M block.
+    helpers in ``tests/reference.py``: every batched product computes each
+    row as the scalar one does, a dot per follower estimate and per final
+    expectation, and one matrix-vector product per replicate over all its
+    rows of M cells along the expected-utility chains (``_expect``), where
+    the scalar chain makes one per M x M block.
     """
 
     # Uniforms drawn per replicate at once by ``run``: memory stays bounded
@@ -210,11 +206,7 @@ class StackelbergLearning:
         profiles = math.prod(dims)
         u_phys = _point_stack([[utility_tensor(game, i) for i in range(n)] for game in self.games])
         sinr = _point_stack([[sinr_tensor(game, i) for i in range(n)] for game in self.games])
-        u_norm = np.empty(u_phys.shape)
-        for p in range(len(self.games)):
-            for i in range(n):
-                u_norm[p, i] = normalize_utility(u_phys[p, i])
-        u_norm.setflags(write=False)
+        u_norm = _point_stack([normalized_utility_tensors(game) for game in self.games])
         self.u_phys, self.u_norm, self.sinr_tensors = u_phys, u_norm, sinr
         self._u_norm_flat = u_norm.reshape(-1)
         self._u_phys_flat = u_phys.reshape(-1)
@@ -223,6 +215,10 @@ class StackelbergLearning:
         # realized value is one gather at this base plus the profile offset
         self._user_base = (self.points[:, None] * n + np.arange(n)) * profiles
         self._profile_strides = np.array([math.prod(dims[i + 1 :]) for i in range(n)])
+        # [j, i]: flat stride of user j's action in user i's own-axis-first
+        # ``u_norm`` tensor, so ``actions @ _own_strides`` are the offsets
+        j, i = np.indices((n, n))
+        self._own_strides = m ** np.where(j == i, n - 1, n - 2 - j + (j > i))
         # (P, M) power of every action in dBm
         self._powers_dbm = np.array(
             [[watt_to_dbm(w) for w in game.action_set.levels_w] for game in self.games]
@@ -239,14 +235,9 @@ class StackelbergLearning:
         beliefs = m ** max(n - 2, 0)
         self.belief_batch = np.full((r, k, beliefs), 1.0 / beliefs)
         self._conjecture = algorithm == RLA2 and settings.belief_factor != 0.0 and k > 0
-        if self._conjecture:
-            # flat positions in ``u_norm`` of follower i's (leader, other
-            # followers) block at own action 0 in replicate r's game,
-            # (R, n-1, M * M^(n-2)); its own action a adds a * strides[i-1]
-            index = np.arange(profiles).reshape(dims)
-            blocks = np.array([np.moveaxis(index, i, 0)[0].ravel() for i in range(1, n)])
-            self._belief_positions = self._user_base[:, 1:, None] + blocks
-            self._belief_strides = self._profile_strides[1:]
+        # each replicate's point and each follower: with its own actions, the
+        # index of every follower's (leader, other followers) block in ``u_norm``
+        self._follower_rows = (self.points[:, None], np.arange(1, n))
         # uniforms drawn ahead by ``run``, (steps, R, n, 1), and the next one
         self._uniforms = np.empty((0, r, n, 1))
         self._next_uniform = 0
@@ -326,8 +317,7 @@ class StackelbergLearning:
         every strategy from the new Q-values."""
         y = self.strategy_batch
         m = self.num_actions
-        flat = self._user_base + (actions @ self._profile_strides)[:, None]
-        realized = self._u_norm_flat[flat]  # (R, n)
+        realized = self._u_norm_flat[self._user_base + actions @ self._own_strides]  # (R, n)
         q_cells = self._q_base + actions
 
         if self.algorithm == NONCOOP:
@@ -377,8 +367,7 @@ class StackelbergLearning:
             clipped[empty] = 1.0 / clipped.shape[-1]
             total[empty] = 1.0
         self.belief_batch = clipped / total
-        own = (actions * self._belief_strides)[..., None]
-        sub = self._u_norm_flat[self._belief_positions + own]  # (R, n-1, M * M^(n-2))
+        sub = self.u_norm[(*self._follower_rows, actions)]  # (R, n-1, M, ..., M)
         sub = sub.reshape(sub.shape[:2] + (self.num_actions, -1))
         over_leader = np.matmul(sub, self.belief_batch[..., None])  # (R, n-1, M, 1)
         y0 = self.strategy_batch[:, None, None, 0]
@@ -427,8 +416,9 @@ def _point_stack(tensors: list[list[np.ndarray]]) -> np.ndarray:
     """P games' n per-user tensors as one read-only (P, n, *dims) array.
 
     With one game whose tensors are, in order, the rows of one read-only
-    array (a game's shared ``utility_tensor`` or ``sinr_tensor``), this is
-    a view of that array; otherwise a copy."""
+    array (a game's shared ``utility_tensor``, ``sinr_tensor`` or
+    ``normalized_utility_tensors`` rows), this is a view of that array;
+    otherwise a copy."""
     rows = tensors[0]
     base = rows[0].base
     if (
@@ -448,7 +438,8 @@ def _point_stack(tensors: list[list[np.ndarray]]) -> np.ndarray:
 
 
 def _softmax_rows(q: np.ndarray, temperature: float) -> np.ndarray:
-    """``boltzmann_strategy`` along the last axis, with the same operations."""
+    """The Boltzmann strategy of each row of Q-values along the last axis at
+    ``temperature``: an overflow-safe softmax, the package's one."""
     z = q / temperature
     z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(z)

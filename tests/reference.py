@@ -26,7 +26,6 @@ from stackelearn.game import (
     utility,
     utility_tensor,
 )
-from stackelearn.learning import boltzmann_strategy
 
 
 def joint_action_space(game: GameInstance):
@@ -84,6 +83,16 @@ def follower_pure_nash(leader_action: int, game: GameInstance) -> list[tuple[int
     utilities = [utility_tensor(game, i) for i in range(game.num_users)]
     nash = _follower_nash_mask(utilities)[leader_action]
     return [tuple(int(a) for a in fol) for fol in np.argwhere(nash)]
+
+
+def boltzmann_strategy(q: np.ndarray, temperature: float) -> np.ndarray:
+    """Softmax of Q-values at the given temperature, overflow-safe."""
+    if temperature <= 0:
+        raise ValueError("temperature must be > 0")
+    z = np.asarray(q, dtype=float) / temperature
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
 
 
 def sample_action(strategy: np.ndarray, rng: np.random.Generator) -> int:
@@ -203,11 +212,17 @@ def action_expected_utilities(tensor: np.ndarray, strategies, user: int) -> np.n
     return out
 
 
+def user_order(tensors) -> list[np.ndarray]:
+    """Own-axis-first tensors (``game.normalized_utility_tensors``) as C-order
+    tensors with their axes in user order, as the one-user chains read them."""
+    return [np.ascontiguousarray(np.moveaxis(t, 0, i)) for i, t in enumerate(tensors)]
+
+
 def per_user_strategy_derivative(
     profile, utilities: list[np.ndarray], alpha: float, temperature: float
 ) -> np.ndarray:
     """``dynamics.strategy_derivative`` one user at a time, on the list of
-    per-user utility tensors."""
+    per-user utility tensors in user order."""
     if not temperature > 0:
         raise ValueError("temperature must be > 0")
     ys = _floor_profile(profile)

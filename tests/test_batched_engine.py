@@ -22,7 +22,6 @@ from stackelearn.learning import (
     StackelbergLearning,
     _chain_plan,
     _expect,
-    boltzmann_strategy,
     full_expected_utility,
 )
 
@@ -30,6 +29,7 @@ from conftest import random_game
 from reference import (
     JointEstimate,
     blocked_expected_utility,
+    boltzmann_strategy,
     conjecture_adjust,
     q_update,
     rla2_estimated_expected_utility,
@@ -166,6 +166,29 @@ def test_batch_matches_reference_bitwise(desk_game, algorithm, belief_factor, ga
         _assert_bitwise(engine, refs)
     # the replicates took different paths
     assert len({engine.strategy_batch[r].tobytes() for r in range(len(SEEDS))}) == len(SEEDS)
+
+
+@pytest.mark.parametrize("game_name", ["default", "five_femtocells"])
+def test_rla2_from_non_uniform_beliefs_matches_reference_bitwise(desk_game, game_name):
+    # beliefs that start uniform stay uniform, so a follower block read with
+    # its axes out of order would show only in the last bits of the sums;
+    # against random beliefs it changes the targets.  A small belief factor
+    # keeps every belief from being clipped back to uniform.
+    game = GAMES[game_name](desk_game)
+    settings = sl.LearnerSettings(temperature=0.08, temperature_decay=0.9995, belief_factor=0.01)
+    engine = StackelbergLearning(
+        [game] * len(SEEDS), RLA2, [np.random.default_rng(s) for s in SEEDS], settings
+    )
+    refs = [ReferenceLearner(game, RLA2, np.random.default_rng(s), settings) for s in SEEDS]
+    shape = engine.belief_batch.shape
+    beliefs = np.random.default_rng(23).dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    engine.belief_batch = beliefs.copy()
+    for ref, rows in zip(refs, beliefs):
+        ref.beliefs = [row.reshape(b.shape) for row, b in zip(rows, ref.beliefs)]
+    for _ in range(300):
+        assert engine.step().tolist() == [list(ref.step()) for ref in refs]
+    _assert_bitwise(engine, refs)
+    assert np.abs(engine.belief_batch - 1.0 / shape[-1]).max(axis=-1).min() > 1e-3
 
 
 def test_single_generator_matches_one_replicate_of_a_batch(desk_game):

@@ -18,7 +18,7 @@ from stackelearn.dynamics import (
 from stackelearn.game import normalized_utility_tensors, utility_tensor
 
 from conftest import random_game, random_simplex
-from reference import per_user_logit_residual, per_user_strategy_derivative
+from reference import per_user_logit_residual, per_user_strategy_derivative, user_order
 
 
 def _expected_action_utilities(u_i, ys, i):
@@ -67,7 +67,7 @@ def test_derivative_matches_finite_difference_oracle():
         ys = [random_simplex(rng, m) for m in g.action_dims]
         alpha, tau = 0.1, 0.05
         got = strategy_derivative(ys, FieldTensors(utilities), alpha, tau)
-        ref = _fd_derivative(ys, utilities, alpha, tau)
+        ref = _fd_derivative(ys, user_order(utilities), alpha, tau)
         for a, b in zip(got, ref):
             assert np.allclose(a, b, rtol=1e-4, atol=1e-6)
 
@@ -89,7 +89,7 @@ def test_derivative_rejects_non_positive_temperature(desk_game):
 
 
 def test_normalized_tensors_match_learner_scale(desk_game):
-    tensors = normalized_utility_tensors(desk_game)
+    tensors = user_order(normalized_utility_tensors(desk_game))
     for i, t in enumerate(tensors):
         raw = utility_tensor(desk_game, i)
         m = max(float(raw.max()), 0.0) or 1.0
@@ -189,15 +189,16 @@ def test_trajectory_bitwise_equals_per_user_field(monkeypatch):
     )
     games = [sl.build_game(five_femtocells).game, random_game(np.random.default_rng(31), 2, 5)]
     for g in games:
-        utilities = normalized_utility_tensors(g)
+        field = FieldTensors(normalized_utility_tensors(g))
+        utilities = user_order(normalized_utility_tensors(g))
         initial = np.full((g.num_users, 5), 0.2)
         args = (0.1, 0.05, 0.05, 200)
-        got = integrate_dynamics(initial, FieldTensors(utilities), *args)
+        got = integrate_dynamics(initial, field, *args)
         with monkeypatch.context() as patch:
             patch.setattr(stackelearn.dynamics, "strategy_derivative", per_user_strategy_derivative)
             want = integrate_dynamics(initial, utilities, *args)
         assert got.tobytes() == want.tobytes()
         for profile in (got[-1], got[len(got) // 2]):
-            assert logit_residual(profile, FieldTensors(utilities), 0.05) == per_user_logit_residual(
+            assert logit_residual(profile, field, 0.05) == per_user_logit_residual(
                 profile, utilities, 0.05
             )

@@ -8,10 +8,13 @@ import pytest
 import stackelearn as sl
 import stackelearn.game as game_mod
 from stackelearn import harness
+from stackelearn.dynamics import FieldTensors
 from stackelearn.game import (
     energy_efficiency,
     feasibility_adjust,
     leader_feasible,
+    normalize_utility,
+    normalized_utility_tensors,
     sinr,
     sinr_tensor,
     stackelberg_oracle,
@@ -124,8 +127,9 @@ def test_utility_tensor_matches_scalar_op(desk_game):
 
 
 def _tensor_bytes(game):
+    normalized = normalized_utility_tensors(game)
     return [
-        (sinr_tensor(game, i).tobytes(), utility_tensor(game, i).tobytes())
+        (sinr_tensor(game, i).tobytes(), utility_tensor(game, i).tobytes(), normalized[i].tobytes())
         for i in range(game.num_users)
     ]
 
@@ -159,19 +163,29 @@ def _reading_tensors(monkeypatch, module):
 
 def test_shared_tensors_are_built_once_and_read_only(monkeypatch):
     builds = []
-    real = game_mod._build_utility_tensor
 
-    def counting(game, i):
-        builds.append(i)
-        return real(game, i)
+    def counting(kind, real):
+        def build(game, i):
+            builds.append((kind, i))
+            return real(game, i)
 
-    monkeypatch.setattr(game_mod, "_build_utility_tensor", counting)
+        return build
+
+    for kind in ("utility", "normalized"):
+        name = f"_build_{kind}_tensor"
+        monkeypatch.setattr(game_mod, name, counting(kind, getattr(game_mod, name)))
     g = random_game(np.random.default_rng(5))
     first = utility_tensor(g, 1)
     again = utility_tensor(g, 1)
-    assert np.shares_memory(first, again) and builds == [1]
+    assert np.shares_memory(first, again) and builds == [("utility", 1)]
     tensors = [first, again] + [f(g, i) for f in (sinr_tensor, utility_tensor) for i in range(3)]
-    assert builds == [1, 0, 2]
+    assert builds == [("utility", i) for i in (1, 0, 2)]
+    rows = normalized_utility_tensors(g)
+    assert builds[3:] == [("normalized", i) for i in range(3)]
+    for row, later in zip(rows, normalized_utility_tensors(g)):
+        assert np.shares_memory(row, later)
+    assert len(builds) == 6
+    tensors += rows
     for tensor in tensors:
         with pytest.raises(ValueError):
             tensor[0, 0, 0] = 1.0
@@ -191,9 +205,10 @@ def test_feasibility_adjusted_game_builds_its_own_tensors(desk_game, monkeypatch
     assert checked[0] is game and checked[-1] is out.game
     relaxed = _tensor_bytes(out.game)
     assert relaxed == _tensor_bytes(_never_queried(out.game))
-    for i, ((s, u), (s0, u0)) in enumerate(zip(relaxed, _tensor_bytes(game))):
+    for i, ((s, u, un), (s0, u0, un0)) in enumerate(zip(relaxed, _tensor_bytes(game))):
         assert s == s0  # same gains and powers
-        assert (u == u0) == (i == 0)  # only the follower targets were relaxed
+        # only the follower targets were relaxed
+        assert (u == u0) == (un == un0) == (i == 0)
 
 
 def test_silenced_game_builds_its_own_tensors(monkeypatch):
@@ -213,11 +228,32 @@ def test_replaced_game_builds_its_own_tensors(desk_game):
     wider = replace(desk_game, bandwidth_hz=2 * desk_game.bandwidth_hz)
     same = replace(desk_game)
     assert _tensor_bytes(wider) == _tensor_bytes(_never_queried(wider))
-    for (s, u), (s0, u0) in zip(_tensor_bytes(wider), before):
-        assert s == s0 and u != u0
+    for (s, u, un), (s0, u0, un0) in zip(_tensor_bytes(wider), before):
+        # twice the bandwidth doubles every utility exactly, and its maximum
+        assert s == s0 and u != u0 and un == un0
     assert _tensor_bytes(same) == before
     assert not np.shares_memory(utility_tensor(same, 0), utility_tensor(desk_game, 0))
+    assert not np.shares_memory(
+        normalized_utility_tensors(same)[0], normalized_utility_tensors(desk_game)[0]
+    )
     assert _tensor_bytes(desk_game) == before
+
+
+def test_normalized_rows_are_own_axis_first_and_read_in_place(desk_game):
+    rng = np.random.default_rng(6)
+    games = [desk_game, random_game(rng, num_users=1), random_game(rng, num_users=4, num_actions=4)]
+    for g in games:
+        rows = normalized_utility_tensors(g)
+        for i, row in enumerate(rows):
+            want = np.moveaxis(normalize_utility(utility_tensor(g, i)), i, 0)
+            assert row.tobytes() == want.tobytes()
+        # the learner and the field read the rows, not copies of them
+        settings = sl.LearnerSettings()
+        engine = sl.StackelbergLearning([g], sl.RLA2, [np.random.default_rng(1)], settings)
+        field = FieldTensors(rows)
+        for i, row in enumerate(rows):
+            assert np.shares_memory(engine.u_norm[0, i], row)
+            assert np.shares_memory(field.stack[i], row)
 
 
 def test_expected_utility_degenerate_matches_pure(desk_game):

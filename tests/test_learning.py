@@ -12,7 +12,6 @@ from stackelearn.learning import (
     RLA1,
     RLA2,
     StackelbergLearning,
-    boltzmann_strategy,
     full_expected_utility,
 )
 
@@ -20,11 +19,13 @@ from conftest import random_game, random_simplex
 from reference import (
     JointEstimate,
     action_expected_utilities,
+    boltzmann_strategy,
     conjecture_adjust,
     expected_utility,
     q_update,
     rla2_estimated_expected_utility,
     sample_action,
+    user_order,
 )
 
 
@@ -184,7 +185,8 @@ def test_action_expected_utilities_matches_enumeration():
         g = random_game(rng, num_users=3, num_actions=3)
         ys = np.array([random_simplex(rng, m) for m in g.action_dims])
         tensors = [utility_tensor(g, i) for i in range(g.num_users)]
-        batched = FieldTensors(tensors).expected_utilities(ys)
+        field = FieldTensors([np.moveaxis(t, i, 0) for i, t in enumerate(tensors)])
+        batched = field.expected_utilities(ys)
         for i, t in enumerate(tensors):
             vec = action_expected_utilities(t, ys, i)
             for a in range(g.action_dims[i]):
@@ -211,11 +213,12 @@ def _tensordot_chain(tensor, strategies, user):
 
 
 def test_action_expected_utilities_bitwise_equals_tensordot_chain(desk_game):
-    """The batched field kernel, user by user, against the one-user chains.
+    """The batched field kernel on the game's own-axis-first tensors, user
+    by user, against the one-user chains on C-order user-order tensors.
 
     n = 1 has no contraction; n = 2 has only the last one, which reads a
-    transposed view; n >= 3 also reads C-order copies and the pre-swapped
-    last user.
+    transposed view; n >= 3 also has earlier ones, which read C-order
+    copies in the one-user chain.
     """
     rng = np.random.default_rng(14)
     games = [desk_game] + [
@@ -224,8 +227,8 @@ def test_action_expected_utilities_bitwise_equals_tensordot_chain(desk_game):
         for m in (3, 4, 5, 7)
     ]
     for g in games:
-        tensors = normalized_utility_tensors(g)
-        field = FieldTensors(tensors)
+        field = FieldTensors(normalized_utility_tensors(g))
+        tensors = user_order(normalized_utility_tensors(g))
         for _ in range(3):
             ys = np.array([random_simplex(rng, m) for m in g.action_dims])
             batched = field.expected_utilities(ys)
@@ -375,9 +378,11 @@ def test_engine_run_rejects_nonpositive_log_every(desk_game, log_every):
 
 def test_engine_per_user_normalization(desk_game):
     eng = _engine(desk_game, RLA1)
-    for t, tn, want in zip(eng.u_phys[0], eng.u_norm[0], normalized_utility_tensors(desk_game)):
+    rows = zip(eng.u_phys[0], eng.u_norm[0], normalized_utility_tensors(desk_game))
+    for i, (t, tn, want) in enumerate(rows):
         assert tn.tobytes() == want.tobytes()
-        assert tn.tobytes() == (t / (max(float(t.max()), 0.0) or 1.0)).tobytes()
+        # own axis first
+        assert tn.tobytes() == np.moveaxis(t / (max(float(t.max()), 0.0) or 1.0), i, 0).tobytes()
         assert float(tn.max()) == pytest.approx(1.0)
 
 
