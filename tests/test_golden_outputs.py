@@ -4,7 +4,9 @@ The commands run on the default config with 300 learning steps: ``run``,
 ``sweep`` over two leader targets with one replicate, ``sweep`` over seven
 leader targets with two replicates, ``dynamics`` for 200 steps and
 ``oracle``.  ``run``, ``oracle`` and ``dynamics`` (200 steps) also run on
-a 6-user game: 5 femtocells, 5 power levels, a -20 dB leader target.  The
+a 6-user game: 5 femtocells, 5 power levels, a -20 dB leader target.
+``dynamics`` also runs on a leader-only game (every femtocell silenced) and
+on a 2-user game (one femtocell).  The
 digests were recorded with numpy 2.4.6 on CPython 3.11 (x86-64); a refactor
 that keeps them keeps every number the package prints.  A different numpy or BLAS build may change last bits, and
 with them the digests.
@@ -30,6 +32,8 @@ COMMANDS = {
     "sweep-grid": ["sweep", "--from", "0", "--to", "30", "--points", "7", "--replicates", "2"],
     "dynamics": ["dynamics", "--steps", "200"],
     "dynamics-n5m5": ["dynamics", "--steps", "200"],
+    "dynamics-leader-only": ["dynamics", "--steps", "200"],
+    "dynamics-one": ["dynamics", "--steps", "200"],
     "oracle": ["oracle"],
     "run-n5m5": ["run"],
     "oracle-n5m5": ["oracle"],
@@ -41,8 +45,16 @@ N5M5 = {
     "users": {"action_set_dbm": [14.0, 18.0, 22.0, 26.0, 30.0], "mu_sinr_target_db": -20.0},
 }
 
-# Config entries beyond the shared ones, per command.
-CONFIGS = {"dynamics-n5m5": N5M5, "run-n5m5": N5M5, "oracle-n5m5": N5M5}
+# Config entries beyond the shared ones, per command.  A 25 dB leader target
+# silences every femtocell (n = 1, no contraction); one femtocell at a -20 dB
+# target leaves n = 2, a single contraction.
+CONFIGS = {
+    "dynamics-n5m5": N5M5,
+    "dynamics-leader-only": {"users": {"mu_sinr_target_db": 25}},
+    "dynamics-one": {"network": {"num_femtocells": 1}, "users": {"mu_sinr_target_db": -20}},
+    "run-n5m5": N5M5,
+    "oracle-n5m5": N5M5,
+}
 
 GOLDEN = {
     "run/stdout": "46793ca8f22e2e79cf263cb7cfbfc3e523564fed06367642b9ce668f7a3e83ab",
@@ -58,6 +70,10 @@ GOLDEN = {
     "dynamics/dynamics.csv": "b3f569056b7be45e2b79d2492c736497ed3d52f743c039ef1e745de8a46c6246",
     "dynamics-n5m5/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
     "dynamics-n5m5/dynamics.csv": "9ed6aa1b0ee933840948efb76494a9501bf52bc178770768ea51e2ed76295118",
+    "dynamics-leader-only/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
+    "dynamics-leader-only/dynamics.csv": "2f00eec6ab93729cbcd381cd1deed98ee53ea949f2aff3d761c0e3170aba8551",
+    "dynamics-one/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
+    "dynamics-one/dynamics.csv": "51d9ff0b9508a7415bf838e64b67fb510b7a2e3d34df309b99768c42fb74afcb",
     "oracle/stdout": "6be1000e2466312afd45cb73a8397f430e06886149bd451b06ed018b2234de16",
     "run-n5m5/stdout": "9d37daf76eb9bfe78d6656818609a0b6f59b4a3fef5ede8436c3119a9c2b59a8",
     "run-n5m5/summary.csv": "f5cf1e664407b52f0830c72b148c0a551acdc88b5c317e5e7cbd4dbec7f3f8d5",
