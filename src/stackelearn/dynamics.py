@@ -13,14 +13,15 @@ equilibria the learners settle on.  Every function takes a ``FieldTensors``:
 the per-user utility tensors on the normalized scale the learners use, read
 in place from the game's shared own-axis-first stack
 (``game.normalized_utility_tensors``), so residuals are comparable to learner
-temperatures.
+temperatures.  U_i comes from ``learning._expect``, the chain the learners'
+expected utilities come from, so the field has no contraction of its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .learning import _point_stack, _softmax_rows
+from .learning import _chain_plan, _expect, _point_stack, _softmax_rows
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
 # singularities; strategies are renormalized after flooring.
@@ -42,12 +43,9 @@ class FieldTensors:
     of shape (M,) * n, each with its user's own axis first and the other
     users after it in ascending order, and stacks them with ``_point_stack``
     into the (n, *dims) ``stack``: for a game's shared rows a view, not a
-    copy.  ``expected_utilities`` contracts every user's tensor at once,
-    last other user first, one batched ``np.matmul`` over the last axis per
-    other user, and is bitwise equal to contracting each user's user-order
-    tensor alone with ``np.tensordot``.  One rule fixes those bits: the last
-    contraction of every user i >= 1 (over user 0's axis) reads a transposed
-    view of a C-order (M, M) copy, as ``np.tensordot`` does.
+    copy.  ``expected_utilities`` contracts every user's own-axis-first
+    tensor with the other users' strategies through ``learning._expect``,
+    the package's one expected-utility chain.
     """
 
     def __init__(self, utilities):
@@ -57,24 +55,15 @@ class FieldTensors:
             raise ValueError("utilities: need one tensor of shape (M,) * n for each of n >= 1 users")
         self.num_users, self.num_actions = n, shape[0]
         self.stack = _point_stack([[np.asarray(t) for t in utilities]])[0]
-        # contraction k = n-1, ..., 2: users below k contract user k's
-        # strategy, the others user k-1's; the last one (k = 1) is done apart
-        self._columns = [
-            np.array([k] * k + [k - 1] * (n - k)) for k in range(n - 1, 1, -1)
-        ]
+        # row i: the users other than i, in ascending order
+        self._others = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
+        self._plan = _chain_plan((n,), (shape[0],), range(n - 1), shape[0])
 
     def expected_utilities(self, profile: np.ndarray) -> np.ndarray:
         """U_i(a, Y_-i) for every user i and action a at an (n, M) profile:
-        the (n, M) expected utilities against the other users' strategies."""
-        n, m = self.num_users, self.num_actions
-        out = self.stack.reshape(n, -1, m)
-        for columns in self._columns:
-            out = np.matmul(out, profile[columns][:, :, None]).reshape(n, -1, m)
-        if n == 1:
-            return out.reshape(1, m).copy()
-        # each user's own axis by user 0's axis (user 1's for user 0)
-        last = np.ascontiguousarray(out[1:].swapaxes(-1, -2)).swapaxes(-1, -2)
-        return np.concatenate(([np.matmul(out[0], profile[1])], np.matmul(last, profile[0])))
+        the (n, M) expected utilities against the other users' strategies,
+        a new array."""
+        return _expect(self.stack, profile[self._others], self._plan)
 
 
 def _floor_profile(profile) -> np.ndarray:
@@ -123,7 +112,7 @@ def integrate_dynamics(
     with the offending step index; numpy's floating-point warnings on the way
     there are silenced, since the check reports the step.
     """
-    if step_size <= 0:
+    if not step_size > 0:
         raise ValueError("step_size must be > 0")
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
@@ -152,7 +141,7 @@ def stationarity_check(
     profile, tensors: FieldTensors, alpha: float, temperature: float, tolerance: float
 ) -> tuple[bool, float]:
     """Max-norm of the field at a profile and whether it is below tolerance."""
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
     derivs = strategy_derivative(profile, tensors, alpha, temperature)
     residual = float(np.max(np.abs(derivs)))
@@ -168,7 +157,7 @@ def logit_residual(profile, tensors: FieldTensors, temperature: float) -> float:
     max-norm carries a factor y and so reads ~0 at every vertex, it stays
     large at a vertex that is not a smoothed best response.
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be > 0")
     ys = np.asarray(profile, dtype=float)
     logits = _softmax_rows(tensors.expected_utilities(ys), temperature)

@@ -75,12 +75,16 @@ def _chain_plan(batch: tuple, rows: tuple, users: range, m: int) -> list[tuple]:
 
 def _expect(out: np.ndarray, y: np.ndarray, plan: list[tuple]) -> np.ndarray:
     """Contract the user axes of ``out`` with the strategies ``y`` along
-    ``plan``, last user first, into a (*batch, *rows) array: one
+    ``plan``, last user first, into a new (*batch, *rows) array: one
     matrix-vector product per batch element over all its C-order rows of M
-    cells, then one dot per row."""
+    cells, then one dot per row.  Every value has the bits of
+    ``blocked_expected_utility`` in ``tests/reference.py``.  It is the
+    package's one expected-utility chain: the learners' leader targets,
+    the traces, ``full_expected_utility`` and the strategy field
+    (``dynamics.FieldTensors``) all contract through it."""
     for shape, col in plan:
         out = np.matmul(out.reshape(shape), y[col])
-    return out[..., 0, 0] if plan else out
+    return out[..., 0, 0] if plan else out.copy()
 
 
 @dataclass

@@ -5,15 +5,13 @@ Nothing in the package calls these; the tests check the game tensors, the
 oracle, the lockstep engine and the dynamics against them.  The game helpers
 enumerate the joint action grid one profile at a time, the learning helpers
 advance one user of one replicate at a time (the expected-utility chain one
-M x M block at a time), and the field helpers contract one user's tensor at
-a time.
+M x M block at a time), and the field helpers run that blocked chain one
+user and one action at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -174,61 +172,33 @@ def rla2_estimated_expected_utility(
     return float(leader_strategy @ over_leader)
 
 
-@functools.lru_cache(maxsize=64)
-def _contraction_plan(shape: tuple[int, ...], user: int) -> tuple:
-    """``np.tensordot``'s own steps for contracting every axis of a tensor of
-    ``shape`` but ``user``'s, one ``(perm, rows, m, rest, j)`` per other user j.
-
-    Trailing axes go first so earlier axis numbers stay valid: user j's axis
-    is axis j below ``user`` and the last axis above it.  ``perm`` moves that
-    axis last (None when it already is).
-    """
-    plan = []
-    for j in range(len(shape) - 1, -1, -1):
-        if j == user:
-            continue
-        last = len(shape) - 1
-        axis = j if j < user else last
-        rest = shape[:axis] + shape[axis + 1 :]
-        perm = None if axis == last else tuple(k for k in range(last + 1) if k != axis) + (axis,)
-        plan.append((perm, math.prod(rest), shape[axis], rest, j))
-        shape = rest
-    return tuple(plan)
-
-
-def action_expected_utilities(tensor: np.ndarray, strategies, user: int) -> np.ndarray:
-    """U_i(a, Y_{-i}) for every action a of ``user``: the expected value of
-    ``tensor`` over everyone's strategies except the user's own.
-
-    Each contraction is the transpose, reshape and ``np.dot`` that
-    ``np.tensordot`` performs, so the result is bitwise equal to a
-    ``tensordot`` chain without its per-call argument handling.
-    """
-    out = tensor
-    for perm, rows, m, rest, j in _contraction_plan(tensor.shape, user):
-        if perm is not None:
-            out = out.transpose(perm)
-        out = np.dot(out.reshape(rows, m), strategies[j].reshape(m, 1)).reshape(rest)
-    return out
+def blocked_action_utilities(row: np.ndarray, ys: np.ndarray, user: int) -> np.ndarray:
+    """U_i(a, Y_{-i}) for every action a of ``user``, from the user's
+    own-axis-first tensor ``row`` (a ``game.normalized_utility_tensors``
+    row): one ``blocked_expected_utility`` of ``row[a]`` against the other
+    users' strategies, in ascending user order, per action."""
+    others = [y for j, y in enumerate(ys) if j != user]
+    return np.array([blocked_expected_utility(block, others) for block in row])
 
 
 def user_order(tensors) -> list[np.ndarray]:
     """Own-axis-first tensors (``game.normalized_utility_tensors``) as C-order
-    tensors with their axes in user order, as the one-user chains read them."""
+    tensors with their axes in user order, as the enumeration oracles index
+    them."""
     return [np.ascontiguousarray(np.moveaxis(t, 0, i)) for i, t in enumerate(tensors)]
 
 
 def per_user_strategy_derivative(
-    profile, utilities: list[np.ndarray], alpha: float, temperature: float
+    profile, rows: list[np.ndarray], alpha: float, temperature: float
 ) -> np.ndarray:
     """``dynamics.strategy_derivative`` one user at a time, on the list of
-    per-user utility tensors in user order."""
+    own-axis-first per-user utility tensors."""
     if not temperature > 0:
         raise ValueError("temperature must be > 0")
     ys = _floor_profile(profile)
     derivs = np.empty_like(ys)
     for i, y in enumerate(ys):
-        u_actions = action_expected_utilities(utilities[i], ys, i)
+        u_actions = blocked_action_utilities(rows[i], ys, i)
         mean_u = float(y @ u_actions)
         log_y = np.log(y)
         entropy_term = log_y - float(y @ log_y)
@@ -236,11 +206,12 @@ def per_user_strategy_derivative(
     return derivs
 
 
-def per_user_logit_residual(profile, utilities: list[np.ndarray], temperature: float) -> float:
-    """``dynamics.logit_residual`` one user at a time."""
+def per_user_logit_residual(profile, rows: list[np.ndarray], temperature: float) -> float:
+    """``dynamics.logit_residual`` one user at a time, on own-axis-first
+    tensors."""
     ys = np.asarray(profile, dtype=float)
     logits = [
-        boltzmann_strategy(action_expected_utilities(u_i, ys, i), temperature)
-        for i, u_i in enumerate(utilities)
+        boltzmann_strategy(blocked_action_utilities(row, ys, i), temperature)
+        for i, row in enumerate(rows)
     ]
     return float(np.abs(ys - logits).sum(axis=-1).max())

@@ -84,8 +84,12 @@ def test_derivative_is_tangent_to_simplex():
 
 def test_derivative_rejects_non_positive_temperature(desk_game):
     ys = [np.full(m, 1.0 / m) for m in desk_game.action_dims]
-    with pytest.raises(ValueError):
-        strategy_derivative(ys, FieldTensors(normalized_utility_tensors(desk_game)), 0.1, -1.0)
+    field = FieldTensors(normalized_utility_tensors(desk_game))
+    for tau in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="temperature"):
+            strategy_derivative(ys, field, 0.1, tau)
+        with pytest.raises(ValueError, match="temperature"):
+            logit_residual(np.array(ys), field, tau)
 
 
 def test_normalized_tensors_match_learner_scale(desk_game):
@@ -105,8 +109,9 @@ def test_integrate_returns_full_trajectory(desk_game):
     assert traj.shape == (51, desk_game.num_users, len(desk_game.action_set))
     assert np.all(traj >= PROB_FLOOR / 2)
     assert np.all(np.abs(traj.sum(axis=-1) - 1.0) < 1e-9)
-    with pytest.raises(ValueError):
-        integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.0, num_steps=50)
+    for h in (0.0, -0.05, float("nan")):
+        with pytest.raises(ValueError, match="step_size"):
+            integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=h, num_steps=50)
     for steps in (0, -3):
         with pytest.raises(ValueError, match="num_steps"):
             integrate_dynamics(initial, utilities, 0.1, 0.05, step_size=0.01, num_steps=steps)
@@ -130,8 +135,9 @@ def test_stationarity_check_tolerances(desk_game):
     assert ok_loose
     ok_tight, res2 = stationarity_check(ys, utilities, 0.1, 0.05, tolerance=min(res, 1e-300))
     assert res2 == res
-    with pytest.raises(ValueError):
-        stationarity_check(ys, utilities, 0.1, 0.05, tolerance=0.0)
+    for tolerance in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance"):
+            stationarity_check(ys, utilities, 0.1, 0.05, tolerance=tolerance)
 
 
 def test_total_variation_reference_points():
@@ -180,7 +186,8 @@ def test_field_tensors_reject_ragged_or_missing_tensors(desk_game):
 
 def test_trajectory_bitwise_equals_per_user_field(monkeypatch):
     """RK4 on the batched field is byte for byte RK4 on the one-user-at-a-time
-    reference field, on 5 femtocells x 5 levels and on a 2-user game."""
+    reference field (the blocked chain per action on the own-axis-first
+    rows), on 5 femtocells x 5 levels and on a 2-user game."""
     five_femtocells = sl.parse_config(
         {
             "network": {"num_femtocells": 5},
@@ -189,16 +196,16 @@ def test_trajectory_bitwise_equals_per_user_field(monkeypatch):
     )
     games = [sl.build_game(five_femtocells).game, random_game(np.random.default_rng(31), 2, 5)]
     for g in games:
-        field = FieldTensors(normalized_utility_tensors(g))
-        utilities = user_order(normalized_utility_tensors(g))
+        rows = normalized_utility_tensors(g)
+        field = FieldTensors(rows)
         initial = np.full((g.num_users, 5), 0.2)
         args = (0.1, 0.05, 0.05, 200)
         got = integrate_dynamics(initial, field, *args)
         with monkeypatch.context() as patch:
             patch.setattr(stackelearn.dynamics, "strategy_derivative", per_user_strategy_derivative)
-            want = integrate_dynamics(initial, utilities, *args)
+            want = integrate_dynamics(initial, rows, *args)
         assert got.tobytes() == want.tobytes()
         for profile in (got[-1], got[len(got) // 2]):
             assert logit_residual(profile, field, 0.05) == per_user_logit_residual(
-                profile, utilities, 0.05
+                profile, rows, 0.05
             )

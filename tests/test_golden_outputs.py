@@ -67,13 +67,13 @@ GOLDEN = {
     "sweep-grid/stdout": "353531b06aa2331d6bfe3e8e858680667775dcd3610b548a9edbb95875b003fd",
     "sweep-grid/sweep_gamma0.csv": "9573cfd2c7efac2d705838d7461be9c4530f8e9a9f2d8d48b3dba5ae1419de1b",
     "dynamics/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
-    "dynamics/dynamics.csv": "b3f569056b7be45e2b79d2492c736497ed3d52f743c039ef1e745de8a46c6246",
+    "dynamics/dynamics.csv": "be07ebdac2a14879b85cee4ffdb8a2855df6f0a0afdc117e9a0acb2447b7d9b2",
     "dynamics-n5m5/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
-    "dynamics-n5m5/dynamics.csv": "9ed6aa1b0ee933840948efb76494a9501bf52bc178770768ea51e2ed76295118",
+    "dynamics-n5m5/dynamics.csv": "97f9e37a089ab1bacf2d953af5e313a78fa7950c63a875eb38600e53fdf90a7a",
     "dynamics-leader-only/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
     "dynamics-leader-only/dynamics.csv": "2f00eec6ab93729cbcd381cd1deed98ee53ea949f2aff3d761c0e3170aba8551",
     "dynamics-one/stdout": "4a47a0e8d216f81059e1d9352e9c3f97e652fde4bc1262adc926fa3b217285a2",
-    "dynamics-one/dynamics.csv": "51d9ff0b9508a7415bf838e64b67fb510b7a2e3d34df309b99768c42fb74afcb",
+    "dynamics-one/dynamics.csv": "d2d62ee9144f3876a35344f8c3f2b2fbb711d426e4f77e9a684d89a5cf3d8c29",
     "oracle/stdout": "6be1000e2466312afd45cb73a8397f430e06886149bd451b06ed018b2234de16",
     "run-n5m5/stdout": "9d37daf76eb9bfe78d6656818609a0b6f59b4a3fef5ede8436c3119a9c2b59a8",
     "run-n5m5/summary.csv": "f5cf1e664407b52f0830c72b148c0a551acdc88b5c317e5e7cbd4dbec7f3f8d5",

@@ -5,7 +5,7 @@ import pytest
 
 import stackelearn as sl
 from stackelearn.config import LearningConfig
-from stackelearn.dynamics import FieldTensors
+from stackelearn.dynamics import FieldTensors, logit_residual, strategy_derivative
 from stackelearn.game import normalized_utility_tensors, utility_tensor
 from stackelearn.learning import (
     NONCOOP,
@@ -18,14 +18,15 @@ from stackelearn.learning import (
 from conftest import random_game, random_simplex
 from reference import (
     JointEstimate,
-    action_expected_utilities,
+    blocked_action_utilities,
     boltzmann_strategy,
     conjecture_adjust,
     expected_utility,
+    per_user_logit_residual,
+    per_user_strategy_derivative,
     q_update,
     rla2_estimated_expected_utility,
     sample_action,
-    user_order,
 )
 
 
@@ -188,57 +189,50 @@ def test_action_expected_utilities_matches_enumeration():
         field = FieldTensors([np.moveaxis(t, i, 0) for i, t in enumerate(tensors)])
         batched = field.expected_utilities(ys)
         for i, t in enumerate(tensors):
-            vec = action_expected_utilities(t, ys, i)
             for a in range(g.action_dims[i]):
                 pure = [y.copy() for y in ys]
                 pure[i] = np.zeros(g.action_dims[i])
                 pure[i][a] = 1.0
                 want = expected_utility(i, pure, g)
-                assert vec[a] == pytest.approx(want, rel=1e-10, abs=1e-9)
                 assert batched[i, a] == pytest.approx(want, rel=1e-10, abs=1e-9)
             # full expectation consistency
             assert full_expected_utility(t, ys) == pytest.approx(
-                float(ys[i] @ vec), rel=1e-10, abs=1e-9
+                float(ys[i] @ batched[i]), rel=1e-10, abs=1e-9
             )
 
 
-def _tensordot_chain(tensor, strategies, user):
-    """The np.tensordot chain that action_expected_utilities replays step by step."""
-    out = tensor
-    for j in range(len(strategies) - 1, -1, -1):
-        if j == user:
-            continue
-        out = np.tensordot(out, strategies[j], axes=([j if j < user else out.ndim - 1], [0]))
-    return out
+def test_action_expected_utilities_bitwise_equals_blocked_reference(desk_game):
+    """The batched field on the game's own-axis-first tensors, user by user,
+    against the blocked one-action chains of ``tests/reference.py``, and the
+    derivative and logit residual built on it against their per-user
+    references.
 
-
-def test_action_expected_utilities_bitwise_equals_tensordot_chain(desk_game):
-    """The batched field kernel on the game's own-axis-first tensors, user
-    by user, against the one-user chains on C-order user-order tensors.
-
-    n = 1 has no contraction; n = 2 has only the last one, which reads a
-    transposed view; n >= 3 also has earlier ones, which read C-order
-    copies in the one-user chain.
+    n = 1 has no contraction and n = 2 only the last one, a dot per row;
+    n >= 3 also has flat-row matrix-vector products.  Every game up to
+    about 200k profiles is checked; that leaves out 6^7 and 7^7.
     """
     rng = np.random.default_rng(14)
     games = [desk_game] + [
         random_game(rng, num_users=n, num_actions=m)
-        for n in (1, 2, 3, 4, 6)
-        for m in (3, 4, 5, 7)
+        for n in range(1, 8)
+        for m in range(2, 8)
+        if m**n <= 200_000
     ]
     for g in games:
-        field = FieldTensors(normalized_utility_tensors(g))
-        tensors = user_order(normalized_utility_tensors(g))
+        rows = normalized_utility_tensors(g)
+        field = FieldTensors(rows)
         for _ in range(3):
             ys = np.array([random_simplex(rng, m) for m in g.action_dims])
             batched = field.expected_utilities(ys)
             assert batched.shape == (g.num_users, len(g.action_set))
-            for i, t in enumerate(tensors):
-                chain = action_expected_utilities(t, ys, i)
-                want = _tensordot_chain(t, ys, i)
-                assert chain.shape == want.shape == (g.action_dims[i],)
-                assert chain.tobytes() == want.tobytes(), (g.action_dims, i)
+            assert not np.shares_memory(batched, field.stack)
+            for i, row in enumerate(rows):
+                want = blocked_action_utilities(row, ys, i)
+                assert want.shape == (g.action_dims[i],)
                 assert batched[i].tobytes() == want.tobytes(), (g.action_dims, i)
+            derivs = strategy_derivative(ys, field, 0.1, 0.05)
+            assert derivs.tobytes() == per_user_strategy_derivative(ys, rows, 0.1, 0.05).tobytes()
+            assert logit_residual(ys, field, 0.05) == per_user_logit_residual(ys, rows, 0.05)
 
 
 def test_rla2_estimate_matches_enumeration():
