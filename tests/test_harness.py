@@ -571,6 +571,28 @@ def test_cli_missing_config_io_exit_code(tmp_path, capsys):
     assert cli_main(["run", "--config", missing]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, first_csv",
+    [
+        (["run"], "trace_rla1.csv"),
+        (["sweep", "--from", "0", "--to", "10", "--points", "2", "--replicates", "1"],
+         "sweep_gamma0.csv"),
+        (["dynamics", "--steps", "5"], "dynamics.csv"),
+    ],
+    ids=["run", "sweep", "dynamics"],
+)
+def test_cli_unwritable_output_io_exit_code(tmp_path, capsys, argv, first_csv):
+    # --out names an existing regular file, so no CSV can be written under it
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    cfg = _write_cfg(tmp_path, learning={"num_steps": 10})
+    assert cli_main(argv + ["--config", cfg, "--out", str(blocker)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"I/O error: failed writing {blocker / first_csv}: "
+    )
+    assert blocker.read_text() == "kept"
+
+
 def test_cli_infeasible_exit_code(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path,
