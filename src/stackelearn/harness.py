@@ -293,88 +293,84 @@ def compare_summary(result: ExperimentResult) -> list[dict]:
     return rows
 
 
-def emit_trace_csv(trace: Trace, algo: str, path: str, user_ids) -> None:
-    """Trace CSV, step-major / user-minor, one header row, full precision.
+# Rows formatted and written at a time, so a CSV's text in memory is one
+# block's however long the file.
+_BLOCK_ROWS = 4096
 
-    Each column is formatted in one pass over its distinct values (bit
-    patterns, so ``-0.0`` keeps its sign)."""
+
+def emit_trace_csv(trace: Trace, algo: str, path: str, user_ids) -> None:
+    """Trace CSV, step-major / user-minor, one header row, full precision:
+    each kept step's sampled and expected values, then its strategy."""
     kept, n, num_actions = trace.strategies.shape
     header = "step,user,algo,action_idx,power_dbm,sinr_lin,utility,expected_utility"
     header += "".join(f",y_{j}" for j in range(num_actions))
-
-    def cells(column) -> list[str]:
-        flat = np.ascontiguousarray(column).reshape(-1)
-        values, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
-        text = list(map(str, values.view(flat.dtype).tolist()))
-        return [text[i] for i in inverse.tolist()]
-
-    columns = [
-        cells(np.repeat(trace.steps, n)),
-        [str(u) for u in user_ids[:n]] * kept,
-        [algo] * (kept * n),
-        cells(trace.actions),
-        cells(trace.powers_dbm),
-        cells(trace.sinr_lin),
-        cells(trace.utilities),
-        cells(trace.expected_utilities),
-    ]
-    columns += [cells(trace.strategies[:, :, j]) for j in range(num_actions)]
-    _write_lines(path, [header] + list(map(",".join, zip(*columns))))
+    columns = [np.repeat(trace.steps, n), np.tile(user_ids[:n], kept), [algo] * (kept * n)]
+    columns += [trace.actions, trace.powers_dbm, trace.sinr_lin, trace.utilities]
+    columns += [trace.expected_utilities, *np.moveaxis(trace.strategies, 2, 0)]
+    _write_csv(path, header, columns)
 
 
 def emit_sweep_csv(results: list[SweepResult], path: str) -> None:
-    lines = ["gamma0_db,algo,fu_index,expected_sinr_lin,expected_sinr_db,active,unresolved"]
-    for res in results:
-        for k, lin in enumerate(res.fu_expected_sinr_lin):
-            db = 10.0 * math.log10(lin) if lin > 0 else -math.inf
-            lines.append(
-                ",".join(
-                    [
-                        str(res.gamma0_db),
-                        res.algo,
-                        str(k + 1),
-                        str(float(lin)),
-                        str(db),
-                        str(int(res.active[k])),
-                        str(int(res.unresolved)),
-                    ]
-                )
-            )
-    _write_lines(path, lines)
+    """Sweep CSV, one row per (point, scheme, femtocell) in ``results``
+    order: a silenced femtocell reads 0 and ``-inf`` dB, and ``unresolved``
+    flags a point infeasible with every femtocell silenced."""
+    rows = [(res, k) for res in results for k in range(len(res.fu_expected_sinr_lin))]
+    lin = [float(res.fu_expected_sinr_lin[k]) for res, k in rows]
+    columns = [
+        np.array([res.gamma0_db for res, _ in rows], dtype=float),
+        [res.algo for res, _ in rows],
+        np.array([k + 1 for _, k in rows], dtype=int),
+        np.array(lin, dtype=float),
+        np.array([10.0 * math.log10(x) if x > 0 else -math.inf for x in lin], dtype=float),
+        np.array([res.active[k] for res, k in rows], dtype=int),
+        np.array([res.unresolved for res, _ in rows], dtype=int),
+    ]
+    header = "gamma0_db,algo,fu_index,expected_sinr_lin,expected_sinr_db,active,unresolved"
+    _write_csv(path, header, columns)
 
 
 def emit_summary_csv(rows: list[dict], path: str) -> None:
-    header = [
-        "algo",
-        "user",
-        "terminal_expected_utility",
-        "reference_utility",
-        "ratio_to_reference",
-        "steps_to_10pct",
-    ]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[k]) for k in header))
-    _write_lines(path, lines)
+    """Summary CSV of ``compare_summary`` rows, each cell ``str`` of its value."""
+    keys = ("algo", "user", "terminal_expected_utility", "reference_utility")
+    keys += ("ratio_to_reference", "steps_to_10pct")
+    _write_csv(path, ",".join(keys), [[str(row[key]) for row in rows] for key in keys])
 
 
 def emit_dynamics_csv(trajectory: np.ndarray, step_size: float, path: str, user_ids) -> None:
-    """Dynamics CSV of a (steps+1, n, M) trajectory, step-major / user-minor."""
-    num_actions = trajectory.shape[-1]
-    lines = ["step,time,user" + "".join(f",y_{j}" for j in range(num_actions))]
-    for t, profile in enumerate(trajectory.tolist()):
-        head = f"{t},{t * step_size},"
-        for uid, y in zip(user_ids, profile):
-            lines.append(head + ",".join([str(uid)] + list(map(str, y))))
-    _write_lines(path, lines)
+    """Dynamics CSV of a (steps+1, n, M) trajectory, step-major / user-minor;
+    step t is at time ``t * step_size``."""
+    count, n, num_actions = trajectory.shape
+    steps = np.arange(count)
+    columns = [np.repeat(steps, n), np.repeat(steps * step_size, n), np.tile(user_ids[:n], count)]
+    header = "step,time,user" + "".join(f",y_{j}" for j in range(num_actions))
+    _write_csv(path, header, columns + list(np.moveaxis(trajectory, 2, 0)))
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_csv(path: str, header: str, columns: list) -> None:
+    """Write ``header``, then one row per entry of the equal-length columns,
+    creating the directory.  A column is an array, read flat in C order, or
+    a list of ready-made cells.  Rows go out ``_BLOCK_ROWS`` at a time, and
+    an array column's distinct bit patterns are formatted with ``str`` once
+    per block, so ``-0.0``, ``nan`` and ``-inf`` keep their text.  An
+    ``OSError`` is raised again as ``failed writing <path>``."""
+    columns = [np.ravel(c) if isinstance(c, np.ndarray) else c for c in columns]
     try:
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "\n")
+            for start in range(0, len(columns[0]), _BLOCK_ROWS):
+                block = [_cells(c[start : start + _BLOCK_ROWS]) for c in columns]
+                fh.writelines(",".join(row) + "\n" for row in zip(*block))
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
+
+
+def _cells(column) -> list[str]:
+    """A list of cells as it is, or ``str`` of each entry of a flat array."""
+    if not isinstance(column, np.ndarray):
+        return column
+    values, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    text = list(map(str, values.view(column.dtype).tolist()))
+    return [text[i] for i in inverse.tolist()]

@@ -352,6 +352,22 @@ def test_trace_csv_shape(small_result, tmp_path):
     assert sum(y) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 4096])
+def test_csv_writer_rows_do_not_depend_on_the_block_size(tmp_path, monkeypatch, block_rows):
+    # signed zeros, nan and infinities repeat across block edges; a strided
+    # 2-D column is read in C order; list columns are written as they are
+    monkeypatch.setattr(harness, "_BLOCK_ROWS", block_rows)
+    floats = np.array([0.5, -0.0, np.nan, -np.inf, 0.0, -0.0, 1e-300, np.inf, 0.5, np.nan])
+    ints = np.arange(20).reshape(5, 4)[:, 1:3]
+    cells = list("abcdeabcde")
+    path = tmp_path / "block.csv"
+    harness._write_csv(str(path), "f,i,c", [floats, ints, cells])
+    rows = zip(floats.tolist(), ints.reshape(-1).tolist(), cells)
+    assert path.read_text() == "f,i,c\n" + "".join(f"{f},{i},{c}\n" for f, i, c in rows)
+    harness._write_csv(str(path), "f,i,c", [floats[:0], ints[:0], []])
+    assert path.read_text() == "f,i,c\n"
+
+
 def test_sweep_results_and_csv(small_cfg, tmp_path):
     results = sweep_gamma0(small_cfg, algorithms=(sl.RLA1,))
     grid = small_cfg.sweep.gamma0_grid_db
