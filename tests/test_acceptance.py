@@ -56,16 +56,18 @@ def game(cfg):
     return prepared.game
 
 
-def _terminal_leader_eu(engine):
-    return full_expected_utility(engine.u_phys[0, 0], engine.strategies[0])
-
-
-def _run(game, algo, replicate):
+def _run(game, algo):
+    """Terminal (NUM_SEEDS, n, M) strategies of one engine over NUM_SEEDS
+    replicates of ``game``.  Replicate r draws from ``learning_rng(44, algo,
+    r)`` and is bitwise equal to a one-replicate engine on that stream."""
     engine = StackelbergLearning(
-        [game], algo, [learning_rng(44, algo, replicate=replicate)], LearnerSettings(alpha=ALPHA)
+        [game] * NUM_SEEDS,
+        algo,
+        [learning_rng(44, algo, replicate=r) for r in range(NUM_SEEDS)],
+        LearnerSettings(alpha=ALPHA),
     )
     engine.run(NUM_STEPS, log_every=NUM_STEPS)
-    return engine
+    return engine.strategies
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +158,8 @@ def test_criterion_2_leader_convergence(game):
     target = se.utilities[0]
     hits = 0
     ratios = []
-    for r in range(NUM_SEEDS):
-        engine = _run(game, RLA1, r)
-        terminal = _terminal_leader_eu(engine)
+    for strategies in _run(game, RLA1):
+        terminal = full_expected_utility(utility_tensor(game, 0), strategies)
         ratios.append(terminal / target)
         if abs(terminal - target) <= 0.10 * target:
             hits += 1
@@ -181,11 +182,12 @@ def test_criterion_3_scheme_ordering(game):
     n = game.num_users
     u_phys = [utility_tensor(game, i) for i in range(n)]
     wins = [0] * n
+    terminal = {algo: _run(game, algo) for algo in (RLA1, RLA2, NONCOOP)}
     for r in range(NUM_SEEDS):
-        eu = {}
-        for algo in (RLA1, RLA2, NONCOOP):
-            engine = _run(game, algo, r)
-            eu[algo] = [full_expected_utility(u_phys[i], engine.strategies[0]) for i in range(n)]
+        eu = {
+            algo: [full_expected_utility(u_phys[i], strategies[r]) for i in range(n)]
+            for algo, strategies in terminal.items()
+        }
         for i in range(n):
             scale = max(abs(eu[RLA2][i]), abs(eu[RLA1][i]), abs(eu[NONCOOP][i]), 1e-300)
             ok_21 = eu[RLA2][i] >= eu[RLA1][i] - ORDER_TIE_REL * scale
