@@ -331,9 +331,8 @@ def emit_sweep_csv(results: list[SweepResult], path: str) -> None:
 
 def emit_summary_csv(rows: list[dict], path: str) -> None:
     """Summary CSV of ``compare_summary`` rows, each cell ``str`` of its value."""
-    keys = ("algo", "user", "terminal_expected_utility", "reference_utility")
-    keys += ("ratio_to_reference", "steps_to_10pct")
-    _write_csv(path, ",".join(keys), [[str(row[key]) for row in rows] for key in keys])
+    header = "algo,user,terminal_expected_utility,reference_utility,ratio_to_reference,steps_to_10pct"
+    _write_csv(path, header, [[str(row[key]) for row in rows] for key in header.split(",")])
 
 
 def emit_dynamics_csv(trajectory: np.ndarray, step_size: float, path: str, user_ids) -> None:
