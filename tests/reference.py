@@ -5,8 +5,9 @@ Nothing in the package calls these; the tests check the game tensors, the
 oracle, the lockstep engine and the dynamics against them.  The game helpers
 enumerate the joint action grid one profile at a time, the learning helpers
 advance one user of one replicate at a time (the expected-utility chain one
-M x M block at a time), and the field helpers run that blocked chain one
-user and one action at a time.
+M x M block at a time) and ``ReferenceLearner`` chains them into one run,
+and the field helpers run that blocked chain one user and one action at a
+time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from stackelearn.game import (
     utility,
     utility_tensor,
 )
+from stackelearn.learning import NONCOOP, RLA2
 
 
 def joint_action_space(game: GameInstance):
@@ -170,6 +172,65 @@ def rla2_estimated_expected_utility(
     else:
         over_leader = sub * belief
     return float(leader_strategy @ over_leader)
+
+
+class ReferenceLearner:
+    """One sequential run built from the scalar helpers."""
+
+    def __init__(self, game, algorithm, rng, settings):
+        self.algorithm = algorithm
+        self.rng = rng
+        self.settings = settings
+        self.dims = game.action_dims
+        n = game.num_users
+        self.u_phys = [utility_tensor(game, i) for i in range(n)]
+        self.u_norm = [t / (max(float(t.max()), 0.0) or 1.0) for t in self.u_phys]
+        self.tau = settings.temperature
+        self.q = [np.zeros(m) for m in self.dims]
+        self.y = [boltzmann_strategy(q, self.tau) for q in self.q]
+        self.prev_y = [y.copy() for y in self.y]
+        self.estimates = [JointEstimate(self.dims[i], self.dims[0]) for i in range(1, n)]
+        self.beliefs = []
+        for i in range(1, n):
+            shape = tuple(m for j, m in enumerate(self.dims) if j not in (0, i))
+            self.beliefs.append(np.full(shape, 1.0 / max(1, int(np.prod(shape)))))
+
+    def expected_utilities(self):
+        return tuple(blocked_expected_utility(t, self.y) for t in self.u_phys)
+
+    def step(self):
+        n = len(self.dims)
+        alpha = self.settings.alpha
+        y = self.y
+        actions = tuple(sample_action(y[i], self.rng) for i in range(n))
+        realized = [float(self.u_norm[i][actions]) for i in range(n)]
+        if self.algorithm == NONCOOP:
+            for i in range(n):
+                self.q[i] = q_update(self.q[i], actions[i], realized[i], alpha)
+        else:
+            target = blocked_expected_utility(self.u_norm[0][actions[0]], y[1:])
+            self.q[0] = q_update(self.q[0], actions[0], target, alpha)
+            for i in range(1, n):
+                est = self.estimates[i - 1]
+                est.update(actions[i], actions[0], realized[i])
+                delta = self.settings.belief_factor
+                if self.algorithm == RLA2 and delta != 0.0:
+                    self.beliefs[i - 1] = conjecture_adjust(
+                        self.beliefs[i - 1],
+                        delta,
+                        float(y[i][actions[i]]),
+                        float(self.prev_y[i][actions[i]]),
+                    )
+                    target = rla2_estimated_expected_utility(
+                        actions[i], i, y[0], self.beliefs[i - 1], self.u_norm[i]
+                    )
+                else:
+                    target = est.estimate(actions[i], y[0])
+                self.q[i] = q_update(self.q[i], actions[i], target, alpha)
+        self.prev_y = y
+        self.tau *= self.settings.temperature_decay
+        self.y = [boltzmann_strategy(q, self.tau) for q in self.q]
+        return actions
 
 
 def blocked_action_utilities(row: np.ndarray, ys: np.ndarray, user: int) -> np.ndarray:
