@@ -13,11 +13,12 @@ semantics: `sinr_tensor` and `utility_tensor` broadcast the same operations
 over the joint action grid, and the oracle and iterated best response read
 those tensors (the tests' scalar enumerations are in `tests/reference.py`).
 
-Each user's tensors are built once per `GameInstance`, on first use, and
-every later call returns that one read-only copy, so the learners, the
-oracle, the references and the dynamics share them.  So are the normalized
-tensors the learners and the dynamics read (`normalized_utility_tensors`),
-each stored with its user's own axis first.
+Each kind of tensor is built once per `GameInstance`, for every user at
+once, on the first use of any user's tensor, and every later call returns
+a row of that one read-only array, so the learners, the oracle, the
+references and the dynamics share them.  So are the normalized tensors the
+learners and the dynamics read (`normalized_utility_tensors`), each stored
+with its user's own axis first.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import numpy as np
 
 from .channel import dbm_to_watt
 
+# Gauss-Seidel sweeps after which ``iterated_best_response`` gives up.
+MAX_SWEEPS = 1000
 
 @dataclass(frozen=True)
 class ActionSet:
@@ -81,8 +84,8 @@ class GameInstance:
     action_set: ActionSet
     bandwidth_hz: float
     noise_power_w: float
-    # ``sinr_tensor``, ``utility_tensor`` and ``normalized_utility_tensors``
-    # rows built so far (see ``_shared_row``);
+    # the ``sinr_tensor``, ``utility_tensor`` and ``normalized_utility_tensors``
+    # stacks built so far, by kind (see ``_shared_row``);
     # ``dataclasses.replace`` gives the new game an empty one
     _tensors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -162,22 +165,18 @@ def _power_grids(game: GameInstance) -> list[np.ndarray]:
 
 
 def _shared_row(game: GameInstance, kind: str, i: int, build) -> np.ndarray:
-    """Row i of the game's (n, *dims) ``kind`` stack, filled by
-    ``build(game, i)`` on first use.  Rows are handed out read-only, and the
-    stack itself turns read-only once every row is built."""
-    entry = game._tensors.get(kind)
-    if entry is None:
-        stack = np.empty((game.num_users,) + game.action_dims)
-        entry = game._tensors[kind] = (stack, [False] * game.num_users)
-    stack, built = entry
-    if not built[i]:
-        stack[i] = build(game, i)
-        built[i] = True
-        if all(built):
-            stack.setflags(write=False)
-    row = stack[i]
-    row.setflags(write=False)
-    return row
+    """Row i of the game's read-only (n, *dims) ``kind`` stack.  The first
+    call for a kind builds the whole stack, row j from ``build(game, j)``
+    for every user j in order, so its rows are read-only views."""
+    stack = game._tensors.get(kind)
+    if stack is None:
+        n = game.num_users
+        stack = np.empty((n,) + game.action_dims)
+        for j in range(n):
+            stack[j] = build(game, j)
+        stack.setflags(write=False)
+        game._tensors[kind] = stack
+    return stack[i]
 
 
 def sinr_tensor(game: GameInstance, i: int) -> np.ndarray:
@@ -253,22 +252,19 @@ def _best_response(u_i: np.ndarray, i: int, profile: Sequence[int]) -> int:
 
 
 def iterated_best_response(
-    utilities: Sequence[np.ndarray],
-    start: Sequence[int],
-    movers: Sequence[int],
-    max_sweeps: int = 1000,
+    utilities: Sequence[np.ndarray], start: Sequence[int], movers: Sequence[int]
 ) -> tuple[list[tuple[int, ...]], bool]:
     """Gauss-Seidel best-response sweeps over the users in ``movers``.
 
     From ``start``, each sweep moves every mover in turn to its best
     response against the current profile.  Stops when a sweep ends where it
     began (a fixed point) or on a profile seen before (a cycle), or after
-    ``max_sweeps``.  Returns the distinct profiles visited, ``start`` first,
+    ``MAX_SWEEPS``.  Returns the distinct profiles visited, ``start`` first,
     and whether it stopped at a fixed point, which is then the last of them.
     """
     profile = list(start)
     visited = [tuple(profile)]
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         for i in movers:
             profile[i] = _best_response(utilities[i], i, profile)
         key = tuple(profile)

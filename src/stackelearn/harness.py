@@ -149,7 +149,7 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
     )
 
 
-def complete_information_reference(game: GameInstance, max_sweeps: int = 1000) -> CompleteInfoResult:
+def complete_information_reference(game: GameInstance) -> CompleteInfoResult:
     """Iterated exact best responses with every utility function known.
 
     Sweeps all users from the all-min profile until a fixed point.  If the
@@ -158,7 +158,7 @@ def complete_information_reference(game: GameInstance, max_sweeps: int = 1000) -
     """
     utilities = [utility_tensor(game, i) for i in range(game.num_users)]
     n = game.num_users
-    visited, converged = iterated_best_response(utilities, (0,) * n, range(n), max_sweeps)
+    visited, converged = iterated_best_response(utilities, (0,) * n, range(n))
     if converged:
         key = visited[-1]
     else:

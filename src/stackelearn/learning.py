@@ -238,7 +238,7 @@ class StackelbergLearning:
         # factor 0 they stay uniform and the followers run the rla1 update
         beliefs = m ** max(n - 2, 0)
         self.belief_batch = np.full((r, k, beliefs), 1.0 / beliefs)
-        self._conjecture = algorithm == RLA2 and settings.belief_factor != 0.0 and k > 0
+        self._conjecture = algorithm == RLA2 and settings.belief_factor != 0.0
         # each replicate's point and each follower: with its own actions, the
         # index of every follower's (leader, other followers) block in ``u_norm``
         self._follower_rows = (self.points[:, None], np.arange(1, n))
@@ -290,7 +290,10 @@ class StackelbergLearning:
     def _traces(self, steps: np.ndarray, actions: np.ndarray, strategies: np.ndarray) -> list[Trace]:
         """One ``Trace`` per replicate from the kept steps' (K, R, n)
         actions and (K, R, n, M) strategies: every other column is one
-        gather or one flat-row contraction over all of them."""
+        gather or one flat-row contraction over all of them.  The expected
+        utilities contract one gathered (R, n, *dims) copy of ``u_phys``,
+        each replicate's game's tensors, whether the replicates share a game
+        or not."""
         flat = self._user_base + (actions @ self._profile_strides)[..., None]  # (K, R, n)
         sinr = self._sinr_flat[flat]
         utilities = self._u_phys_flat[flat]
@@ -298,11 +301,7 @@ class StackelbergLearning:
         # each user's expected utility under each kept step's strategies, in
         # blocks of kept steps whose first product holds no more cells than
         # the larger of the ``u_phys`` stack and the strategy buffer
-        # (R, n, *dims); with one game, a broadcast view rather than R copies
-        if len(self.games) == 1:
-            tensors = np.broadcast_to(self.u_phys, (self.num_replicates,) + self.u_phys.shape[1:])
-        else:
-            tensors = self.u_phys[self.points]
+        tensors = self.u_phys[self.points]
         budget = max(self.u_phys.size, strategies.size)
         block = max(1, budget * self.num_actions // tensors.size)
         expected = np.empty(actions.shape)
@@ -330,32 +329,30 @@ class StackelbergLearning:
             targets = np.empty_like(realized)
             u0 = self.u_norm[self.points, 0, actions[:, 0]]
             targets[:, 0] = _expect(u0, y, self._leader_plan)
-            if self.num_users > 1:
-                rows = self._row_base + actions[:, 1:]  # (R, K) rows of M cells
-                cells = rows * m + actions[:, :1]
-                u_hat = self.u_hat_batch.reshape(-1)
-                counts = self.count_batch.reshape(-1)
-                visits = counts[cells] + 1
-                old = u_hat[cells]
-                u_hat[cells] = old + (realized[:, 1:] - old) / visits
-                counts[cells] = visits
-                if self._conjecture:
-                    followers = q_cells[:, 1:]
-                    prev = self._prev_strategy_batch.reshape(-1)
-                    change = y.reshape(-1)[followers] - prev[followers]
-                    targets[:, 1:] = self._belief_targets(actions[:, 1:], change)
-                else:
-                    estimates = self.u_hat_batch.reshape(-1, 1, m)[rows]  # (R, K, 1, M)
-                    targets[:, 1:] = np.matmul(estimates, y[:, None, 0, :, None])[..., 0, 0]
+            # a leader-only game runs this on empty (R, 0) follower axes
+            rows = self._row_base + actions[:, 1:]  # (R, K) rows of M cells
+            cells = rows * m + actions[:, :1]
+            u_hat = self.u_hat_batch.reshape(-1)
+            counts = self.count_batch.reshape(-1)
+            visits = counts[cells] + 1
+            old = u_hat[cells]
+            u_hat[cells] = old + (realized[:, 1:] - old) / visits
+            counts[cells] = visits
+            if self._conjecture:
+                followers = q_cells[:, 1:]
+                prev = self._prev_strategy_batch.reshape(-1)
+                change = y.reshape(-1)[followers] - prev[followers]
+                targets[:, 1:] = self._belief_targets(actions[:, 1:], change)
+            else:
+                estimates = self.u_hat_batch.reshape(-1, 1, m)[rows]  # (R, K, 1, M)
+                targets[:, 1:] = np.matmul(estimates, y[:, None, 0, :, None])[..., 0, 0]
 
         q = self.q_batch.reshape(-1)
         old = q[q_cells]
         q[q_cells] = old + self.settings.alpha * (targets - old)
 
         self._prev_strategy_batch = y
-        decay = self.settings.temperature_decay
-        if decay != 1.0:
-            self.temperature *= decay
+        self.temperature *= self.settings.temperature_decay
         self.strategy_batch = _softmax_rows(self.q_batch, self.temperature)
         self.t += 1
 
@@ -372,7 +369,7 @@ class StackelbergLearning:
             total[empty] = 1.0
         self.belief_batch = clipped / total
         sub = self.u_norm[(*self._follower_rows, actions)]  # (R, n-1, M, ..., M)
-        sub = sub.reshape(sub.shape[:2] + (self.num_actions, -1))
+        sub = sub.reshape(sub.shape[:2] + (self.num_actions, self.belief_batch.shape[-1]))
         over_leader = np.matmul(sub, self.belief_batch[..., None])  # (R, n-1, M, 1)
         y0 = self.strategy_batch[:, None, None, 0]
         return np.matmul(y0, over_leader)[..., 0, 0]
