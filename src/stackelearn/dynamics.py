@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import ConfigError
 from .learning import _chain_plan, _expect, _point_stack, _softmax_rows
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
@@ -110,7 +111,9 @@ def integrate_dynamics(
     first.  A step that leaves a non-finite or negative entry before the
     floor (a divergence, or an overshoot past the simplex boundary) aborts
     with the offending step index; numpy's floating-point warnings on the way
-    there are silenced, since the check reports the step.
+    there are silenced, since the check reports the step.  A trajectory
+    numpy cannot hold in one array raises ``ConfigError`` naming
+    ``dynamics --steps``, the CLI flag that sets ``num_steps``.
     """
     if not step_size > 0:
         raise ValueError("step_size must be > 0")
@@ -121,7 +124,13 @@ def integrate_dynamics(
         return strategy_derivative(profile, tensors, alpha, temperature)
 
     current = _floor_profile(initial)
-    trajectory = np.empty((num_steps + 1,) + current.shape)
+    try:
+        trajectory = np.empty((num_steps + 1,) + current.shape)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(
+            f"dynamics --steps: {num_steps} steps of {current.shape} profiles"
+            f" do not fit in one array: {exc}"
+        ) from None
     trajectory[0] = current
     h = step_size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

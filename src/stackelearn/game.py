@@ -167,11 +167,23 @@ def _power_grids(game: GameInstance) -> list[np.ndarray]:
 def _shared_row(game: GameInstance, kind: str, i: int, build) -> np.ndarray:
     """Row i of the game's read-only (n, *dims) ``kind`` stack.  The first
     call for a kind builds the whole stack, row j from ``build(game, j)``
-    for every user j in order, so its rows are read-only views."""
+    for every user j in order, so its rows are read-only views.
+
+    A grid numpy cannot hold in one array (more than 64 dimensions, or more
+    bytes than it can index) raises ``ConfigError`` naming
+    ``network.num_femtocells``, the field that sets the number of users."""
     stack = game._tensors.get(kind)
     if stack is None:
         n = game.num_users
-        stack = np.empty((n,) + game.action_dims)
+        try:
+            stack = np.empty((n,) + game.action_dims)
+        except (ValueError, MemoryError) as exc:
+            from .config import ConfigError  # config imports this module
+
+            raise ConfigError(
+                f"network.num_femtocells: the tensors of {n} users on a"
+                f" {len(game.action_set)}-level power grid do not fit in one array: {exc}"
+            ) from None
         for j in range(n):
             stack[j] = build(game, j)
         stack.setflags(write=False)

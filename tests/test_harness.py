@@ -12,6 +12,7 @@ import stackelearn as sl
 import stackelearn.game as game_mod
 from stackelearn import harness
 from stackelearn.cli import main as cli_main
+from stackelearn.dynamics import FieldTensors, integrate_dynamics
 from stackelearn.config import ConfigError, default_config, load_config, parse_config
 from stackelearn.harness import (
     build_game,
@@ -724,6 +725,57 @@ def test_cli_dynamics_overshoot_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: dynamics --step-size") and "step 0" in err
     assert not (tmp_path / "o").exists()
+
+
+# numpy rejects both grids before it allocates anything: 71 users give the
+# stack 72 dimensions, more than numpy's 64, and 41 users at 3 levels give
+# it more bytes than an array can index
+_GRIDS_TOO_LARGE = [
+    pytest.param(70, [20.0], "the tensors of 71 users on a 1-level power grid", id="dims"),
+    pytest.param(40, [20.0, 25.0, 30.0], "the tensors of 41 users on a 3-level power grid", id="bytes"),
+]
+
+
+@pytest.mark.parametrize(("femtocells", "levels", "message"), _GRIDS_TOO_LARGE)
+@pytest.mark.parametrize("command", ["oracle", "run", "dynamics"])
+def test_cli_grid_too_large_for_one_array_is_config_error(tmp_path, capsys, command, femtocells, levels, message):
+    # targets this low keep every femtocell, so the game holds them all
+    cfg = _write_cfg(
+        tmp_path,
+        network={"num_femtocells": femtocells},
+        users={"action_set_dbm": levels, "mu_sinr_target_db": -60.0, "fu_sinr_target_db": -60.0},
+        output={"directory": str(tmp_path / "o")},
+    )
+    assert cli_main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: network.num_femtocells: {message} do not fit in one array: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_dynamics_steps_too_many_for_one_array_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
+    assert cli_main(["dynamics", "--config", cfg, "--steps", "1000000000000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dynamics --steps: 1000000000000000000 steps of (3, 3) profiles")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_allocation_memory_errors_are_config_errors(monkeypatch):
+    # a size numpy accepts but the host cannot back raises MemoryError at
+    # the allocation itself; no real allocation is requested here
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    game = build_game(default_config()).game  # a new game, no tensor built
+    tensors = FieldTensors(game_mod.normalized_utility_tensors(build_game(default_config()).game))
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(ConfigError, match="^network.num_femtocells: the tensors of 3 users on a 3-level"):
+        game_mod.utility_tensor(game, 0)
+    assert game._tensors == {}
+    with pytest.raises(ConfigError, match=r"^dynamics --steps: 5 steps of \(3, 3\) profiles"):
+        integrate_dynamics(np.full((3, 3), 1 / 3), tensors, 0.1, 0.05, 0.01, 5)
 
 
 def test_cli_sweep_zero_replicates_is_config_error(tmp_path, capsys):
