@@ -112,8 +112,7 @@ def integrate_dynamics(
     floor (a divergence, or an overshoot past the simplex boundary) aborts
     with the offending step index; numpy's floating-point warnings on the way
     there are silenced, since the check reports the step.  A trajectory
-    numpy cannot hold in one array raises ``ConfigError`` naming
-    ``dynamics --steps``, the CLI flag that sets ``num_steps``.
+    numpy cannot allocate is a ``ConfigError`` on ``dynamics --steps``.
     """
     if not step_size > 0:
         raise ValueError("step_size must be > 0")

@@ -13,12 +13,11 @@ semantics: `sinr_tensor` and `utility_tensor` broadcast the same operations
 over the joint action grid, and the oracle and iterated best response read
 those tensors (the tests' scalar enumerations are in `tests/reference.py`).
 
-Each kind of tensor is built once per `GameInstance`, for every user at
-once, on the first use of any user's tensor, and every later call returns
-a row of that one read-only array, so the learners, the oracle, the
-references and the dynamics share them.  So are the normalized tensors the
-learners and the dynamics read (`normalized_utility_tensors`), each stored
-with its user's own axis first.
+Each kind of tensor is built whole, every user's row of one read-only
+array, once per `GameInstance` on first use, so the learners, the oracle,
+the references and the dynamics share them.  So are the normalized tensors
+the learners and the dynamics read (`normalized_utility_tensors`), each
+stored with its user's own axis first.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ import numpy as np
 
 from .channel import dbm_to_watt
 
-# Gauss-Seidel sweeps after which ``iterated_best_response`` gives up.
-MAX_SWEEPS = 1000
+MAX_SWEEPS = 1000  # Gauss-Seidel sweeps before ``iterated_best_response`` stops
+
 
 @dataclass(frozen=True)
 class ActionSet:
@@ -84,8 +83,7 @@ class GameInstance:
     action_set: ActionSet
     bandwidth_hz: float
     noise_power_w: float
-    # the ``sinr_tensor``, ``utility_tensor`` and ``normalized_utility_tensors``
-    # stacks built so far, by kind (see ``_shared_row``);
+    # the tensor stacks built so far, by kind (see ``_shared_row``);
     # ``dataclasses.replace`` gives the new game an empty one
     _tensors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -165,13 +163,9 @@ def _power_grids(game: GameInstance) -> list[np.ndarray]:
 
 
 def _shared_row(game: GameInstance, kind: str, i: int, build) -> np.ndarray:
-    """Row i of the game's read-only (n, *dims) ``kind`` stack.  The first
-    call for a kind builds the whole stack, row j from ``build(game, j)``
-    for every user j in order, so its rows are read-only views.
-
-    A grid numpy cannot hold in one array (more than 64 dimensions, or more
-    bytes than it can index) raises ``ConfigError`` naming
-    ``network.num_femtocells``, the field that sets the number of users."""
+    """Row i of the game's read-only (n, *dims) ``kind`` stack, built whole
+    on the kind's first use: row j is ``build(game, j)``.  A stack numpy
+    cannot allocate is a ``ConfigError`` on ``network.num_femtocells``."""
     stack = game._tensors.get(kind)
     if stack is None:
         n = game.num_users
@@ -179,7 +173,6 @@ def _shared_row(game: GameInstance, kind: str, i: int, build) -> np.ndarray:
             stack = np.empty((n,) + game.action_dims)
         except (ValueError, MemoryError) as exc:
             from .config import ConfigError  # config imports this module
-
             raise ConfigError(
                 f"network.num_femtocells: the tensors of {n} users on a"
                 f" {len(game.action_set)}-level power grid do not fit in one array: {exc}"

@@ -290,10 +290,8 @@ class StackelbergLearning:
     def _traces(self, steps: np.ndarray, actions: np.ndarray, strategies: np.ndarray) -> list[Trace]:
         """One ``Trace`` per replicate from the kept steps' (K, R, n)
         actions and (K, R, n, M) strategies: every other column is one
-        gather or one flat-row contraction over all of them.  The expected
-        utilities contract one gathered (R, n, *dims) copy of ``u_phys``,
-        each replicate's game's tensors, whether the replicates share a game
-        or not."""
+        gather or one flat-row contraction over all of them, the expected
+        utilities over one gathered (R, n, *dims) ``u_phys[points]`` copy."""
         flat = self._user_base + (actions @ self._profile_strides)[..., None]  # (K, R, n)
         sinr = self._sinr_flat[flat]
         utilities = self._u_phys_flat[flat]
@@ -414,23 +412,16 @@ class StackelbergLearning:
 
 
 def _point_stack(tensors: list[list[np.ndarray]]) -> np.ndarray:
-    """P games' n per-user tensors as one read-only (P, n, *dims) array.
-
-    With one game whose tensors are, in order, the rows of one read-only
-    array (a game's shared ``utility_tensor``, ``sinr_tensor`` or
-    ``normalized_utility_tensors`` rows), this is a view of that array;
-    otherwise a copy."""
-    rows = tensors[0]
-    base = rows[0].base
+    """P games' n per-user tensors as one read-only (P, n, *dims) array: a
+    view when one game's tensors are, in order, the rows of one read-only
+    array (a game's shared stack of one tensor kind), otherwise a copy."""
+    rows, base = tensors[0], tensors[0][0].base
     if (
         len(tensors) == 1
         and isinstance(base, np.ndarray)
         and not base.flags.writeable
         and len(base) == len(rows)
-        and all(
-            row.base is base and row.__array_interface__ == base[i].__array_interface__
-            for i, row in enumerate(rows)
-        )
+        and [row.__array_interface__ for row in rows] == [row.__array_interface__ for row in base]
     ):
         return base[None]
     out = np.array(tensors)
