@@ -2,8 +2,8 @@
 
 Subcommands: ``run`` (learning traces + summary), ``sweep`` (leader-target
 sweep), ``oracle`` (print the Stackelberg equilibrium), ``dynamics`` (ODE
-trajectory export).  Exit codes: 0 success, 1 config error, 2 unresolved
-infeasibility, 3 I/O error.
+trajectory export).  Exit codes: 0 success, 1 config or usage error, 2
+unresolved infeasibility, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -38,14 +38,23 @@ EXIT_INFEASIBLE = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 1, not
+    argparse's 2, which would read as an infeasible leader target); the
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="stackelearn")
+    parser = _Parser(prog="stackelearn")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run the learning schemes and emit traces")
     run.add_argument("--config", required=True)
     run.add_argument("--seed", type=int, default=None, help="override the base seed")
-    run.add_argument("--algo", choices=list(ALGORITHMS) + ["all"], default="all")
+    run.add_argument("--algo", choices=ALGORITHMS, help="run one scheme, not learning.algorithms")
     run.add_argument("--out", default=None, help="override the output directory")
 
     sweep = sub.add_parser("sweep", help="sweep the leader SINR target")
@@ -94,24 +103,19 @@ def _cmd_run(args) -> int:
         _override(config, "seeds", "run --seed", base_seed=args.seed)
     if args.out is not None:
         config.output.directory = args.out
-    if args.algo != "all":
+    if args.algo is not None:
         config.learning.algorithms = (args.algo,)
 
     prepared = _resolved_game(config)
     result = run_experiment(config, prepared)
 
     outdir = config.output.directory
-    if config.output.emit_trace:
-        for algo, trace in result.traces.items():
-            emit_trace_csv(
-                trace,
-                algo,
-                os.path.join(outdir, f"trace_{algo}.csv"),
-                user_ids=result.prepared.user_ids,
-            )
+    for algo, trace in result.traces.items():
+        emit_trace_csv(
+            trace, algo, os.path.join(outdir, f"trace_{algo}.csv"), user_ids=result.prepared.user_ids
+        )
     rows = compare_summary(result)
-    if config.output.emit_summary:
-        emit_summary_csv(rows, os.path.join(outdir, "summary.csv"))
+    emit_summary_csv(rows, os.path.join(outdir, "summary.csv"))
 
     silenced = [k + 1 for k, a in enumerate(result.prepared.active) if not a]
     if silenced:
@@ -200,8 +204,6 @@ def _cmd_dynamics(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
@@ -209,6 +211,7 @@ def main(argv=None) -> int:
         "dynamics": _cmd_dynamics,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import NetworkConfig, _to_linear, db_to_linear, dbm_to_watt
 from .game import ActionSet
-from .learning import ALGORITHMS, AUTO_TEMPERATURE_FRACTION, LearnerSettings
+from .learning import ALGORITHMS, LearnerSettings
 
 
 class ConfigError(ValueError):
@@ -91,14 +91,10 @@ class SweepConfig:
 @dataclass
 class SeedConfig:
     base_seed: int = 44
-    replicate_offsets: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not 0 <= self.base_seed < 2**64:
             raise ValueError("base_seed: must fit in an unsigned 64-bit integer")
-        offsets = self.replicate_offsets or ()
-        if any(offset < 0 for offset in offsets) or len(set(offsets)) < len(offsets):
-            raise ValueError("replicate_offsets: must be distinct (one RNG stream each) and >= 0")
 
 
 @dataclass
@@ -117,8 +113,6 @@ class FeasibilityConfig:
 @dataclass
 class OutputConfig:
     directory: str = "out"
-    emit_trace: bool = True
-    emit_summary: bool = True
 
 
 @dataclass
@@ -143,17 +137,12 @@ _SECTIONS = {
 }
 
 
-def _json_type(hint) -> tuple[type, bool, bool]:
-    """(element type, is a list, may be null) of an annotated field type:
-    float, int, bool or str, a tuple of one of these, or ``X | None``."""
-    args = typing.get_args(hint)
-    nullable = type(None) in args
-    if nullable:
-        (hint,) = (a for a in args if a is not type(None))
-        args = typing.get_args(hint)
+def _json_type(hint) -> tuple[type, bool]:
+    """(element type, is a list) of an annotated field type: float, int,
+    bool or str, or a tuple of one of these."""
     if typing.get_origin(hint) is tuple:
-        return args[0], True, nullable
-    return hint, False, nullable
+        return typing.get_args(hint)[0], True
+    return hint, False
 
 
 def _field_types(cls) -> dict:
@@ -170,16 +159,14 @@ def _check_keys(section: dict, allowed, path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
-def _typed(value, json_type: tuple[type, bool, bool], path: str):
+def _typed(value, json_type: tuple[type, bool], path: str):
     """``value`` checked against a field's JSON type (see ``_json_type``);
     integers become floats where a float is expected."""
-    kind, is_list, nullable = json_type
-    if value is None and nullable:
-        return None
+    kind, is_list = json_type
     if is_list:
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path}: expected a non-empty list")
-        return tuple(_typed(x, (kind, False, False), path) for x in value)
+        return tuple(_typed(x, (kind, False), path) for x in value)
     if isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
     if kind is float and isinstance(value, int):
@@ -209,10 +196,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected an object")
     _check_keys(raw, _SECTIONS, "top level")
-    learning = raw.get("learning")
-    if isinstance(learning, dict) and learning.get("temperature", 0.0) in ("auto", None):
-        raw = {**raw, "learning": {**learning, "temperature": AUTO_TEMPERATURE_FRACTION}}
-
     sections = {}
     for name, section in _SECTIONS.items():
         values = _fields(raw, name)

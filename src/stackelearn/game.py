@@ -165,11 +165,15 @@ def _power_grids(game: GameInstance) -> list[np.ndarray]:
 def _shared_row(game: GameInstance, kind: str, i: int, build) -> np.ndarray:
     """Row i of the game's read-only (n, *dims) ``kind`` stack, built whole
     on the kind's first use: row j is ``build(game, j)``.  A stack numpy
-    cannot allocate is a ``ConfigError`` on ``network.num_femtocells``."""
+    cannot allocate, or cannot give the two more axes the learners add, is
+    a ``ConfigError`` on ``network.num_femtocells``."""
     stack = game._tensors.get(kind)
     if stack is None:
         n = game.num_users
         try:
+            # the learners stack the rows under a point axis and their traces
+            # under a step axis too; an empty array checks the axis count alone
+            np.empty((0, 0, n) + game.action_dims)
             stack = np.empty((n,) + game.action_dims)
         except (ValueError, MemoryError) as exc:
             from .config import ConfigError  # config imports this module
@@ -219,7 +223,8 @@ def _build_sinr_tensor(game: GameInstance, i: int) -> np.ndarray:
 def _build_utility_tensor(game: GameInstance, i: int) -> np.ndarray:
     gamma = sinr_tensor(game, i)
     user = game.users[i]
-    out = np.fromiter(map(math.log2, (1.0 + gamma).flat), float, gamma.size).reshape(gamma.shape)
+    # a flat view, not ``.flat``: numpy's flat iterator takes at most 32 axes
+    out = np.fromiter(map(math.log2, (1.0 + gamma).reshape(-1)), float, gamma.size).reshape(gamma.shape)
     out *= game.bandwidth_hz
     out /= user.circuit_power_w + _power_grids(game)[i]
     out[gamma < user.sinr_target_lin] = 0.0

@@ -174,12 +174,9 @@ def learning_rng(base_seed: int, algorithm: str, replicate: int = 0) -> np.rando
     return np.random.default_rng(ss)
 
 
-def run_experiment(config: ExperimentConfig, prepared: PreparedGame | None = None) -> ExperimentResult:
-    """Run every requested scheme on the configured instance and attach the
-    oracle and complete-information references.  ``prepared`` is
-    ``build_game(config)`` when the caller has already built it."""
-    if prepared is None:
-        prepared = build_game(config)
+def run_experiment(config: ExperimentConfig, prepared: PreparedGame) -> ExperimentResult:
+    """Run every requested scheme on ``prepared`` (``build_game(config)``)
+    and attach the oracle and complete-information references."""
     traces: dict[str, Trace] = {}
     for algo in config.learning.algorithms:
         # no name holds the engine, so it is freed before the next one is built
@@ -197,22 +194,19 @@ def run_experiment(config: ExperimentConfig, prepared: PreparedGame | None = Non
 def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[SweepResult]:
     """Terminal expected FU SINRs versus the leader's SINR target.
 
-    For each point of ``sweep.gamma0_grid_db`` and each replicate the learned
-    terminal strategies are evaluated by exact enumeration over joint actions
-    and averaged over the replicates actually run: the first
-    ``sweep.replicates`` entries of ``seeds.replicate_offsets`` (all of
-    ``range(sweep.replicates)`` when unset).  Silenced femtocells contribute
-    zero SINR; a point that stays infeasible with all of them silenced is
-    flagged ``unresolved``.
+    For each point of ``sweep.gamma0_grid_db`` and each of the
+    ``sweep.replicates`` replicates the learned terminal strategies are
+    evaluated by exact enumeration over joint actions and averaged over the
+    replicates.  Silenced femtocells contribute zero SINR; a point that
+    stays infeasible with all of them silenced is flagged ``unresolved``.
 
     Each point's game is built once.  One engine per (point, algorithm)
-    runs the point's replicates in lockstep, replicate offset r drawing from
-    the ``learning_rng(base_seed, algo, r)`` stream.  A point where every
+    runs the point's replicates in lockstep, replicate r drawing from the
+    ``learning_rng(base_seed, algo, r)`` stream.  A point where every
     femtocell is silenced has no FU SINR to learn: it runs no engine and
     reports zeros.
     """
     replicates = config.sweep.replicates
-    offsets = (config.seeds.replicate_offsets or tuple(range(replicates)))[:replicates]
     results = []
     for gamma0_db in config.sweep.gamma0_grid_db:
         prepared = build_game(config, gamma0_db=gamma0_db)
@@ -220,9 +214,9 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
             sums = np.zeros(config.network.num_femtocells)
             if prepared.game.num_followers:
                 engine = StackelbergLearning(
-                    [prepared.game] * len(offsets),
+                    [prepared.game] * replicates,
                     algo,
-                    [learning_rng(config.seeds.base_seed, algo, replicate=r) for r in offsets],
+                    [learning_rng(config.seeds.base_seed, algo, r) for r in range(replicates)],
                     config.learning,
                 )
                 engine.run(config.learning.num_steps, log_every=config.learning.num_steps)
@@ -236,7 +230,7 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
                 SweepResult(
                     gamma0_db=float(gamma0_db),
                     algo=algo,
-                    fu_expected_sinr_lin=tuple(sums / len(offsets)),
+                    fu_expected_sinr_lin=tuple(sums / replicates),
                     active=prepared.active,
                     unresolved=prepared.unresolved,
                 )

@@ -46,9 +46,6 @@ RLA2 = "rla2"
 NONCOOP = "noncoop"
 ALGORITHMS = (RLA1, RLA2, NONCOOP)
 
-# Default Boltzmann temperature as a fraction of the normalized utility scale.
-AUTO_TEMPERATURE_FRACTION = 0.05
-
 
 def full_expected_utility(tensor: np.ndarray, strategies) -> float:
     """Expected value of a joint-action tensor under a full strategy profile.
@@ -93,13 +90,12 @@ class LearnerSettings:
     extends them with the run length and the schemes to run).
 
     ``temperature`` is expressed in post-normalization utility units (the
-    learner rescales utilities to [0, 1]); it defaults to
-    ``AUTO_TEMPERATURE_FRACTION`` of that scale.  ``temperature_decay`` < 1
-    anneals geometrically.
+    learner rescales utilities to [0, 1]); it defaults to 0.05 of that
+    scale.  ``temperature_decay`` < 1 anneals geometrically.
     """
 
     alpha: float = 0.1
-    temperature: float = AUTO_TEMPERATURE_FRACTION
+    temperature: float = 0.05
     temperature_decay: float = 1.0
     belief_factor: float = 2.0
 

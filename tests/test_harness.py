@@ -25,7 +25,7 @@ from stackelearn.harness import (
     sweep_gamma0,
 )
 from stackelearn.game import leader_feasible, utility
-from stackelearn.learning import AUTO_TEMPERATURE_FRACTION, full_expected_utility
+from stackelearn.learning import full_expected_utility
 
 from reference import best_response
 
@@ -43,7 +43,7 @@ def test_default_config_values(default_cfg):
     assert cfg.users.fu_sinr_target_db == 5.0
     assert cfg.users.action_set_dbm == (20.0, 25.0, 30.0)
     assert cfg.learning.alpha == 0.1
-    assert cfg.learning.temperature == AUTO_TEMPERATURE_FRACTION
+    assert cfg.learning.temperature == 0.05
     assert cfg.learning.num_steps == 5000
     assert cfg.sweep.replicates == 3
     assert cfg.feasibility.enabled is False
@@ -83,9 +83,10 @@ def test_parse_config_rejects_unknown_keys():
         ("learning", "trace_decimation", True, "learning.trace_decimation"),
         ("sweep", "replicates", True, "sweep.replicates"),
         ("network", "rng_seed", False, "network.rng_seed"),
-        ("seeds", "replicate_offsets", [0, -1], "seeds.replicate_offsets"),
-        ("seeds", "replicate_offsets", [0.5], "seeds.replicate_offsets"),
-        ("output", "emit_trace", 0, "output.emit_trace"),
+        # no field is nullable, in a list either
+        ("seeds", "base_seed", None, "seeds.base_seed"),
+        ("output", "directory", None, "output.directory"),
+        ("sweep", "gamma0_grid_db", [0.0, None], "sweep.gamma0_grid_db"),
         ("learning", "belief_factor", True, "learning.belief_factor"),
         ("users", "circuit_power_dbm", "10", "users.circuit_power_dbm"),
         pytest.param("network", "noise_power_dbm", 10**400, "network.noise_power_dbm",
@@ -112,15 +113,29 @@ def test_parse_config_rejects_unknown_keys():
         # each scheme's trace is keyed by its name, so a repeat would replace one
         ("learning", "algorithms", ["rla1", "rla1"], "learning.algorithms: 'rla1' is listed twice"),
         ("learning", "algorithms", ["rla2", "noncoop", "rla2"], "learning.algorithms"),
-        # a repeated offset would run one RNG stream twice and average it as two replicates
-        ("seeds", "replicate_offsets", [3, 3], "seeds.replicate_offsets: must be distinct"),
-        ("seeds", "replicate_offsets", [0, 5, 0], "seeds.replicate_offsets"),
     ],
 )
 def test_parse_config_validates_values(section, key, value, match):
     # key None: value holds several fields of the section
     with pytest.raises(ConfigError, match=match):
         parse_config({section: value if key is None else {key: value}})
+
+
+@pytest.mark.parametrize(
+    "section,key,value,match",
+    [
+        # the sweep runs streams range(sweep.replicates), and run writes every CSV
+        ("seeds", "replicate_offsets", [0], r"^seeds: unknown key\(s\) \['replicate_offsets'\]$"),
+        ("output", "emit_trace", False, r"^output: unknown key\(s\) \['emit_trace'\]$"),
+        ("output", "emit_summary", False, r"^output: unknown key\(s\) \['emit_summary'\]$"),
+        # a temperature is a number; leaving it out gives the default
+        ("learning", "temperature", "auto", "^learning.temperature: expected float, got 'auto'$"),
+        ("learning", "temperature", None, "^learning.temperature: expected float, got None$"),
+    ],
+)
+def test_parse_config_rejects_removed_settings(section, key, value, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config({section: {key: value}})
 
 
 _CONFIG_FIELDS = [
@@ -133,9 +148,9 @@ _CONFIG_FIELDS = [
         "learning": ["alpha", "temperature", "temperature_decay", "belief_factor", "num_steps",
                      "algorithms", "trace_decimation"],
         "sweep": ["gamma0_grid_db", "replicates"],
-        "seeds": ["base_seed", "replicate_offsets"],
+        "seeds": ["base_seed"],
         "feasibility": ["enabled", "reduction_factor", "max_rounds"],
-        "output": ["directory", "emit_trace", "emit_summary"],
+        "output": ["directory"],
     }.items()
     for key in keys + [None]
 ]
@@ -190,13 +205,6 @@ def test_accepted_radio_values_build_a_game(users, grid, feasibility):
         game = build_game(cfg, gamma0_db=gamma0_db).game
         # silencing and target relaxation leave every user on the one grid
         assert len(set(game.action_dims)) == 1
-
-
-def test_parse_config_temperature_auto():
-    cfg = parse_config({"learning": {"temperature": "auto"}})
-    assert cfg.learning.temperature == AUTO_TEMPERATURE_FRACTION
-    cfg = parse_config({"learning": {"temperature": 0.2}})
-    assert cfg.learning.temperature == 0.2
 
 
 def test_load_config_round_trip(tmp_path):
@@ -311,7 +319,7 @@ def small_cfg():
 
 @pytest.fixture(scope="module")
 def small_result(small_cfg):
-    return run_experiment(small_cfg)
+    return run_experiment(small_cfg, build_game(small_cfg))
 
 
 def test_run_experiment_structure(small_result, small_cfg):
@@ -406,44 +414,15 @@ def test_sweep_flags_unresolved_points(tmp_path):
     assert [(row[0], row[-1]) for row in rows] == [("0.0", "0")] * 4 + [("60.0", "1")] * 4
 
 
-def test_sweep_replicate_offsets():
-    cfg = default_config(
-        learning={"num_steps": 50},
-        sweep={"gamma0_grid_db": [3.0], "replicates": 2},
-        seeds={"replicate_offsets": [5, 9]},
-    )
-    a = sweep_gamma0(cfg, algorithms=(sl.RLA1,))
-    b = sweep_gamma0(cfg, algorithms=(sl.RLA1,))
-    assert a[0].fu_expected_sinr_lin == b[0].fu_expected_sinr_lin
-
-
-def test_sweep_averages_over_the_replicates_it_ran():
-    # one offset for three requested replicates: the sweep runs one replicate
-    # and must report its value, not a third of it
-    short = default_config(
-        learning={"num_steps": 50},
-        sweep={"gamma0_grid_db": [3.0], "replicates": 3},
-        seeds={"replicate_offsets": [0]},
-    )
-    single = default_config(
-        learning={"num_steps": 50},
-        sweep={"gamma0_grid_db": [3.0], "replicates": 1},
-    )
-    got = sweep_gamma0(short, algorithms=(sl.RLA1,))[0].fu_expected_sinr_lin
-    want = sweep_gamma0(single, algorithms=(sl.RLA1,))[0].fu_expected_sinr_lin
-    assert got == want
-    assert any(x > 0 for x in got)
-
-
 def test_sweep_replicates_match_separate_runs():
     cfg = default_config(
         learning={"num_steps": 80},
         sweep={"gamma0_grid_db": [0.0], "replicates": 2},
-        seeds={"replicate_offsets": [4, 7]},
     )
     prepared = build_game(cfg, gamma0_db=0.0)
     sums = np.zeros(cfg.network.num_femtocells)
-    for r in (4, 7):
+    # replicate r draws stream r; the mean divides by the 2 replicates run
+    for r in (0, 1):
         engine = sl.StackelbergLearning(
             [prepared.game],
             sl.RLA2,
@@ -566,9 +545,37 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     twice = _write_cfg(tmp_path, "twice.json", learning={"algorithms": ["rla1", "rla1"]})
     assert cli_main(["run", "--config", twice]) == 1
     assert capsys.readouterr().err.startswith("config error: learning.algorithms")
-    again = _write_cfg(tmp_path, "again.json", seeds={"replicate_offsets": [3, 3]})
-    assert cli_main(["sweep", "--config", again]) == 1
-    assert capsys.readouterr().err.startswith("config error: seeds.replicate_offsets")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--config", "{cfg}", "--bogus"], "stackelearn: unrecognized arguments: --bogus"),
+        (["dynamics", "--config", "{cfg}", "--steps", "abc"],
+         "stackelearn dynamics: argument --steps: invalid int value: 'abc'"),
+        (["run", "--config", "{cfg}", "--algo", "foo"],
+         "stackelearn run: argument --algo: invalid choice: 'foo'"),
+        (["run", "--config", "{cfg}", "--algo", "all"],
+         "stackelearn run: argument --algo: invalid choice: 'all'"),
+        (["oracle"], "stackelearn oracle: the following arguments are required: --config"),
+        ([], "stackelearn: the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "bad-int", "bad-choice", "algo-all", "missing-config", "missing-command"],
+)
+def test_cli_usage_error_exit_code(tmp_path, capsys, argv, message):
+    # exit 2 would read as an infeasible leader target
+    cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
+    assert cli_main([arg.format(cfg=cfg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_help_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--algo {rla1,rla2,noncoop}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["run"], ["oracle"], ["dynamics", "--steps", "5"]])
@@ -751,6 +758,30 @@ def test_cli_grid_too_large_for_one_array_is_config_error(tmp_path, capsys, comm
     assert err.startswith(f"config error: network.num_femtocells: {message} do not fit in one array: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(("femtocells", "code"), [(32, 0), (60, 0), (61, 1), (62, 1)])
+@pytest.mark.parametrize("command", ["oracle", "run", "dynamics"])
+def test_cli_many_femtocells_run_or_are_config_errors(tmp_path, capsys, command, femtocells, code):
+    # a 1-level grid keeps the tensors one cell each; the learners add two
+    # axes to a game's (n, *dims) stack, so up to 61 users fit numpy's 64
+    cfg = _write_cfg(
+        tmp_path,
+        network={"num_femtocells": femtocells},
+        users={"action_set_dbm": [20.0], "mu_sinr_target_db": -60.0, "fu_sinr_target_db": -60.0},
+        learning={"num_steps": 20},
+        output={"directory": str(tmp_path / "o")},
+    )
+    argv = [command, "--config", cfg] + (["--steps", "5"] if command == "dynamics" else [])
+    assert cli_main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(
+            f"config error: network.num_femtocells: the tensors of {femtocells + 1} users"
+        )
+        assert not (tmp_path / "o").exists()
+    else:
+        assert err == ""
 
 
 def test_cli_dynamics_steps_too_many_for_one_array_is_config_error(tmp_path, capsys):
