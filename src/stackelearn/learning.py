@@ -70,7 +70,7 @@ def _chain_plan(batch: tuple, rows: tuple, users: range, m: int) -> list[tuple]:
     return plan
 
 
-def _expect(out: np.ndarray, y: np.ndarray, plan: list[tuple]) -> np.ndarray:
+def _expect(out: np.ndarray, y: np.ndarray, plan: list[tuple], into=None, bound=None) -> np.ndarray:
     """Contract the user axes of ``out`` with the strategies ``y`` along
     ``plan``, last user first, into a new (*batch, *rows) array: one
     matrix-vector product per batch element over all its C-order rows of M
@@ -78,9 +78,17 @@ def _expect(out: np.ndarray, y: np.ndarray, plan: list[tuple]) -> np.ndarray:
     ``blocked_expected_utility`` in ``tests/reference.py``.  It is the
     package's one expected-utility chain: the learners' leader targets,
     the traces, ``full_expected_utility`` and the strategy field
-    (``dynamics.FieldTensors``) all contract through it."""
-    for shape, col in plan:
-        out = np.matmul(out.reshape(shape), y[col])
+    (``dynamics.FieldTensors``) all contract through it.
+
+    The last product writes into ``into`` (shaped (*batch, *rows, 1, 1))
+    when given.  ``bound``, a list, receives each product's (operand,
+    strategy column, output) arrays: ``np.matmul`` over them again repeats
+    the chain on whatever ``out`` and ``y`` then hold, with no new array."""
+    for k, (shape, col) in enumerate(plan):
+        operand, column = out.reshape(shape), y[col]
+        out = np.matmul(operand, column, into if k == len(plan) - 1 else None)
+        if bound is not None:
+            bound.append((operand, column, out))
     return out[..., 0, 0] if plan else out.copy()
 
 
@@ -148,16 +156,24 @@ class StackelbergLearning:
     user's own axis first and the other users after it in ascending order.
     With one game all three are views of the game's shared tensors, not
     copies.  Every read of a game's values gathers at the replicate's
-    point: a realized value is one gather with per-user strides, the
-    leader target reads the row ``u_norm[p, 0, a_0]``, and an rla2
-    follower i's block (leader by other followers) is the row
-    ``u_norm[p, i, a_i]``.
+    point: a realized value at a flat offset, the leader target the row
+    ``u_norm[p, 0, a_0]`` and an rla2 follower i's block (leader by other
+    followers) the row ``u_norm[p, i, a_i]``.
+
+    A step does its indexing through tables set up once.  Each of those
+    indices, like each Q and estimate cell, is an integer linear function
+    of the actions plus a per-replicate base, so one integer product of
+    the sampling comparisons' 0/1 mask with the offset table ``_table``
+    gives them all.  Two strategy buffers alternate: a step samples from
+    one and its softmax writes the other, so the strategy views the
+    products read, and every gather and product output, are fixed arrays.
 
     Agent state carries a leading replicate axis: ``q_batch`` and
-    ``strategy_batch`` are (R, n, M), ``u_hat_batch`` and ``count_batch``
-    (R, n-1, M, M), and ``belief_batch`` (R, n-1, M^(n-2)), every rla2
-    follower using ``settings.belief_factor``.  ``step`` returns the (R, n)
-    actions it sampled and ``run`` one ``Trace`` per replicate.  The
+    ``strategy_batch`` (the current buffer) are (R, n, M), ``u_hat_batch``
+    and ``count_batch`` (R, n-1, M, M), and ``belief_batch`` (R, n-1,
+    M^(n-2)), every rla2 follower using ``settings.belief_factor``.
+    ``step`` returns a new (R, n) array of the actions it sampled, which no
+    later step changes, and ``run`` one ``Trace`` per replicate.  The
     properties ``q`` and ``strategies`` return (R, n, M) copies,
     ``estimates`` copies of ``(u_hat_batch, count_batch)`` and ``beliefs``
     a copy of ``belief_batch``.
@@ -213,12 +229,9 @@ class StackelbergLearning:
         self._sinr_flat = sinr.reshape(-1)
         # flat offset of each (replicate, user) tensor in those stacks: a
         # realized value is one gather at this base plus the profile offset
-        self._user_base = (self.points[:, None] * n + np.arange(n)) * profiles
+        tensor_of = self.points[:, None] * n + np.arange(n)  # (R, n) row of each user's tensor
+        self._user_base = tensor_of * profiles
         self._profile_strides = np.array([math.prod(dims[i + 1 :]) for i in range(n)])
-        # [j, i]: flat stride of user j's action in user i's own-axis-first
-        # ``u_norm`` tensor, so ``actions @ _own_strides`` are the offsets
-        j, i = np.indices((n, n))
-        self._own_strides = m ** np.where(j == i, n - 1, n - 2 - j + (j > i))
         # (P, M) power of every action in dBm
         self._powers_dbm = np.array(
             [[watt_to_dbm(w) for w in game.action_set.levels_w] for game in self.games]
@@ -226,8 +239,13 @@ class StackelbergLearning:
 
         self.temperature = self.settings.temperature
         self.q_batch = np.zeros((r, n, m))
-        self.strategy_batch = _softmax_rows(self.q_batch, self.temperature)
-        self._prev_strategy_batch = self.strategy_batch
+        # the step reads one buffer and its softmax writes the other, so the
+        # views below serve every step; the second starts equal to the first
+        # so that rla2's first strategy change is zero
+        first = _softmax_rows(self.q_batch, self.temperature)
+        self._strategy_buffers = (first, first.copy())
+        self._parity = 0
+        self.strategy_batch = first
         self.u_hat_batch = np.zeros((r, k, m, m))
         self.count_batch = np.zeros((r, k, m, m), dtype=np.int64)
         # rla2 beliefs over the other followers' joint actions; with belief
@@ -235,18 +253,63 @@ class StackelbergLearning:
         beliefs = m ** max(n - 2, 0)
         self.belief_batch = np.full((r, k, beliefs), 1.0 / beliefs)
         self._conjecture = algorithm == RLA2 and settings.belief_factor != 0.0
-        # each replicate's point and each follower: with its own actions, the
-        # index of every follower's (leader, other followers) block in ``u_norm``
-        self._follower_rows = (self.points[:, None], np.arange(1, n))
         # uniforms drawn ahead by ``run``, (steps, R, n, 1), and the next one
         self._uniforms = np.empty((0, r, n, 1))
         self._next_uniform = 0
-        self._leader_plan = _chain_plan((r,), (), range(1, n), m)
         self._trace_plan = _chain_plan((-1, r), (n,), range(n), m)
 
-        # flat offsets of every (replicate, user) row, for one-gather updates
-        self._q_base = (np.arange(r * n) * m).reshape(r, n)
-        self._row_base = (np.arange(r * k) * m).reshape(r, k)
+        # Action a_j is the number of user j's inner CDF points at or below
+        # its uniform, so the (R, n(M-1)) 0/1 mask of those comparisons times
+        # ``_table`` (each user's coefficients repeated M-1 times) plus
+        # ``_base`` gives every index of a step.  Columns, as (coefficient of
+        # a_j, base): the actions; the offsets in ``u_norm`` (the stride of
+        # a_j in user i's own-axis-first tensor); the Q cells; the estimate
+        # cells and rows; the leader's row and the follower blocks' rows.
+        eye = np.eye(n, dtype=np.intp)
+        j, i = np.indices((n, n))
+        own_strides = m ** np.where(j == i, n - 1, n - 2 - j + (j > i))
+        est_rows = np.arange(r * k).reshape(r, k) * m
+        columns = [
+            (eye, 0), (own_strides, self._user_base), (eye, np.arange(r * n).reshape(r, n) * m),
+            (m * eye[:, 1:] + eye[:, :1], est_rows * m), (eye[:, 1:], est_rows),
+            (eye[:, :1], tensor_of[:, :1] * m), (eye[:, 1:], tensor_of[:, 1:] * m),
+        ]
+        self._table = np.repeat(np.hstack([c for c, _ in columns]), m - 1, axis=0)
+        self._base = np.hstack([np.broadcast_to(b, (r, c.shape[1])) for c, b in columns])
+        self._mask = np.empty((r, n * (m - 1)), dtype=np.intp)
+        self._mask_by_user = self._mask.reshape(r, n, m - 1)
+        self._cdf = np.empty((r, n, m))
+        self._cdf_inner = self._cdf[..., :-1]
+        self._index = np.empty(self._base.shape, dtype=np.intp)
+        cuts = np.cumsum([c.shape[1] for c, _ in columns])[:-1]
+        (self._actions, self._offsets, self._q_cells, self._estimate_cells, self._estimate_rows,
+         self._leader_row, self._follower_rows) = np.split(self._index, cuts, axis=1)
+        self._leader_row = self._leader_row[:, 0]
+        self._follower_cells = self._q_cells[:, 1:]
+
+        # fixed buffers and views for the step's gathers and products
+        self._u_rows = u_norm.reshape(-1, m ** (n - 1))
+        self._realized = np.empty((r, n))
+        self._realized_followers = self._realized[:, 1:]
+        self._targets = self._realized if algorithm == NONCOOP else np.empty((r, n))
+        self._follower_targets = self._targets[:, 1:, None, None]
+        self._u0 = np.zeros((r, m ** (n - 1))) if n > 1 else self._targets[:, :1]
+        self._u_hat_rows = self.u_hat_batch.reshape(-1, m)
+        self._estimates = np.empty((r, k, m))
+        self._estimates_by_row = self._estimates.reshape(r, k, 1, m)
+        self._follower_blocks = np.empty((r, k, m ** (n - 1)))
+        self._follower_blocks_by_leader = self._follower_blocks.reshape(r, k, m, beliefs)
+        self._scratch = np.empty((r, n, m))
+        # per strategy buffer: the leader chain bound to ``_u0`` and the
+        # buffer, the leader's strategy as rla1's and rla2's follower
+        # products read it, and the flat strategies for rla2's change
+        plan = _chain_plan((r,), (), range(1, n), m)
+        self._leader_chains = ([], [])
+        for y, chain in zip(self._strategy_buffers, self._leader_chains):
+            _expect(self._u0, y, plan, self._targets[:, :1, None], chain)
+        self._y0_columns = [y[:, None, 0, :, None] for y in self._strategy_buffers]
+        self._y0_rows = [y[:, None, None, 0] for y in self._strategy_buffers]
+        self._flat_strategies = [y.reshape(-1) for y in self._strategy_buffers]
         self.t = 0
 
     @property
@@ -277,12 +340,6 @@ class StackelbergLearning:
         n = self.num_users
         return np.stack([g.random((steps, n)) for g in self.rngs], axis=1)[..., None]
 
-    def _sample(self, u: np.ndarray) -> np.ndarray:
-        """``sample_action`` for every (replicate, user): the action is the
-        number of inner CDF points at or below the uniform."""
-        cdf = self.strategy_batch.cumsum(axis=-1)
-        return np.add.reduce(cdf[..., :-1] <= u, axis=-1)
-
     def _traces(self, steps: np.ndarray, actions: np.ndarray, strategies: np.ndarray) -> list[Trace]:
         """One ``Trace`` per replicate from the kept steps' (K, R, n)
         actions and (K, R, n, M) strategies: every other column is one
@@ -309,73 +366,74 @@ class StackelbergLearning:
             for r in range(self.num_replicates)
         ]
 
-    def _update(self, actions: np.ndarray) -> None:
+    def _update(self) -> None:
         """Realize utilities, update estimators and Q-values, then regenerate
-        every strategy from the new Q-values."""
-        y = self.strategy_batch
-        m = self.num_actions
-        realized = self._u_norm_flat[self._user_base + actions @ self._own_strides]  # (R, n)
-        q_cells = self._q_base + actions
-
-        if self.algorithm == NONCOOP:
-            targets = realized
-        else:
-            targets = np.empty_like(realized)
-            u0 = self.u_norm[self.points, 0, actions[:, 0]]
-            targets[:, 0] = _expect(u0, y, self._leader_plan)
+        every strategy from the new Q-values, all at the indices ``step``
+        put in ``_index``."""
+        cur = self._parity
+        # the indices are in range by construction; "raise" would make each
+        # gather into a fixed buffer copy through a second one
+        self._u_norm_flat.take(self._offsets, None, self._realized, "clip")
+        if self.algorithm != NONCOOP:
+            self._u_rows.take(self._leader_row, 0, self._u0, "clip")
+            for operand, column, out in self._leader_chains[cur]:
+                np.matmul(operand, column, out)
             # a leader-only game runs this on empty (R, 0) follower axes
-            rows = self._row_base + actions[:, 1:]  # (R, K) rows of M cells
-            cells = rows * m + actions[:, :1]
-            u_hat = self.u_hat_batch.reshape(-1)
-            counts = self.count_batch.reshape(-1)
-            visits = counts[cells] + 1
-            old = u_hat[cells]
-            u_hat[cells] = old + (realized[:, 1:] - old) / visits
-            counts[cells] = visits
+            cells = self._estimate_cells
+            visits = self.count_batch.take(cells)
+            visits += 1
+            old = self.u_hat_batch.take(cells)
+            self.u_hat_batch.put(cells, old + (self._realized_followers - old) / visits)
+            self.count_batch.put(cells, visits)
             if self._conjecture:
-                followers = q_cells[:, 1:]
-                prev = self._prev_strategy_batch.reshape(-1)
-                change = y.reshape(-1)[followers] - prev[followers]
-                targets[:, 1:] = self._belief_targets(actions[:, 1:], change)
+                followers = self._follower_cells
+                y, prev = self._flat_strategies[cur], self._flat_strategies[1 - cur]
+                self._belief_targets(y.take(followers) - prev.take(followers), cur)
             else:
-                estimates = self.u_hat_batch.reshape(-1, 1, m)[rows]  # (R, K, 1, M)
-                targets[:, 1:] = np.matmul(estimates, y[:, None, 0, :, None])[..., 0, 0]
+                self._u_hat_rows.take(self._estimate_rows, 0, self._estimates, "clip")
+                np.matmul(self._estimates_by_row, self._y0_columns[cur], self._follower_targets)
 
-        q = self.q_batch.reshape(-1)
-        old = q[q_cells]
-        q[q_cells] = old + self.settings.alpha * (targets - old)
+        q_cells = self._q_cells
+        old = self.q_batch.take(q_cells)
+        self.q_batch.put(q_cells, old + self.settings.alpha * (self._targets - old))
 
-        self._prev_strategy_batch = y
         self.temperature *= self.settings.temperature_decay
-        self.strategy_batch = _softmax_rows(self.q_batch, self.temperature)
+        self._parity = 1 - cur
+        y = self._strategy_buffers[self._parity]
+        self.strategy_batch = _softmax_rows(self.q_batch, self.temperature, y, self._scratch)
         self.t += 1
 
-    def _belief_targets(self, actions, change) -> np.ndarray:
+    def _belief_targets(self, change: np.ndarray, cur: int) -> None:
         """``conjecture_adjust`` every follower's belief by its (R, n-1)
-        strategy ``change`` at its own ``actions``, then return
-        ``rla2_estimated_expected_utility`` of those actions."""
+        strategy ``change`` at its own action, then write
+        ``rla2_estimated_expected_utility`` of those actions to the
+        followers' targets under strategy buffer ``cur``."""
         shift = self.settings.belief_factor * change
-        clipped = np.clip(self.belief_batch - shift[..., None], 0.0, 1.0)
+        clipped = (self.belief_batch - shift[..., None]).clip(0.0, 1.0)
         total = np.add.reduce(clipped, axis=-1, keepdims=True)
         if not total.all():  # clipped entries are >= 0, so this is total <= 0
             empty = total[..., 0] <= 0
             clipped[empty] = 1.0 / clipped.shape[-1]
             total[empty] = 1.0
         self.belief_batch = clipped / total
-        sub = self.u_norm[(*self._follower_rows, actions)]  # (R, n-1, M, ..., M)
-        sub = sub.reshape(sub.shape[:2] + (self.num_actions, self.belief_batch.shape[-1]))
-        over_leader = np.matmul(sub, self.belief_batch[..., None])  # (R, n-1, M, 1)
-        y0 = self.strategy_batch[:, None, None, 0]
-        return np.matmul(y0, over_leader)[..., 0, 0]
+        self._u_rows.take(self._follower_rows, 0, self._follower_blocks, "clip")
+        blocks = self._follower_blocks_by_leader
+        over_leader = np.matmul(blocks, self.belief_batch[..., None])  # (R, n-1, M, 1)
+        np.matmul(self._y0_rows[cur], over_leader, self._follower_targets)
 
     def step(self) -> np.ndarray:
-        """One iteration.  Returns the (R, n) actions it sampled."""
+        """One iteration.  Returns a new (R, n) array of the actions it
+        sampled (``sample_action`` for every replicate and user)."""
         if self._next_uniform == len(self._uniforms):
             self._uniforms, self._next_uniform = self._draw(1), 0
-        actions = self._sample(self._uniforms[self._next_uniform])
+        u = self._uniforms[self._next_uniform]
         self._next_uniform += 1
-        self._update(actions)
-        return actions
+        np.add.accumulate(self.strategy_batch, -1, None, self._cdf)  # ``cumsum``
+        np.less_equal(self._cdf_inner, u, self._mask_by_user)
+        self._mask.dot(self._table, self._index)
+        self._index += self._base
+        self._update()
+        return self._actions.copy()
 
     def run(self, num_steps: int, log_every: int = 1) -> list[Trace]:
         """Run ``num_steps`` iterations, keeping every ``log_every``-th step
@@ -425,10 +483,12 @@ def _point_stack(tensors: list[list[np.ndarray]]) -> np.ndarray:
     return out
 
 
-def _softmax_rows(q: np.ndarray, temperature: float) -> np.ndarray:
+def _softmax_rows(q: np.ndarray, temperature: float, out=None, scratch=None) -> np.ndarray:
     """The Boltzmann strategy of each row of Q-values along the last axis at
-    ``temperature``: an overflow-safe softmax, the package's one."""
-    z = q / temperature
-    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    ``temperature``: an overflow-safe softmax, the package's one.  ``out``
+    and ``scratch``, arrays of ``q``'s shape, receive the strategies and
+    the intermediate values when given; new arrays do otherwise."""
+    z = np.divide(q, temperature, scratch)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, z)
+    return np.divide(z, np.add.reduce(z, axis=-1, keepdims=True), out)

@@ -50,6 +50,8 @@ GAMES = {
     "default": lambda desk_game: desk_game,
     "leader_only": lambda _: random_game(np.random.default_rng(21), num_users=1),
     "five_femtocells": lambda _: random_game(np.random.default_rng(22), num_users=6, num_actions=4),
+    # one power level: the sampling mask has no columns and every action is 0
+    "one_level": lambda _: random_game(np.random.default_rng(24), 3, num_actions=1),
 }
 
 
@@ -98,8 +100,9 @@ def test_batch_matches_reference_bitwise(desk_game, algorithm, belief_factor, ga
                     e for _, _, e in ref_rows
                 ]
         _assert_bitwise(engine, refs)
-    # the replicates took different paths
-    assert len({engine.strategy_batch[r].tobytes() for r in range(len(SEEDS))}) == len(SEEDS)
+    # the replicates took different paths, where a grid gives more than one
+    if len(game.action_set) > 1:
+        assert len({engine.strategy_batch[r].tobytes() for r in range(len(SEEDS))}) == len(SEEDS)
 
 
 @pytest.mark.parametrize("game_name", ["default", "five_femtocells"])
@@ -137,6 +140,42 @@ def test_single_generator_matches_one_replicate_of_a_batch(desk_game):
     assert trace.expected_utilities.tolist() == batch_trace.expected_utilities.tolist()
     assert _bytes(single.q[0]) == _bytes(batch.q[1])
     assert _bytes(single.strategies[0]) == _bytes(batch.strategies[1])
+
+
+@pytest.mark.parametrize("algorithm", [RLA1, RLA2, NONCOOP])
+def test_interleaved_engines_match_solo_runs(desk_game, algorithm):
+    # an engine's buffers are its own: stepping two engines by turns gives
+    # each the bits of a run on its own, and no step overwrites the actions
+    # an earlier one returned
+    five = GAMES["five_femtocells"](desk_game)
+    settings = sl.LearnerSettings(temperature=0.08, temperature_decay=0.9995, belief_factor=2.5)
+    setups = [([desk_game] * 2, (5, 6)), ([desk_game], (7,)), ([five] * 2, (8, 9))]
+
+    def engines():
+        return [
+            StackelbergLearning(games, algorithm, [np.random.default_rng(s) for s in seeds], settings)
+            for games, seeds in setups
+        ]
+
+    together, alone = engines(), engines()
+    # each engine's returned arrays, and copies taken as they were returned
+    returned, copies = [[] for _ in together], [[] for _ in together]
+    for t in range(400):
+        for engine, steps, kept in zip(together, returned, copies):
+            if t == 200:
+                steps.extend(trace.actions for trace in engine.run(3))
+            steps.append(engine.step())
+            kept.append(steps[-1].copy())
+    for engine, steps, kept in zip(alone, returned, copies):
+        expected = [engine.step().copy() for _ in range(200)]
+        expected += [trace.actions for trace in engine.run(3)]
+        expected += [engine.step().copy() for _ in range(200)]
+        assert _bytes(steps) == _bytes(expected)
+        assert _bytes(kept[:200] + kept[-200:]) == _bytes(expected[:200] + expected[-200:])
+    for a, b in zip(together, alone):
+        assert _bytes((a.q, a.strategies, *a.estimates, a.beliefs)) == _bytes(
+            (b.q, b.strategies, *b.estimates, b.beliefs)
+        )
 
 
 def test_batch_rejects_empty_generator_list(desk_game):
