@@ -86,6 +86,11 @@ class NetworkConfig:
             raise ValueError(f"num_femtocells: must be >= 1, got {self.num_femtocells}")
         if self.femto_radius_m >= self.macro_radius_m:
             raise ValueError("femto_radius_m: must be smaller than macro_radius_m")
+        # a user drawn from a disc no wider than the separation can never be
+        # placed that far from the base station at its centre; the macro disc
+        # is wider still
+        if not self.femto_radius_m > self.min_separation_m:
+            raise ValueError("femto_radius_m: must be greater than min_separation_m")
         if self.shadowing_sigma_db < 0:
             raise ValueError("shadowing_sigma_db: must be >= 0")
         if not 0 <= int(self.rng_seed) < 2**64:
@@ -127,7 +132,9 @@ def generate_topology(config: NetworkConfig, rng: np.random.Generator) -> Topolo
     macro disc; each femto user is uniform in the disc of radius
     ``femto_radius_m`` around its FBS, and the macro user is uniform in the
     macro disc.  Users are rejection-resampled until they are at least
-    ``min_separation_m`` away from every base station.
+    ``min_separation_m`` away from every base station; a user still not
+    placed after 10,000 draws is a ``ConfigError`` on
+    ``network.min_separation_m``.
     """
     n_cells = config.num_femtocells + 1
 
@@ -144,8 +151,12 @@ def generate_topology(config: NetworkConfig, rng: np.random.Generator) -> Topolo
             if np.min(np.linalg.norm(bs - pos, axis=1)) >= config.min_separation_m:
                 users[i] = pos
                 break
-        else:  # pragma: no cover - astronomically unlikely for sane radii
-            raise RuntimeError(f"could not place user {i} respecting the minimum separation")
+        else:
+            from .config import ConfigError  # config imports this module
+            raise ConfigError(
+                f"network.min_separation_m: no position for user {i} at least"
+                f" {config.min_separation_m!r} m from every base station in 10000 draws"
+            )
 
     dist = np.linalg.norm(users[:, None, :] - bs[None, :, :], axis=2)
     return Topology(bs_positions=bs, user_positions=users, distances=dist)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import db_to_linear, dbm_to_watt, gain_matrix, generate_topology
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .game import (
     ActionSet,
     EquilibriumResult,
@@ -97,11 +97,22 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
     while the leader cannot meet its SINR target even with all remaining
     followers at minimum power.  This realizes the protocol in which the
     macrocell deactivates femtocells when its own QoS becomes infeasible.
+    A channel gain that is zero or not finite is a ``ConfigError`` on
+    ``network.path_loss_exponent``, or on ``network.shadowing_sigma_db``
+    when shadowing is on.
     """
     net = config.network
     rng = np.random.default_rng(net.rng_seed)
     topology = generate_topology(net, rng)
-    gains = gain_matrix(topology, net.path_loss_exponent, net.shadowing_sigma_db, rng)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        gains = gain_matrix(topology, net.path_loss_exponent, net.shadowing_sigma_db, rng)
+    if not (np.isfinite(gains).all() and (gains > 0).all()):
+        name = "shadowing_sigma_db" if net.shadowing_sigma_db > 0 else "path_loss_exponent"
+        raise ConfigError(
+            f"network.{name}: the channel gains of this topology are not all finite and > 0"
+            f" (path_loss_exponent {net.path_loss_exponent!r},"
+            f" shadowing_sigma_db {net.shadowing_sigma_db!r})"
+        )
 
     mu_target_db = config.users.mu_sinr_target_db if gamma0_db is None else gamma0_db
     circuit_w = dbm_to_watt(config.users.circuit_power_dbm)

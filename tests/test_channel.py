@@ -124,3 +124,19 @@ def test_network_config_validation():
     with pytest.raises(ValueError, match="noise_power_dbm"):
         _config(noise_power_dbm=1e308)  # no finite power in watts
     assert _config().noise_power_w == sl.dbm_to_watt(-110.0)
+
+
+@pytest.mark.parametrize(
+    "kw", [{"femto_radius_m": 1.0}, {"min_separation_m": 20.0}, {"min_separation_m": 600.0}]
+)
+def test_network_config_rejects_separation_as_wide_as_the_femto_disc(kw):
+    # no point of the femto disc is that far from its base station
+    with pytest.raises(ValueError, match="^femto_radius_m: must be greater than min_separation_m"):
+        _config(**kw)
+
+
+def test_unplaceable_user_is_config_error():
+    # a femto disc wider than the separation by a sliver that no draw hits
+    config = _config(femto_radius_m=2.0, min_separation_m=2.0 - 1e-8)
+    with pytest.raises(sl.ConfigError, match=r"^network\.min_separation_m: no position for user 1 "):
+        _topology(config)

@@ -784,6 +784,28 @@ def test_cli_many_femtocells_run_or_are_config_errors(tmp_path, capsys, command,
         assert err == ""
 
 
+@pytest.mark.parametrize(
+    ("network", "field"),
+    [
+        ({"femto_radius_m": 1.0}, "femto_radius_m"),
+        ({"femto_radius_m": 2.0, "min_separation_m": 2.0 - 1e-8}, "min_separation_m"),
+        ({"path_loss_exponent": 300.0}, "path_loss_exponent"),
+        ({"min_separation_m": 0.001, "femto_radius_m": 0.01, "path_loss_exponent": 300.0},
+         "path_loss_exponent"),
+        ({"shadowing_sigma_db": 10000.0}, "shadowing_sigma_db"),
+    ],
+    ids=["femto-disc", "placement", "gain-underflow", "gain-overflow", "shadowing"],
+)
+@pytest.mark.parametrize("command", ["oracle", "run", "sweep", "dynamics"])
+def test_cli_unbuildable_network_is_config_error(tmp_path, capsys, command, network, field):
+    # a user no draw can place, or a channel gain that is 0 or not finite
+    cfg = _write_cfg(tmp_path, network=network, output={"directory": str(tmp_path / "o")})
+    assert cli_main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: network.{field}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_dynamics_steps_too_many_for_one_array_is_config_error(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, output={"directory": str(tmp_path / "o")})
     assert cli_main(["dynamics", "--config", cfg, "--steps", "1000000000000000000"]) == 1
