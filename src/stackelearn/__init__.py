@@ -23,11 +23,9 @@ from .dynamics import (
 from .game import (
     ActionSet,
     EquilibriumResult,
-    FeasibilityOutcome,
     GameInstance,
     UserParams,
     energy_efficiency,
-    feasibility_adjust,
     normalized_utility_tensors,
     sinr,
     sinr_tensor,

@@ -84,6 +84,8 @@ class NetworkConfig:
                 raise ValueError(f"{name}: must be finite and > 0, got {value!r}")
         if self.num_femtocells < 1:
             raise ValueError(f"num_femtocells: must be >= 1, got {self.num_femtocells}")
+        if self.macro_radius_m > 1e150:
+            raise ValueError("macro_radius_m: must be <= 1e150 (distances square it)")
         if self.femto_radius_m >= self.macro_radius_m:
             raise ValueError("femto_radius_m: must be smaller than macro_radius_m")
         # a user drawn from a disc no wider than the separation can never be

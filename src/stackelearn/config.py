@@ -98,19 +98,6 @@ class SeedConfig:
 
 
 @dataclass
-class FeasibilityConfig:
-    enabled: bool = False
-    reduction_factor: float = 0.5
-    max_rounds: int = 3
-
-    def __post_init__(self):
-        if not 0 < self.reduction_factor < 1:
-            raise ValueError("reduction_factor: must lie in (0, 1)")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds: must be >= 1")
-
-
-@dataclass
 class OutputConfig:
     directory: str = "out"
 
@@ -122,24 +109,16 @@ class ExperimentConfig:
     learning: LearningConfig = field(default_factory=LearningConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     seeds: SeedConfig = field(default_factory=SeedConfig)
-    feasibility: FeasibilityConfig = field(default_factory=FeasibilityConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SECTIONS = {
-    "network": NetworkConfig,
-    "users": UserConfig,
-    "learning": LearningConfig,
-    "sweep": SweepConfig,
-    "seeds": SeedConfig,
-    "feasibility": FeasibilityConfig,
-    "output": OutputConfig,
-}
+# section name -> section class, in order
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
 
 
 def _json_type(hint) -> tuple[type, bool]:
-    """(element type, is a list) of an annotated field type: float, int,
-    bool or str, or a tuple of one of these."""
+    """(element type, is a list) of an annotated field type: float, int or
+    str, or a tuple of one of these."""
     if typing.get_origin(hint) is tuple:
         return typing.get_args(hint)[0], True
     return hint, False
@@ -160,14 +139,15 @@ def _check_keys(section: dict, allowed, path: str) -> None:
 
 
 def _typed(value, json_type: tuple[type, bool], path: str):
-    """``value`` checked against a field's JSON type (see ``_json_type``);
-    integers become floats where a float is expected."""
+    """``value`` checked against a field's JSON type (see ``_json_type``):
+    no field takes a bool, and integers become floats where a float is
+    expected."""
     kind, is_list = json_type
     if is_list:
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path}: expected a non-empty list")
         return tuple(_typed(x, (kind, False), path) for x in value)
-    if isinstance(value, bool) and kind is not bool:
+    if isinstance(value, bool):
         raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
     if kind is float and isinstance(value, int):
         try:

@@ -23,7 +23,7 @@ stored with its user's own axis first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -119,13 +119,6 @@ class EquilibriumResult:
     follower_action_indices: tuple[int, ...]
     utilities: tuple[float, ...]
     is_pure_se: bool
-
-
-@dataclass(frozen=True)
-class FeasibilityOutcome:
-    game: GameInstance
-    feasible: bool
-    rounds_applied: int
 
 
 def sinr(i: int, powers_w: Sequence[float], game: GameInstance) -> float:
@@ -330,39 +323,9 @@ def stackelberg_oracle(game: GameInstance) -> EquilibriumResult:
     )
 
 
-def leader_feasible(game: GameInstance, follower_level: int) -> bool:
+def leader_feasible(game: GameInstance) -> bool:
     """Can the leader meet its SINR target at max power while every follower
-    transmits at power level index ``follower_level`` (-1: its max)?"""
+    transmits at its minimum power?"""
     levels = game.action_set.levels_w
-    powers = [levels[-1]] + [levels[follower_level]] * game.num_followers
+    powers = [levels[-1]] + [levels[0]] * game.num_followers
     return sinr(0, powers, game) >= game.users[0].sinr_target_lin
-
-
-def feasibility_adjust(
-    game: GameInstance, reduction_factor: float, max_rounds: int
-) -> FeasibilityOutcome:
-    """Scale follower SINR targets down while the leader fails its target with
-    every follower at max power.
-
-    Mirrors the protocol where the macro base station asks femtocells to
-    relax their QoS targets whenever the macro target is infeasible.  A run
-    that exhausts ``max_rounds`` is reported with ``feasible=False`` rather
-    than silently accepted.  The input game is never modified.
-    """
-    if not 0 < reduction_factor < 1:
-        raise ValueError("reduction_factor must lie in (0, 1)")
-    current = game
-    rounds = 0
-    while rounds < max_rounds and not leader_feasible(current, -1):
-        users = [current.users[0]]
-        users += [
-            replace(u, sinr_target_lin=u.sinr_target_lin * reduction_factor)
-            for u in current.users[1:]
-        ]
-        current = replace(current, users=tuple(users))
-        rounds += 1
-    return FeasibilityOutcome(
-        game=current,
-        feasible=leader_feasible(current, -1),
-        rounds_applied=rounds,
-    )

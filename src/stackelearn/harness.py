@@ -20,10 +20,8 @@ from .config import ConfigError, ExperimentConfig
 from .game import (
     ActionSet,
     EquilibriumResult,
-    FeasibilityOutcome,
     GameInstance,
     UserParams,
-    feasibility_adjust,
     iterated_best_response,
     leader_feasible,
     sinr_tensor,
@@ -44,7 +42,8 @@ _ALGO_STREAM_INDEX = {RLA1: 0, RLA2: 1, NONCOOP: 2}
 
 @dataclass(frozen=True)
 class PreparedGame:
-    """A game instance ready for learning, after the protection protocol.
+    """A game instance ready for learning, after the leader-protection
+    silencing of ``build_game``.
 
     ``active[k]`` says whether follower k+1 (original numbering) takes part;
     silenced femtocells are removed from ``game`` entirely.  ``user_ids``
@@ -54,7 +53,6 @@ class PreparedGame:
     game: GameInstance
     active: tuple[bool, ...]
     user_ids: tuple[int, ...]
-    feasibility: FeasibilityOutcome | None
     unresolved: bool
 
 
@@ -92,19 +90,19 @@ class SweepResult:
 def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> PreparedGame:
     """Construct the game for one experiment (or one sweep point).
 
-    After the optional FU target-reduction round, femtocells are silenced
-    one at a time (strongest interferer at the macro base station first)
-    while the leader cannot meet its SINR target even with all remaining
-    followers at minimum power.  This realizes the protocol in which the
-    macrocell deactivates femtocells when its own QoS becomes infeasible.
-    A channel gain that is zero or not finite is a ``ConfigError`` on
-    ``network.path_loss_exponent``, or on ``network.shadowing_sigma_db``
-    when shadowing is on.
+    Femtocells are silenced one at a time (strongest interferer at the
+    macro base station first) while the leader cannot meet its SINR target
+    at max power even with all remaining followers at minimum power: the
+    protocol in which the macrocell deactivates femtocells when its own QoS
+    becomes infeasible.  A channel gain that is zero or not finite is a
+    ``ConfigError`` on ``network.path_loss_exponent``, or on
+    ``network.shadowing_sigma_db`` when shadowing is on; so is an SINR or
+    utility that can overflow, on the first field whose bound overflows.
     """
     net = config.network
     rng = np.random.default_rng(net.rng_seed)
     topology = generate_topology(net, rng)
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
         gains = gain_matrix(topology, net.path_loss_exponent, net.shadowing_sigma_db, rng)
     if not (np.isfinite(gains).all() and (gains > 0).all()):
         name = "shadowing_sigma_db" if net.shadowing_sigma_db > 0 else "path_loss_exponent"
@@ -116,31 +114,37 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
 
     mu_target_db = config.users.mu_sinr_target_db if gamma0_db is None else gamma0_db
     circuit_w = dbm_to_watt(config.users.circuit_power_dbm)
-    users = [UserParams(db_to_linear(mu_target_db), circuit_w)]
-    users += [
-        UserParams(db_to_linear(config.users.fu_sinr_target_db), circuit_w)
-        for _ in range(net.num_femtocells)
-    ]
+    follower = UserParams(db_to_linear(config.users.fu_sinr_target_db), circuit_w)
+    users = (UserParams(db_to_linear(mu_target_db), circuit_w),) + (follower,) * net.num_femtocells
     game = GameInstance(
         gains=np.array(gains),
-        users=tuple(users),
+        users=users,
         action_set=ActionSet.from_dbm(config.users.action_set_dbm),
         bandwidth_hz=net.bandwidth_hz,
         noise_power_w=net.noise_power_w,
     )
 
-    feas: FeasibilityOutcome | None = None
-    if config.feasibility.enabled:
-        feas = feasibility_adjust(
-            game, config.feasibility.reduction_factor, config.feasibility.max_rounds
-        )
-        game = feas.game
+    # bounds per user and own power level p, with no interference: the
+    # received powers at the top level, the SINR, the rate and the utility
+    levels = np.array(game.action_set.levels_w)
+    with np.errstate(over="ignore"):
+        sinr = np.diag(gains)[:, None] * levels / game.noise_power_w
+        rate = net.bandwidth_hz * np.log2(1.0 + sinr)
+        bounds = {
+            "users.action_set_dbm": (gains * levels[-1]).sum(axis=0),
+            "network.noise_power_dbm": sinr,
+            "network.bandwidth_hz": rate,
+            "users.circuit_power_dbm": rate / (circuit_w + levels),
+        }
+    for name, bound in bounds.items():
+        if not np.isfinite(bound).all():
+            raise ConfigError(f"{name}: some SINR or utility of this network overflows")
 
     n_fu = game.num_followers
     active = [True] * n_fu
     keep = list(range(game.num_users))
     reduced = game
-    while not leader_feasible(reduced, 0) and any(active):
+    while not leader_feasible(reduced) and any(active):
         # silence the active femtocell whose user interferes most at the MBS
         candidates = [k for k in range(n_fu) if active[k]]
         worst = max(candidates, key=lambda k: game.gains[k + 1, 0])
@@ -150,13 +154,11 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
             game, gains=game.gains[np.ix_(keep, keep)], users=tuple(game.users[i] for i in keep)
         )
 
-    unresolved = not leader_feasible(reduced, 0)
     return PreparedGame(
         game=reduced,
         active=tuple(active),
         user_ids=tuple(keep),
-        feasibility=feas,
-        unresolved=unresolved,
+        unresolved=not leader_feasible(reduced),
     )
 
 

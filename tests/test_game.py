@@ -11,7 +11,6 @@ from stackelearn import harness
 from stackelearn.dynamics import FieldTensors
 from stackelearn.game import (
     energy_efficiency,
-    feasibility_adjust,
     leader_feasible,
     normalize_utility,
     normalized_utility_tensors,
@@ -152,10 +151,10 @@ def _reading_tensors(monkeypatch, module):
     checked = []
     real = module.leader_feasible
 
-    def reading(game, follower_level):
+    def reading(game):
         _tensor_bytes(game)
         checked.append(game)
-        return real(game, follower_level)
+        return real(game)
 
     monkeypatch.setattr(module, "leader_feasible", reading)
     return checked
@@ -194,23 +193,6 @@ def test_shared_tensors_are_built_once_and_read_only(monkeypatch):
             tensor.setflags(write=True)
 
 
-def test_feasibility_adjusted_game_builds_its_own_tensors(desk_game, monkeypatch):
-    # the leader fails its target at any follower power; the follower
-    # targets lie inside their SINR ranges, so relaxing them changes utilities
-    users = (sl.UserParams(1e3, 0.01), sl.UserParams(1e6, 0.01), sl.UserParams(1e4, 0.01))
-    game = replace(desk_game, users=users)
-    checked = _reading_tensors(monkeypatch, game_mod)
-    out = feasibility_adjust(game, 0.5, 3)
-    assert out.rounds_applied == 3 and not out.feasible
-    assert checked[0] is game and checked[-1] is out.game
-    relaxed = _tensor_bytes(out.game)
-    assert relaxed == _tensor_bytes(_never_queried(out.game))
-    for i, ((s, u, un), (s0, u0, un0)) in enumerate(zip(relaxed, _tensor_bytes(game))):
-        assert s == s0  # same gains and powers
-        # only the follower targets were relaxed
-        assert (u == u0) == (un == un0) == (i == 0)
-
-
 def test_silenced_game_builds_its_own_tensors(monkeypatch):
     checked = _reading_tensors(monkeypatch, harness)
     prepared = harness.build_game(sl.default_config(), gamma0_db=10.0)
@@ -231,6 +213,17 @@ def test_replaced_game_builds_its_own_tensors(desk_game):
     for (s, u, un), (s0, u0, un0) in zip(_tensor_bytes(wider), before):
         # twice the bandwidth doubles every utility exactly, and its maximum
         assert s == s0 and u != u0 and un == un0
+    # the follower targets lie inside their SINR ranges, so relaxing them
+    # changes the followers' utilities
+    users = (sl.UserParams(1e3, 0.01), sl.UserParams(1e6, 0.01), sl.UserParams(1e4, 0.01))
+    strict = replace(desk_game, users=users)
+    built = _tensor_bytes(strict)
+    relaxed_users = [replace(u, sinr_target_lin=u.sinr_target_lin / 8) for u in users[1:]]
+    relaxed = replace(strict, users=users[:1] + tuple(relaxed_users))
+    assert _tensor_bytes(relaxed) == _tensor_bytes(_never_queried(relaxed))
+    for i, ((s, u, un), (s0, u0, un0)) in enumerate(zip(_tensor_bytes(relaxed), built)):
+        assert s == s0  # same gains and powers
+        assert (u == u0) == (un == un0) == (i == 0)
     assert _tensor_bytes(same) == before
     assert not np.shares_memory(utility_tensor(same, 0), utility_tensor(desk_game, 0))
     assert not np.shares_memory(
@@ -345,28 +338,14 @@ def test_oracle_leader_cannot_improve(desk_game):
         assert best_here <= se.utilities[0] + 1e-15
 
 
-def test_feasibility_adjust_reduces_targets_only():
-    gains = np.array([[1e-12, 1e-8], [1e-8, 1e-6]])  # leader is badly served
-    g = _two_user_game(gains=gains, targets=(1e6, 1.0))
-    assert not leader_feasible(g, -1)
-    out = feasibility_adjust(g, reduction_factor=0.5, max_rounds=3)
-    assert out.rounds_applied == 3
-    # the input game is untouched
-    assert g.users[1].sinr_target_lin == 1.0
-    assert out.game.users[1].sinr_target_lin == pytest.approx(0.125)
-    # the leader's own target is never touched
-    assert out.game.users[0].sinr_target_lin == g.users[0].sinr_target_lin
-    assert out.feasible == leader_feasible(out.game, -1)
-
-
-def test_feasibility_adjust_noop_when_feasible(desk_game):
-    assert leader_feasible(desk_game, -1) in (True, False)
-    g = _two_user_game()  # symmetric strong diagonal: trivially feasible
-    assert leader_feasible(g, -1)
-    out = feasibility_adjust(g, reduction_factor=0.5, max_rounds=3)
-    assert out.rounds_applied == 0
-    assert out.feasible
-    assert out.game is g
+def test_leader_feasible_puts_followers_at_min_power():
+    g = _two_user_game()
+    levels = g.action_set.levels_w
+    at_min, at_max = (sinr(0, [levels[-1], p], g) for p in (levels[0], levels[-1]))
+    assert at_min > at_max
+    for target, feasible in ((at_min, True), (math.nextafter(at_min, math.inf), False)):
+        leader = sl.UserParams(target, g.users[0].circuit_power_w)
+        assert leader_feasible(replace(g, users=(leader,) + g.users[1:])) == feasible
 
 
 # ---------------------------------------------------------------------------

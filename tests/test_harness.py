@@ -46,7 +46,6 @@ def test_default_config_values(default_cfg):
     assert cfg.learning.temperature == 0.05
     assert cfg.learning.num_steps == 5000
     assert cfg.sweep.replicates == 3
-    assert cfg.feasibility.enabled is False
     users = build_game(cfg).game.users
     assert users[0].sinr_target_lin == pytest.approx(sl.db_to_linear(3.0))
     assert users[1].sinr_target_lin == pytest.approx(sl.db_to_linear(5.0))
@@ -74,12 +73,13 @@ def test_parse_config_rejects_unknown_keys():
         ("sweep", "replicates", 0, "replicates"),
         ("users", "action_set_dbm", [30.0, 20.0], "action_set_dbm"),
         ("users", "mu_sinr_target_db", "high", "mu_sinr_target_db"),
-        ("feasibility", "reduction_factor", 1.0, "reduction_factor"),
+        # larger coordinates overflow when squared
+        ("network", "macro_radius_m", 1e300, "macro_radius_m"),
         ("seeds", "base_seed", -1, "base_seed"),
         # once coerced, or escaping as another exception
         ("learning", "num_steps", None, "learning.num_steps"),
         ("network", "num_femtocells", 2.9, "network.num_femtocells"),
-        ("feasibility", "enabled", "false", "feasibility.enabled"),
+        ("output", "directory", True, "output.directory"),
         ("learning", "trace_decimation", True, "learning.trace_decimation"),
         ("sweep", "replicates", True, "sweep.replicates"),
         ("network", "rng_seed", False, "network.rng_seed"),
@@ -149,7 +149,6 @@ _CONFIG_FIELDS = [
                      "algorithms", "trace_decimation"],
         "sweep": ["gamma0_grid_db", "replicates"],
         "seeds": ["base_seed"],
-        "feasibility": ["enabled", "reduction_factor", "max_rounds"],
         "output": ["directory"],
     }.items()
     for key in keys + [None]
@@ -187,23 +186,18 @@ _DB_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-400
         },
     ),
     grid=st.lists(_DB_VALUES, min_size=1, max_size=3),
-    feasibility=st.booleans(),
 )
-# the default game relaxes the FU targets for 3 rounds; a 10 dB MU target
-# silences femtocell 1, and 20 dB silences both
-@example(users={}, grid=[3], feasibility=True)
-@example(users={"mu_sinr_target_db": 10}, grid=[20], feasibility=False)
-def test_accepted_radio_values_build_a_game(users, grid, feasibility):
+# a 10 dB MU target silences femtocell 1, and 20 dB silences both
+@example(users={"mu_sinr_target_db": 10}, grid=[20])
+def test_accepted_radio_values_build_a_game(users, grid):
     # what parse_config accepts in these sections, build_game can convert
     try:
-        cfg = parse_config(
-            {"users": users, "sweep": {"gamma0_grid_db": grid}, "feasibility": {"enabled": feasibility}}
-        )
+        cfg = parse_config({"users": users, "sweep": {"gamma0_grid_db": grid}})
     except ConfigError:
         return
     for gamma0_db in (None,) + cfg.sweep.gamma0_grid_db:
         game = build_game(cfg, gamma0_db=gamma0_db).game
-        # silencing and target relaxation leave every user on the one grid
+        # silencing leaves every user on the one grid
         assert len(set(game.action_dims)) == 1
 
 
@@ -245,8 +239,7 @@ def test_build_game_default_instance(prepared):
     assert prepared.active == (True, True)
     assert prepared.user_ids == (0, 1, 2)
     assert not prepared.unresolved
-    assert prepared.feasibility is None
-    assert leader_feasible(prepared.game, 0)
+    assert leader_feasible(prepared.game)
 
 
 def test_build_game_silences_interferers(default_cfg):
@@ -269,13 +262,6 @@ def test_build_game_unresolved_flag():
     assert hard.unresolved
     assert hard.active == (False, False)
     assert hard.game.num_users == 1
-
-
-def test_build_game_feasibility_rounds():
-    cfg = default_config(feasibility={"enabled": True, "reduction_factor": 0.5, "max_rounds": 2})
-    out = build_game(cfg, gamma0_db=60.0)
-    assert out.feasibility is not None
-    assert 0 <= out.feasibility.rounds_applied <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +779,10 @@ def test_cli_many_femtocells_run_or_are_config_errors(tmp_path, capsys, command,
         ({"min_separation_m": 0.001, "femto_radius_m": 0.01, "path_loss_exponent": 300.0},
          "path_loss_exponent"),
         ({"shadowing_sigma_db": 10000.0}, "shadowing_sigma_db"),
+        # an underflowing path loss times an overflowing shadowing factor is nan
+        ({"path_loss_exponent": 300.0, "shadowing_sigma_db": 10000.0}, "shadowing_sigma_db"),
     ],
-    ids=["femto-disc", "placement", "gain-underflow", "gain-overflow", "shadowing"],
+    ids=["femto-disc", "placement", "gain-underflow", "gain-overflow", "shadowing", "gain-nan"],
 )
 @pytest.mark.parametrize("command", ["oracle", "run", "sweep", "dynamics"])
 def test_cli_unbuildable_network_is_config_error(tmp_path, capsys, command, network, field):
@@ -803,6 +791,56 @@ def test_cli_unbuildable_network_is_config_error(tmp_path, capsys, command, netw
     assert cli_main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: network.{field}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    ("raw", "field"),
+    [
+        ({"network": {"femto_radius_m": 0.01, "min_separation_m": 1e-300, "path_loss_exponent": 60.0},
+          "users": {"action_set_dbm": [2990.0]}}, "users.action_set_dbm"),
+        ({"network": {"noise_power_dbm": -3000.0}, "users": {"action_set_dbm": [2990.0]}},
+         "network.noise_power_dbm"),
+        ({"network": {"bandwidth_hz": 1e308}}, "network.bandwidth_hz"),
+        ({"network": {"bandwidth_hz": 1e300, "noise_power_dbm": -3000.0},
+          "users": {"mu_sinr_target_db": -3000.0, "fu_sinr_target_db": -3000.0,
+                    "circuit_power_dbm": -3000.0, "action_set_dbm": [-3000.0]}},
+         "users.circuit_power_dbm"),
+    ],
+    ids=["received-power", "sinr", "rate", "utility"],
+)
+@pytest.mark.parametrize("command", ["oracle", "run", "sweep", "dynamics"])
+def test_cli_overflowing_network_is_config_error(tmp_path, capsys, command, raw, field):
+    # each of these wrote an inf utility or SINR, or printed a RuntimeWarning
+    cfg = _write_cfg(tmp_path, **raw, output={"directory": str(tmp_path / "o")})
+    assert cli_main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: {field}: some SINR or utility of this network overflows\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {},
+        {"enabled": True},
+        {"reduction_factor": 0.5},
+        {"max_rounds": 3},
+        # the round scaled the follower targets until they underflowed to 0
+        {"enabled": True, "reduction_factor": 1e-300, "max_rounds": 1000},
+    ],
+    ids=["empty", "enabled", "reduction_factor", "max_rounds", "underflowing-targets"],
+)
+def test_removed_feasibility_section_is_unknown_key(tmp_path, capsys, section):
+    # silencing femtocells is the one leader-protection protocol; lower
+    # follower targets are users.fu_sinr_target_db
+    message = "top level: unknown key(s) ['feasibility']"
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"feasibility": section})
+    assert str(exc.value) == message
+    cfg = _write_cfg(tmp_path, feasibility=section, output={"directory": str(tmp_path / "o")})
+    for command in ("oracle", "run", "sweep", "dynamics"):
+        assert cli_main([command, "--config", cfg]) == 1, command
+        assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
