@@ -193,6 +193,23 @@ def test_shared_tensors_are_built_once_and_read_only(monkeypatch):
             tensor.setflags(write=True)
 
 
+def test_feasibility_adjusted_game_builds_its_own_tensors(desk_game):
+    # a game whose follower targets are relaxed, as a feasibility adjustment
+    # would, derived from a game whose tensors are built; the follower
+    # targets lie inside their SINR ranges, so relaxing them changes utilities
+    users = (sl.UserParams(1e3, 0.01), sl.UserParams(1e6, 0.01), sl.UserParams(1e4, 0.01))
+    strict = replace(desk_game, users=users)
+    built = _tensor_bytes(strict)
+    relaxed_users = [replace(u, sinr_target_lin=u.sinr_target_lin / 8) for u in users[1:]]
+    relaxed = replace(strict, users=users[:1] + tuple(relaxed_users))
+    assert _tensor_bytes(relaxed) == _tensor_bytes(_never_queried(relaxed))
+    for i, ((s, u, un), (s0, u0, un0)) in enumerate(zip(_tensor_bytes(relaxed), built)):
+        assert s == s0  # same gains and powers
+        # only the follower targets were relaxed
+        assert (u == u0) == (un == un0) == (i == 0)
+    assert _tensor_bytes(strict) == built
+
+
 def test_silenced_game_builds_its_own_tensors(monkeypatch):
     checked = _reading_tensors(monkeypatch, harness)
     prepared = harness.build_game(sl.default_config(), gamma0_db=10.0)
@@ -213,17 +230,6 @@ def test_replaced_game_builds_its_own_tensors(desk_game):
     for (s, u, un), (s0, u0, un0) in zip(_tensor_bytes(wider), before):
         # twice the bandwidth doubles every utility exactly, and its maximum
         assert s == s0 and u != u0 and un == un0
-    # the follower targets lie inside their SINR ranges, so relaxing them
-    # changes the followers' utilities
-    users = (sl.UserParams(1e3, 0.01), sl.UserParams(1e6, 0.01), sl.UserParams(1e4, 0.01))
-    strict = replace(desk_game, users=users)
-    built = _tensor_bytes(strict)
-    relaxed_users = [replace(u, sinr_target_lin=u.sinr_target_lin / 8) for u in users[1:]]
-    relaxed = replace(strict, users=users[:1] + tuple(relaxed_users))
-    assert _tensor_bytes(relaxed) == _tensor_bytes(_never_queried(relaxed))
-    for i, ((s, u, un), (s0, u0, un0)) in enumerate(zip(_tensor_bytes(relaxed), built)):
-        assert s == s0  # same gains and powers
-        assert (u == u0) == (un == un0) == (i == 0)
     assert _tensor_bytes(same) == before
     assert not np.shares_memory(utility_tensor(same, 0), utility_tensor(desk_game, 0))
     assert not np.shares_memory(
