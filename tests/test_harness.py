@@ -2,6 +2,7 @@ import json
 import math
 import os
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -328,6 +329,60 @@ def test_compare_summary_rows(small_result):
         assert row["algo"] in algos
         assert row["terminal_expected_utility"] >= 0
         assert row["steps_to_10pct"] >= 0
+
+
+def _hand_trace(steps, expected_utilities):
+    """A trace whose kept steps and expected utilities are given; the other
+    columns are zeros, since the summary reads only these two."""
+    expected = np.array(expected_utilities, dtype=float).T
+    zeros = np.zeros_like(expected)
+    return sl.Trace(
+        steps=np.array(steps), actions=zeros.astype(int), powers_dbm=zeros, sinr_lin=zeros,
+        utilities=zeros, expected_utilities=expected, strategies=zeros[:, :, None],
+    )
+
+
+def test_compare_summary_columns():
+    # user ids (0, 2): femtocell 1 silenced; the reference utility of user 2 is 0
+    traces = {
+        # 10 kept steps: the terminal window is the last ceil(0.9 * 10) - 1 = 8 on
+        sl.RLA1: _hand_trace(
+            [5 + 10 * k for k in range(10)],
+            [[0, 1, 2, 4, 8, 9.5, 11.5, 10, 11, 13], [0, 0, 0, 0, 0, 0, 0, 0, 0, 10]],
+        ),
+        # 1 kept step: the window is max(1, ceil(0.9)) - 1 = 0 on
+        sl.RLA2: _hand_trace([0], [[2.0], [0.0]]),
+    }
+    result = sl.ExperimentResult(
+        prepared=sl.PreparedGame(
+            game=SimpleNamespace(num_users=2), active=(False, True), user_ids=(0, 2), unresolved=False
+        ),
+        traces=traces,
+        oracle=sl.EquilibriumResult(2, (1,), (6.0, 7.0), True),
+        complete_info=sl.CompleteInfoResult((2, 1), (4.0, 0.0), True),
+    )
+    nan = math.nan
+    expected = [
+        # terminal 12: 11.5 at step 65 is the first within 10%, ahead of 10 and 11
+        (sl.RLA1, 0, 12.0, 4.0, 3.0, 65),
+        # terminal 5: neither 0 nor 10 is within 10%, so the last kept step
+        (sl.RLA1, 2, 5.0, 0.0, nan, 95),
+        (sl.RLA2, 0, 2.0, 4.0, 0.5, 0),
+        (sl.RLA2, 2, 0.0, 0.0, nan, 0),
+        ("oracle", 0, 6.0, 4.0, 1.5, 0),
+        ("oracle", 2, 7.0, 0.0, nan, 0),
+    ]
+    keys = (
+        "algo", "user", "terminal_expected_utility", "reference_utility", "ratio_to_reference",
+        "steps_to_10pct",
+    )
+    types = (str, int, float, float, float, int)
+    rows = compare_summary(result)
+    assert [tuple(row) for row in rows] == [keys] * len(expected)
+    for row, want in zip(rows, expected):
+        got = tuple(row.values())
+        assert [type(v) for v in got] == list(types), row
+        assert [str(v) for v in got] == [str(v) for v in want], row
 
 
 def test_trace_csv_shape(small_result, tmp_path):
