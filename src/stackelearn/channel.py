@@ -14,6 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; the message carries the field path."""
+
+
 def dbm_to_watt(x_dbm: float) -> float:
     """Convert a power from dBm to watts."""
     if not math.isfinite(x_dbm):
@@ -88,6 +92,9 @@ class NetworkConfig:
             raise ValueError("macro_radius_m: must be <= 1e150 (distances square it)")
         if self.femto_radius_m >= self.macro_radius_m:
             raise ValueError("femto_radius_m: must be smaller than macro_radius_m")
+        # a femto offset must exceed the spacing of coordinates near macro_radius_m
+        if math.ulp(self.macro_radius_m) >= self.femto_radius_m:
+            raise ValueError("macro_radius_m: so large that femto_radius_m offsets round away")
         # a user drawn from a disc no wider than the separation can never be
         # placed that far from the base station at its centre; the macro disc
         # is wider still
@@ -154,7 +161,6 @@ def generate_topology(config: NetworkConfig, rng: np.random.Generator) -> Topolo
                 users[i] = pos
                 break
         else:
-            from .config import ConfigError  # config imports this module
             raise ConfigError(
                 f"network.min_separation_m: no position for user {i} at least"
                 f" {config.min_separation_m!r} m from every base station in 10000 draws"

@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (learning traces + summary), ``sweep`` (leader-target
 sweep), ``oracle`` (print the Stackelberg equilibrium), ``dynamics`` (ODE
-trajectory export).  Exit codes: 0 success, 1 config or usage error, 2
+trajectory export).  ``main`` loads the config and applies ``--out``
+before any command runs.  Exit codes: 0 success, 1 config or usage error, 2
 unresolved infeasibility, 3 I/O error.
 """
 
@@ -97,12 +98,9 @@ def _resolved_game(config):
     return prepared
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config)
+def _cmd_run(args, config) -> int:
     if args.seed is not None:
         _override(config, "seeds", "run --seed", base_seed=args.seed)
-    if args.out is not None:
-        config.output.directory = args.out
     if args.algo is not None:
         config.learning.algorithms = (args.algo,)
 
@@ -129,10 +127,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    if args.out is not None:
-        config.output.directory = args.out
+def _cmd_sweep(args, config) -> int:
     if args.from_db is not None or args.to_db is not None or args.points is not None:
         if args.from_db is None or args.to_db is None or args.points is None:
             raise ConfigError("sweep: --from, --to and --points must be given together")
@@ -151,8 +146,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    config = load_config(args.config)
+def _cmd_oracle(args, config) -> int:
     prepared = _resolved_game(config)
     se = stackelberg_oracle(prepared.game)
     profile = (se.leader_action_index,) + se.follower_action_indices
@@ -171,14 +165,11 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dynamics(args) -> int:
-    config = load_config(args.config)
+def _cmd_dynamics(args, config) -> int:
     if not (math.isfinite(args.step_size) and args.step_size > 0):
         raise ConfigError("dynamics --step-size: must be finite and > 0")
     if args.steps < 1:
         raise ConfigError("dynamics --steps: must be >= 1")
-    if args.out is not None:
-        config.output.directory = args.out
     prepared = _resolved_game(config)
     game = prepared.game
     m = len(game.action_set)
@@ -212,7 +203,10 @@ def main(argv=None) -> int:
     }
     try:
         args = _build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        config = load_config(args.config)
+        if getattr(args, "out", None) is not None:  # oracle has no --out
+            config.output.directory = args.out
+        return handlers[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

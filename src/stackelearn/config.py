@@ -20,13 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import NetworkConfig, _to_linear, db_to_linear, dbm_to_watt
+from .channel import ConfigError, NetworkConfig, _to_linear, db_to_linear, dbm_to_watt
 from .game import ActionSet
 from .learning import ALGORITHMS, LearnerSettings
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message carries the field path."""
 
 
 @dataclass

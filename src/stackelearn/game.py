@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import dbm_to_watt
+from .channel import ConfigError, dbm_to_watt
 
 MAX_SWEEPS = 1000  # Gauss-Seidel sweeps before ``iterated_best_response`` stops
 
@@ -169,7 +169,6 @@ def _shared_row(game: GameInstance, kind: str, i: int, build) -> np.ndarray:
             np.empty((0, 0, n) + game.action_dims)
             stack = np.empty((n,) + game.action_dims)
         except (ValueError, MemoryError) as exc:
-            from .config import ConfigError  # config imports this module
             raise ConfigError(
                 f"network.num_femtocells: the tensors of {n} users on a"
                 f" {len(game.action_set)}-level power grid do not fit in one array: {exc}"

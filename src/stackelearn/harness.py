@@ -29,15 +29,13 @@ from .game import (
     utility_tensor,
 )
 from .learning import (
-    NONCOOP,
+    ALGORITHMS,
     RLA1,
     RLA2,
     StackelbergLearning,
     Trace,
     full_expected_utility,
 )
-
-_ALGO_STREAM_INDEX = {RLA1: 0, RLA2: 1, NONCOOP: 2}
 
 
 @dataclass(frozen=True)
@@ -140,23 +138,19 @@ def build_game(config: ExperimentConfig, gamma0_db: float | None = None) -> Prep
         if not np.isfinite(bound).all():
             raise ConfigError(f"{name}: some SINR or utility of this network overflows")
 
-    n_fu = game.num_followers
-    active = [True] * n_fu
     keep = list(range(game.num_users))
     reduced = game
-    while not leader_feasible(reduced) and any(active):
+    while not leader_feasible(reduced) and len(keep) > 1:
         # silence the active femtocell whose user interferes most at the MBS
-        candidates = [k for k in range(n_fu) if active[k]]
-        worst = max(candidates, key=lambda k: game.gains[k + 1, 0])
-        active[worst] = False
-        keep = [0] + [k + 1 for k in range(n_fu) if active[k]]
+        # (the lowest index of a tie)
+        keep.remove(max(keep[1:], key=lambda j: game.gains[j, 0]))
         reduced = replace(
             game, gains=game.gains[np.ix_(keep, keep)], users=tuple(game.users[i] for i in keep)
         )
 
     return PreparedGame(
         game=reduced,
-        active=tuple(active),
+        active=tuple(j in keep for j in range(1, game.num_users)),
         user_ids=tuple(keep),
         unresolved=not leader_feasible(reduced),
     )
@@ -181,9 +175,7 @@ def complete_information_reference(game: GameInstance) -> CompleteInfoResult:
 
 def learning_rng(base_seed: int, algorithm: str, replicate: int = 0) -> np.random.Generator:
     """Independent, order-insensitive RNG stream per (algorithm, replicate)."""
-    ss = np.random.SeedSequence(
-        entropy=base_seed, spawn_key=(_ALGO_STREAM_INDEX[algorithm], replicate)
-    )
+    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(ALGORITHMS.index(algorithm), replicate))
     return np.random.default_rng(ss)
 
 
@@ -261,43 +253,31 @@ def compare_summary(result: ExperimentResult) -> list[dict]:
     Terminal expected utility is the mean over the last 10% of logged steps;
     the ratio column compares against the complete-information reference;
     the steps column is the first logged step whose expected utility is
-    within 10% of the terminal value (a convergence-speed proxy).
+    within 10% of the terminal value (a convergence-speed proxy).  The
+    oracle's rows follow the schemes', with steps 0.
     """
-    rows = []
-    n = result.prepared.game.num_users
-    ref = result.complete_info.utilities
+    # (algo, user index, terminal utility, steps) per row
+    cells = []
     for algo, trace in result.traces.items():
         kept = len(trace.steps)
-        for i in range(n):
+        for i in range(result.prepared.game.num_users):
             column = trace.expected_utilities[:, i]
             terminal = float(np.mean(column[max(1, math.ceil(kept * 0.9)) - 1 :]))
-            ratio = terminal / ref[i] if ref[i] > 0 else float("nan")
             near = np.flatnonzero(np.abs(column - terminal) <= 0.1 * abs(terminal))
-            steps = int(trace.steps[near[0] if near.size else -1])
-            rows.append(
-                {
-                    "algo": algo,
-                    "user": result.prepared.user_ids[i],
-                    "terminal_expected_utility": terminal,
-                    "reference_utility": ref[i],
-                    "ratio_to_reference": ratio,
-                    "steps_to_10pct": steps,
-                }
-            )
-    for i in range(n):
-        rows.append(
-            {
-                "algo": "oracle",
-                "user": result.prepared.user_ids[i],
-                "terminal_expected_utility": result.oracle.utilities[i],
-                "reference_utility": ref[i],
-                "ratio_to_reference": (
-                    result.oracle.utilities[i] / ref[i] if ref[i] > 0 else float("nan")
-                ),
-                "steps_to_10pct": 0,
-            }
-        )
-    return rows
+            cells.append((algo, i, terminal, int(trace.steps[near[0] if near.size else -1])))
+    cells += [("oracle", i, utility, 0) for i, utility in enumerate(result.oracle.utilities)]
+    ref = result.complete_info.utilities
+    return [
+        {
+            "algo": algo,
+            "user": result.prepared.user_ids[i],
+            "terminal_expected_utility": terminal,
+            "reference_utility": ref[i],
+            "ratio_to_reference": terminal / ref[i] if ref[i] > 0 else float("nan"),
+            "steps_to_10pct": steps,
+        }
+        for algo, i, terminal, steps in cells
+    ]
 
 
 # Rows formatted and written at a time, so a CSV's text in memory is one

@@ -62,7 +62,7 @@ _CONFIGS = st.fixed_dictionaries(
             optional={
                 "bandwidth_hz": st.sampled_from([1e-300, 1.0, 1e6, 1e300]),
                 "noise_power_dbm": _DB,
-                "macro_radius_m": st.sampled_from([30.0, 500.0, 1e6, 1e300]),
+                "macro_radius_m": st.sampled_from([30.0, 500.0, 1e6, 1e150, 1e300]),
                 "femto_radius_m": st.sampled_from([2.0, 20.0]),
                 "min_separation_m": st.sampled_from([1e-300, 1e-4, 1.0]),
                 "path_loss_exponent": st.sampled_from([1e-300, 0.5, 4.0, 30.0, 300.0]),

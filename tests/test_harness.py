@@ -114,6 +114,8 @@ def test_parse_config_rejects_unknown_keys():
         # each scheme's trace is keyed by its name, so a repeat would replace one
         ("learning", "algorithms", ["rla1", "rla1"], "learning.algorithms: 'rla1' is listed twice"),
         ("learning", "algorithms", ["rla2", "noncoop", "rla2"], "learning.algorithms"),
+        # a femto user's offset rounds away against coordinates this large
+        ("network", "macro_radius_m", 1e20, "network.macro_radius_m"),
     ],
 )
 def test_parse_config_validates_values(section, key, value, match):
@@ -600,8 +602,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
          "stackelearn run: argument --algo: invalid choice: 'all'"),
         (["oracle"], "stackelearn oracle: the following arguments are required: --config"),
         ([], "stackelearn: the following arguments are required: command"),
+        # main applies --out only where the command has it
+        (["oracle", "--config", "{cfg}", "--out", "x"], "stackelearn: unrecognized arguments: --out x"),
     ],
-    ids=["unknown-flag", "bad-int", "bad-choice", "algo-all", "missing-config", "missing-command"],
+    ids=[
+        "unknown-flag", "bad-int", "bad-choice", "algo-all", "missing-config", "missing-command",
+        "oracle-out",
+    ],
 )
 def test_cli_usage_error_exit_code(tmp_path, capsys, argv, message):
     # exit 2 would read as an infeasible leader target
