@@ -307,7 +307,9 @@ def test_criterion_7_zero_delta_reduction(game):
         assert np.array_equal(qa, qb)
     for ya, yb in zip(a.strategies[0], b.strategies[0]):
         assert np.array_equal(ya, yb)
-    _report(7, f"bit-identical traces and Q-values over {steps} steps")
+    for ea, eb in zip(a.estimates, b.estimates):
+        assert np.array_equal(ea, eb)
+    _report(7, f"bit-identical traces, Q-values and estimates over {steps} steps")
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,28 @@ def test_engine_state_properties_are_array_copies(desk_game):
         assert batch.tobytes() == before.tobytes(), name
 
 
+def test_engine_keeps_one_strategy_array(desk_game):
+    # ``step`` and ``run`` overwrite the strategies in place, so the array a
+    # caller holds always reads the current ones
+    for algo in (RLA1, RLA2, NONCOOP):
+        eng = _engine(desk_game, algo, seed=3)
+        batch = eng.strategy_batch
+        eng.step()
+        assert eng.strategy_batch is batch, algo
+        eng.run(5)
+        assert eng.strategy_batch is batch, algo
+        assert batch.tobytes() == eng.strategies.tobytes(), algo
+
+
+def test_rla2_conjecturing_followers_keep_no_estimate_table(desk_game):
+    # with belief factor > 0 the rla2 targets read the beliefs, not the
+    # estimate table, so the table is never filled
+    eng = _engine(desk_game, RLA2, seed=5, settings=sl.LearnerSettings(belief_factor=2.0))
+    eng.run(200)
+    u_hat, counts = eng.estimates
+    assert not u_hat.any() and not counts.any()
+
+
 def test_engine_strategies_stay_on_simplex(desk_game):
     for algo in (RLA1, RLA2, NONCOOP):
         eng = _engine(desk_game, algo, seed=4)
