@@ -239,13 +239,9 @@ class StackelbergLearning:
 
         self.temperature = self.settings.temperature
         self.q_batch = np.zeros((r, n, m))
-        # the step reads one buffer and its softmax writes the other, so the
-        # views below serve every step; the second starts equal to the first
-        # so that rla2's first strategy change is zero
-        first = _softmax_rows(self.q_batch, self.temperature)
-        self._strategy_buffers = (first, first.copy())
-        self._parity = 0
-        self.strategy_batch = first
+        # every softmax writes this one array, so the views below serve
+        # every step
+        self.strategy_batch = _softmax_rows(self.q_batch, self.temperature)
         self.u_hat_batch = np.zeros((r, k, m, m))
         self.count_batch = np.zeros((r, k, m, m), dtype=np.int64)
         # rla2 beliefs over the other followers' joint actions; with belief
@@ -253,6 +249,9 @@ class StackelbergLearning:
         beliefs = m ** max(n - 2, 0)
         self.belief_batch = np.full((r, k, beliefs), 1.0 / beliefs)
         self._conjecture = algorithm == RLA2 and settings.belief_factor != 0.0
+        # the strategies before the last update, for the conjecture's change;
+        # a copy at first, so the first change is zero
+        self._previous = self.strategy_batch.copy() if self._conjecture else None
         # uniforms drawn ahead by ``run``, (steps, R, n, 1), and the next one
         self._uniforms = np.empty((0, r, n, 1))
         self._next_uniform = 0
@@ -300,16 +299,13 @@ class StackelbergLearning:
         self._follower_blocks = np.empty((r, k, m ** (n - 1)))
         self._follower_blocks_by_leader = self._follower_blocks.reshape(r, k, m, beliefs)
         self._scratch = np.empty((r, n, m))
-        # per strategy buffer: the leader chain bound to ``_u0`` and the
-        # buffer, the leader's strategy as rla1's and rla2's follower
-        # products read it, and the flat strategies for rla2's change
+        # the leader chain bound to ``_u0`` and the strategies, and the
+        # leader's strategy as rla1's and rla2's follower products read it
+        self._leader_chain = []
         plan = _chain_plan((r,), (), range(1, n), m)
-        self._leader_chains = ([], [])
-        for y, chain in zip(self._strategy_buffers, self._leader_chains):
-            _expect(self._u0, y, plan, self._targets[:, :1, None], chain)
-        self._y0_columns = [y[:, None, 0, :, None] for y in self._strategy_buffers]
-        self._y0_rows = [y[:, None, None, 0] for y in self._strategy_buffers]
-        self._flat_strategies = [y.reshape(-1) for y in self._strategy_buffers]
+        _expect(self._u0, self.strategy_batch, plan, self._targets[:, :1, None], self._leader_chain)
+        self._y0_column = self.strategy_batch[:, None, 0, :, None]
+        self._y0_row = self.strategy_batch[:, None, None, 0]
         self.t = 0
 
     @property
@@ -370,44 +366,42 @@ class StackelbergLearning:
         """Realize utilities, update estimators and Q-values, then regenerate
         every strategy from the new Q-values, all at the indices ``step``
         put in ``_index``."""
-        cur = self._parity
         # the indices are in range by construction; "raise" would make each
         # gather into a fixed buffer copy through a second one
         self._u_norm_flat.take(self._offsets, None, self._realized, "clip")
         if self.algorithm != NONCOOP:
             self._u_rows.take(self._leader_row, 0, self._u0, "clip")
-            for operand, column, out in self._leader_chains[cur]:
+            for operand, column, out in self._leader_chain:
                 np.matmul(operand, column, out)
             # a leader-only game runs this on empty (R, 0) follower axes
-            cells = self._estimate_cells
-            visits = self.count_batch.take(cells)
-            visits += 1
-            old = self.u_hat_batch.take(cells)
-            self.u_hat_batch.put(cells, old + (self._realized_followers - old) / visits)
-            self.count_batch.put(cells, visits)
             if self._conjecture:
                 followers = self._follower_cells
-                y, prev = self._flat_strategies[cur], self._flat_strategies[1 - cur]
-                self._belief_targets(y.take(followers) - prev.take(followers), cur)
+                change = self.strategy_batch.take(followers) - self._previous.take(followers)
+                np.copyto(self._previous, self.strategy_batch)
+                self._belief_targets(change)
             else:
+                cells = self._estimate_cells
+                visits = self.count_batch.take(cells)
+                visits += 1
+                old = self.u_hat_batch.take(cells)
+                self.u_hat_batch.put(cells, old + (self._realized_followers - old) / visits)
+                self.count_batch.put(cells, visits)
                 self._u_hat_rows.take(self._estimate_rows, 0, self._estimates, "clip")
-                np.matmul(self._estimates_by_row, self._y0_columns[cur], self._follower_targets)
+                np.matmul(self._estimates_by_row, self._y0_column, self._follower_targets)
 
         q_cells = self._q_cells
         old = self.q_batch.take(q_cells)
         self.q_batch.put(q_cells, old + self.settings.alpha * (self._targets - old))
 
         self.temperature *= self.settings.temperature_decay
-        self._parity = 1 - cur
-        y = self._strategy_buffers[self._parity]
-        self.strategy_batch = _softmax_rows(self.q_batch, self.temperature, y, self._scratch)
+        _softmax_rows(self.q_batch, self.temperature, self.strategy_batch, self._scratch)
         self.t += 1
 
-    def _belief_targets(self, change: np.ndarray, cur: int) -> None:
+    def _belief_targets(self, change: np.ndarray) -> None:
         """``conjecture_adjust`` every follower's belief by its (R, n-1)
         strategy ``change`` at its own action, then write
         ``rla2_estimated_expected_utility`` of those actions to the
-        followers' targets under strategy buffer ``cur``."""
+        followers' targets."""
         shift = self.settings.belief_factor * change
         clipped = (self.belief_batch - shift[..., None]).clip(0.0, 1.0)
         total = np.add.reduce(clipped, axis=-1, keepdims=True)
@@ -419,7 +413,7 @@ class StackelbergLearning:
         self._u_rows.take(self._follower_rows, 0, self._follower_blocks, "clip")
         blocks = self._follower_blocks_by_leader
         over_leader = np.matmul(blocks, self.belief_batch[..., None])  # (R, n-1, M, 1)
-        np.matmul(self._y0_rows[cur], over_leader, self._follower_targets)
+        np.matmul(self._y0_row, over_leader, self._follower_targets)
 
     def step(self) -> np.ndarray:
         """One iteration.  Returns a new (R, n) array of the actions it

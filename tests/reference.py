@@ -211,8 +211,6 @@ class ReferenceLearner:
             target = blocked_expected_utility(self.u_norm[0][actions[0]], y[1:])
             self.q[0] = q_update(self.q[0], actions[0], target, alpha)
             for i in range(1, n):
-                est = self.estimates[i - 1]
-                est.update(actions[i], actions[0], realized[i])
                 delta = self.settings.belief_factor
                 if self.algorithm == RLA2 and delta != 0.0:
                     self.beliefs[i - 1] = conjecture_adjust(
@@ -225,6 +223,8 @@ class ReferenceLearner:
                         actions[i], i, y[0], self.beliefs[i - 1], self.u_norm[i]
                     )
                 else:
+                    est = self.estimates[i - 1]
+                    est.update(actions[i], actions[0], realized[i])
                     target = est.estimate(actions[i], y[0])
                 self.q[i] = q_update(self.q[i], actions[i], target, alpha)
         self.prev_y = y
