@@ -135,7 +135,12 @@ def _cmd_sweep(args, config) -> int:
             raise ConfigError("sweep --points: must be >= 2")
         if not (math.isfinite(args.from_db) and math.isfinite(args.to_db)):
             raise ConfigError("sweep --from/--to: must be finite")
-        grid = tuple(np.linspace(args.from_db, args.to_db, args.points).tolist())
+        try:
+            grid = tuple(np.linspace(args.from_db, args.to_db, args.points).tolist())
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(
+                f"sweep --from/--to/--points: {args.points} points do not fit in one array: {exc}"
+            ) from None
         _override(config, "sweep", "sweep --from/--to/--points", gamma0_grid_db=grid)
     if args.replicates is not None:
         _override(config, "sweep", "sweep --replicates", replicates=args.replicates)

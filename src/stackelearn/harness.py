@@ -209,7 +209,8 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
     runs the point's replicates in lockstep, replicate r drawing from the
     ``learning_rng(base_seed, algo, r)`` stream.  A point where every
     femtocell is silenced has no FU SINR to learn: it runs no engine and
-    reports zeros.
+    reports zeros.  More replicates than one list of games can hold are a
+    ``ConfigError`` on ``sweep.replicates``.
     """
     replicates = config.sweep.replicates
     results = []
@@ -218,8 +219,14 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
         for algo in algorithms:
             sums = np.zeros(config.network.num_femtocells)
             if prepared.game.num_followers:
+                try:
+                    games = [prepared.game] * replicates
+                except (OverflowError, MemoryError):
+                    raise ConfigError(
+                        f"sweep.replicates: a list of {replicates} games does not fit in memory"
+                    ) from None
                 engine = StackelbergLearning(
-                    [prepared.game] * replicates,
+                    games,
                     algo,
                     [learning_rng(config.seeds.base_seed, algo, r) for r in range(replicates)],
                     config.learning,

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import watt_to_dbm
+from .channel import ConfigError, watt_to_dbm
 from .game import GameInstance, normalized_utility_tensors, sinr_tensor, utility_tensor
 
 RLA1 = "rla1"
@@ -433,16 +433,27 @@ class StackelbergLearning:
         """Run ``num_steps`` iterations, keeping every ``log_every``-th step
         plus the final one.  Returns one ``Trace`` of the kept steps per
         replicate; a kept step only stores its strategies and actions, and
-        the other columns are derived after the loop."""
+        the other columns are derived after the loop.  Kept steps that
+        numpy cannot hold in one array are a ``ConfigError`` on
+        ``learning.num_steps``, raised before the first step."""
         if num_steps < 1:
             raise ValueError("num_steps must be >= 1")
         if log_every < 1:
             raise ValueError("log_every must be >= 1")
+        # every log_every-th step and the last one, counted without ``len``
+        # of a range, which overflows before numpy can refuse the size
+        count = -(-num_steps // log_every) + ((num_steps - 1) % log_every != 0)
+        try:
+            actions = np.empty((count, self.num_replicates, self.num_users), dtype=np.intp)
+            strategies = np.empty((count,) + self.strategy_batch.shape)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(
+                f"learning.num_steps: the {count} kept steps of {num_steps} do not fit in one"
+                f" array: {exc}"
+            ) from None
         kept = list(range(0, num_steps, log_every))
         if kept[-1] != num_steps - 1:
             kept.append(num_steps - 1)
-        actions = np.empty((len(kept), self.num_replicates, self.num_users), dtype=np.intp)
-        strategies = np.empty((len(kept),) + self.strategy_batch.shape)
         steps = np.array(kept) + self.t
         k = 0
         for start in range(0, num_steps, self.DRAW_BLOCK):

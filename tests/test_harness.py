@@ -915,6 +915,30 @@ def test_cli_dynamics_steps_too_many_for_one_array_is_config_error(tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
+# each count needs more bytes than a 2^47-byte address space holds, so no
+# host can allocate it
+@pytest.mark.parametrize(
+    ("argv", "raw", "field"),
+    [
+        (["run"], {"learning": {"num_steps": 10**15}}, "learning.num_steps"),
+        (["sweep", "--from", "0", "--to", "5", "--points", str(10**15)], {},
+         "sweep --from/--to/--points"),
+        (["sweep", "--replicates", str(10**15)], {}, "sweep.replicates"),
+    ],
+    ids=["num-steps", "sweep-points", "sweep-replicates"],
+)
+def test_cli_counts_too_large_to_allocate_are_config_errors(tmp_path, capsys, monkeypatch, argv, raw, field):
+    def step(self):
+        raise AssertionError("a learning step ran")
+
+    monkeypatch.setattr(sl.StackelbergLearning, "step", step)
+    cfg = _write_cfg(tmp_path, **raw, output={"directory": str(tmp_path / "o")})
+    assert cli_main([*argv, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_allocation_memory_errors_are_config_errors(monkeypatch):
     # a size numpy accepts but the host cannot back raises MemoryError at
     # the allocation itself; no real allocation is requested here
