@@ -6,22 +6,22 @@ Three schemes share one step loop:
   followers' broadcast strategies; each follower keeps a running-average
   utility table indexed by (own action, leader action) and updates toward
   its estimate weighted by the leader's strategy.
-* ``rla2`` -- followers additionally hold a belief over the *other*
-  followers' joint actions, nudged by a conjecture rule proportional to the
-  change in their own strategy, and evaluate utilities against that belief.
-  Every follower uses the one belief factor of ``LearnerSettings``; at 0
-  they run the plain ``rla1`` update, so the two schemes coincide exactly
-  (bitwise).
+* ``rla2`` -- followers hold a belief over the *other* followers' joint
+  actions instead of the table, nudged by a conjecture rule proportional to
+  the change in their own strategy, and evaluate utilities against that
+  belief.  Every follower uses the one belief factor of ``LearnerSettings``;
+  at 0 they keep the table and run the plain ``rla1`` update, so the two
+  schemes coincide exactly (bitwise).
 * ``noncoop`` -- every user, leader included, does bandit Q-learning on the
   raw realized utility with no information exchange.
 
 One ``StackelbergLearning`` engine advances a batch of R independent
 replicates of a scheme in lockstep, one game and one generator each, and
 reports every result per replicate.  Every user of a game picks from the
-game's one grid of M power levels.  The replicates may play different games with
-equal ``action_dims`` (such as two points of a sweep); each replicate is
-bitwise equal to a one-replicate batch on its own game and generator, and
-to the scalar reference semantics in ``tests/reference.py``.
+game's one grid of M power levels.  The replicates may play different
+games with equal ``action_dims`` (such as two points of a sweep); each
+replicate is bitwise equal to a one-replicate batch on its own game and
+generator, and to the scalar reference semantics in ``tests/reference.py``.
 
 Each user's utilities are rescaled by that user's own maximum pure-profile
 utility before learning, so one default temperature works across users and
@@ -164,14 +164,16 @@ class StackelbergLearning:
     indices, like each Q and estimate cell, is an integer linear function
     of the actions plus a per-replicate base, so one integer product of
     the sampling comparisons' 0/1 mask with the offset table ``_table``
-    gives them all.  Two strategy buffers alternate: a step samples from
-    one and its softmax writes the other, so the strategy views the
+    gives them all.  The strategies are one array, ``strategy_batch``,
+    which every softmax overwrites in place, so the strategy views the
     products read, and every gather and product output, are fixed arrays.
+    rla2 followers that conjecture read their strategy change against
+    ``_previous``, a copy of the strategies before the last update.
 
     Agent state carries a leading replicate axis: ``q_batch`` and
-    ``strategy_batch`` (the current buffer) are (R, n, M), ``u_hat_batch``
-    and ``count_batch`` (R, n-1, M, M), and ``belief_batch`` (R, n-1,
-    M^(n-2)), every rla2 follower using ``settings.belief_factor``.
+    ``strategy_batch`` are (R, n, M), ``u_hat_batch`` and ``count_batch``
+    (R, n-1, M, M), and ``belief_batch`` (R, n-1, M^(n-2)), every rla2
+    follower using ``settings.belief_factor``.
     ``step`` returns a new (R, n) array of the actions it sampled, which no
     later step changes, and ``run`` one ``Trace`` per replicate.  The
     properties ``q`` and ``strategies`` return (R, n, M) copies,
@@ -321,7 +323,9 @@ class StackelbergLearning:
     @property
     def estimates(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the follower estimate cells and their visit counts,
-        each (R, n-1, M, M): own action by leader action."""
+        each (R, n-1, M, M): own action by leader action.  rla1 and rla2 at
+        belief factor 0 fill them; for noncoop and for rla2 followers that
+        conjecture they stay zero."""
         return self.u_hat_batch.copy(), self.count_batch.copy()
 
     @property
