@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ConfigError
-from .learning import _chain_plan, _expect, _point_stack, _softmax_rows
+from .learning import _chain_plan, _expect, _softmax_rows
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
 # singularities; strategies are renormalized after flooring.
@@ -40,25 +40,28 @@ class DynamicsDivergence(RuntimeError):
 class FieldTensors:
     """Every user's utility tensor, stacked for the batched field.
 
-    ``FieldTensors(normalized_utility_tensors(game))`` takes the n tensors
-    of shape (M,) * n, each with its user's own axis first and the other
-    users after it in ascending order, and stacks them with ``_point_stack``
-    into the (n, *dims) ``stack``: for a game's shared rows a view, not a
-    copy.  ``expected_utilities`` contracts every user's own-axis-first
-    tensor with the other users' strategies through ``learning._expect``,
-    the package's one expected-utility chain.
+    ``FieldTensors(normalized_utility_tensors(game))`` takes the game's
+    (n, *dims) stack, row i user i's tensor of shape (M,) * n with its own
+    axis first and the other users after it in ascending order, as its
+    read-only ``stack``: a view of the game's array, not a copy (a list of
+    rows is stacked into a new one).  ``expected_utilities`` contracts
+    every user's own-axis-first tensor with the other users' strategies
+    through ``learning._expect``, the package's one expected-utility chain.
     """
 
     def __init__(self, utilities):
-        n = len(utilities)
-        shape = np.shape(utilities[0]) if n else ()
-        if n == 0 or len(shape) != n or any(np.shape(t) != (shape[0],) * n for t in utilities):
+        try:
+            stack = np.asarray(utilities).view()
+        except ValueError:  # rows of different shapes
+            stack = np.empty(0)
+        n = stack.ndim - 1
+        if n < 1 or stack.shape != (n,) + (stack.shape[-1],) * n:
             raise ValueError("utilities: need one tensor of shape (M,) * n for each of n >= 1 users")
-        self.num_users, self.num_actions = n, shape[0]
-        self.stack = _point_stack([[np.asarray(t) for t in utilities]])[0]
+        stack.setflags(write=False)
+        self.stack, self.num_users, self.num_actions = stack, n, stack.shape[-1]
         # row i: the users other than i, in ascending order
         self._others = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
-        self._plan = _chain_plan((n,), (shape[0],), range(n - 1), shape[0])
+        self._plan = _chain_plan((n,), (self.num_actions,), range(n - 1), self.num_actions)
 
     def expected_utilities(self, profile: np.ndarray) -> np.ndarray:
         """U_i(a, Y_-i) for every user i and action a at an (n, M) profile:

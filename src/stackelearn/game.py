@@ -9,15 +9,15 @@ enumeration.
 Scalar operations (`sinr`, `energy_efficiency`, `utility`) are deliberately
 written in plain Python with a fixed summation order so that independent
 re-enumerations reproduce them bit-for-bit.  They are the reference
-semantics: `sinr_tensor` and `utility_tensor` broadcast the same operations
-over the joint action grid, and the oracle and iterated best response read
-those tensors (the tests' scalar enumerations are in `tests/reference.py`).
+semantics: `sinr_tensor` is `sinr` on broadcast power grids, `utility_tensor`
+broadcasts `utility`'s operations, and the oracle and iterated best response
+read those tensors (the tests' scalar enumerations are in `tests/reference.py`).
 
-Each kind of tensor is built whole, every user's row of one read-only
-array, once per `GameInstance` on first use, so the learners, the oracle,
-the references and the dynamics share them.  So are the normalized tensors
-the learners and the dynamics read (`normalized_utility_tensors`), each
-stored with its user's own axis first.
+Each kind of tensor is built once per `GameInstance`, on first use, as one
+read-only (n, *dims) array whose row i is user i's tensor; its accessor
+returns that array, which the learners, the oracle, the references and the
+dynamics share.  So is the normalized kind the learners and the dynamics
+read (`normalized_utility_tensors`), each row with its user's axis first.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class GameInstance:
     action_set: ActionSet
     bandwidth_hz: float
     noise_power_w: float
-    # the tensor stacks built so far, by kind (see ``_shared_row``);
+    # the tensor stacks built so far, by kind (see ``_shared_stack``);
     # ``dataclasses.replace`` gives the new game an empty one
     _tensors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -122,12 +122,13 @@ class EquilibriumResult:
 
 
 def sinr(i: int, powers_w: Sequence[float], game: GameInstance) -> float:
-    """Linear SINR of user i at its serving base station."""
+    """Linear SINR of user i at its serving base station, elementwise when
+    the powers are arrays that broadcast together (`sinr_tensor`)."""
     h = game.gains
     interference = 0.0
     for j in range(game.num_users):
         if j != i:
-            interference += h[j, i] * powers_w[j]
+            interference = interference + h[j, i] * powers_w[j]
     return h[i, i] * powers_w[i] / (interference + game.noise_power_w)
 
 
@@ -155,16 +156,16 @@ def _power_grids(game: GameInstance) -> list[np.ndarray]:
     return [levels.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n)]
 
 
-def _shared_row(game: GameInstance, kind: str, i: int, build) -> np.ndarray:
-    """Row i of the game's read-only (n, *dims) ``kind`` stack, built whole
-    on the kind's first use: row j is ``build(game, j)``.  A stack numpy
-    cannot allocate, or cannot give the two more axes the learners add, is
-    a ``ConfigError`` on ``network.num_femtocells``."""
+def _shared_stack(game: GameInstance, kind: str, build) -> np.ndarray:
+    """The game's read-only (n, *dims) ``kind`` stack, built whole on the
+    kind's first use: row i is ``build(game, i)``.  A stack numpy cannot
+    allocate, or cannot give the two more axes the learners add, is a
+    ``ConfigError`` on ``network.num_femtocells``."""
     stack = game._tensors.get(kind)
     if stack is None:
         n = game.num_users
         try:
-            # the learners stack the rows under a point axis and their traces
+            # the learners stack the games under a point axis and their traces
             # under a step axis too; an empty array checks the axis count alone
             np.empty((0, 0, n) + game.action_dims)
             stack = np.empty((n,) + game.action_dims)
@@ -173,50 +174,50 @@ def _shared_row(game: GameInstance, kind: str, i: int, build) -> np.ndarray:
                 f"network.num_femtocells: the tensors of {n} users on a"
                 f" {len(game.action_set)}-level power grid do not fit in one array: {exc}"
             ) from None
-        for j in range(n):
-            stack[j] = build(game, j)
+        for i in range(n):
+            stack[i] = build(game, i)
         stack.setflags(write=False)
-        game._tensors[kind] = stack
-    return stack[i]
+        stack = game._tensors[kind] = stack.view()  # no reader can make it writeable
+    return stack
 
 
-def sinr_tensor(game: GameInstance, i: int) -> np.ndarray:
-    """Linear SINR of user i tabulated over the full joint action grid: the
-    game's shared, read-only copy, built on first use.
+def sinr_tensor(game: GameInstance) -> np.ndarray:
+    """Linear SINR of every user tabulated over the full joint action grid:
+    the game's one read-only (n, *dims) array, built on first use, whose
+    row i is user i's tensor.
 
-    Broadcasts `sinr` over the grid with the same operations in the same
-    order, so every entry equals the scalar value bit for bit.  The n users'
-    tensors are the rows, in user order, of one (n, *dims) array.
+    Row i is `sinr` itself evaluated on the power grids broadcast along the
+    users' axes, so every entry equals the scalar value bit for bit.
     """
-    return _shared_row(game, "sinr", i, _build_sinr_tensor)
+    return _shared_stack(game, "sinr", _build_sinr_tensor)
 
 
-def utility_tensor(game: GameInstance, i: int) -> np.ndarray:
-    """Utility of user i tabulated over the full joint action grid: the
-    game's shared, read-only copy, built on first use from `sinr_tensor`.
+def utility_tensor(game: GameInstance) -> np.ndarray:
+    """Utility of every user tabulated over the full joint action grid: the
+    game's one read-only (n, *dims) array, built on first use from
+    `sinr_tensor`, whose row i is user i's tensor.
 
-    Bit-exact to `utility`: the logarithm is `math.log2` per entry, because
-    `np.log2` can differ from it in the last ulp.  Like `sinr_tensor`, the
-    n users' tensors are the rows of one (n, *dims) array.
+    Bit-exact to `utility`: the logarithm has `math.log2`'s bits per entry
+    (see `_log2`).
     """
-    return _shared_row(game, "utility", i, _build_utility_tensor)
+    return _shared_stack(game, "utility", _build_utility_tensor)
 
 
 def _build_sinr_tensor(game: GameInstance, i: int) -> np.ndarray:
-    h = game.gains
-    powers = _power_grids(game)
-    interference = 0.0
-    for j in range(game.num_users):
-        if j != i:
-            interference = interference + h[j, i] * powers[j]
-    return h[i, i] * powers[i] / (interference + game.noise_power_w)
+    return sinr(i, _power_grids(game), game)
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """``np.log2`` of a 1-d array with ``math.log2``'s bits: numpy runs a
+    reversed input through libm, not its AVX-512 loop, which can differ."""
+    return np.log2(x[::-1])[::-1]
 
 
 def _build_utility_tensor(game: GameInstance, i: int) -> np.ndarray:
-    gamma = sinr_tensor(game, i)
+    gamma = sinr_tensor(game)[i]
     user = game.users[i]
     # a flat view, not ``.flat``: numpy's flat iterator takes at most 32 axes
-    out = np.fromiter(map(math.log2, (1.0 + gamma).reshape(-1)), float, gamma.size).reshape(gamma.shape)
+    out = _log2((1.0 + gamma).reshape(-1)).reshape(gamma.shape)
     out *= game.bandwidth_hz
     out /= user.circuit_power_w + _power_grids(game)[i]
     out[gamma < user.sinr_target_lin] = 0.0
@@ -230,21 +231,19 @@ def normalize_utility(tensor: np.ndarray) -> np.ndarray:
     return tensor / (max(float(tensor.max()), 0.0) or 1.0)
 
 
-def normalized_utility_tensors(game: GameInstance) -> list[np.ndarray]:
+def normalized_utility_tensors(game: GameInstance) -> np.ndarray:
     """Every user's ``normalize_utility`` tensor with the user's own axis
-    first and the other users after it in ascending order: the game's
-    shared, read-only rows of one (n, *dims) array, built on first use.
+    first and the other users after it in ascending order: the game's one
+    read-only (n, *dims) array, built on first use.
 
-    The learners and the dynamics read these rows in place.  Row i at
-    (a_i, a_-i) equals ``normalize_utility(utility_tensor(game, i))`` at
-    that profile.
+    The learners and the dynamics read it in place.  Row i at (a_i, a_-i)
+    equals ``normalize_utility(utility_tensor(game)[i])`` at that profile.
     """
-    n = game.num_users
-    return [_shared_row(game, "normalized", i, _build_normalized_tensor) for i in range(n)]
+    return _shared_stack(game, "normalized", _build_normalized_tensor)
 
 
 def _build_normalized_tensor(game: GameInstance, i: int) -> np.ndarray:
-    return np.moveaxis(normalize_utility(utility_tensor(game, i)), i, 0)
+    return np.moveaxis(normalize_utility(utility_tensor(game)[i]), i, 0)
 
 
 def _best_response(u_i: np.ndarray, i: int, profile: Sequence[int]) -> int:
@@ -295,7 +294,7 @@ def stackelberg_oracle(game: GameInstance) -> EquilibriumResult:
     response from the all-min followers, taking the visited profile best for
     the leader, and clear ``is_pure_se``.
     """
-    utilities = [utility_tensor(game, i) for i in range(game.num_users)]
+    utilities = utility_tensor(game)
     u0 = utilities[0]
     nash = _follower_nash_mask(utilities)
     followers = range(1, game.num_users)

@@ -163,7 +163,7 @@ def complete_information_reference(game: GameInstance) -> CompleteInfoResult:
     sweep cycles, the visited profile with the highest total utility is
     returned and ``converged`` is cleared.
     """
-    utilities = [utility_tensor(game, i) for i in range(game.num_users)]
+    utilities = utility_tensor(game)
     n = game.num_users
     visited, converged = iterated_best_response(utilities, (0,) * n, range(n))
     if converged:
@@ -236,7 +236,7 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
                     for reduced_idx in range(1, prepared.game.num_users):
                         original = prepared.user_ids[reduced_idx]
                         sums[original - 1] += full_expected_utility(
-                            sinr_tensor(prepared.game, reduced_idx), strategies
+                            sinr_tensor(prepared.game)[reduced_idx], strategies
                         )
             results.append(
                 SweepResult(

@@ -26,7 +26,7 @@ generator, and to the scalar reference semantics in ``tests/reference.py``.
 Each user's utilities are rescaled by that user's own maximum pure-profile
 utility before learning, so one default temperature works across users and
 instances (leader and follower utilities differ by orders of magnitude); the
-engine reads the game's shared normalized tensors
+engine reads the game's shared normalized stack
 (``game.normalized_utility_tensors``, each user's own axis first) in place,
 and traces report physical units.
 """
@@ -147,18 +147,19 @@ class StackelbergLearning:
     its own game, so its results do not depend on the replicates run beside
     it.
 
-    The tensors are read once per distinct game (by identity, in order of
-    first appearance, listed in ``games``) and stacked with a leading point
-    axis: ``u_phys``, ``u_norm`` and ``sinr_tensors`` are read-only
-    (P, n, *dims) arrays, and ``points[r]`` is replicate r's index into
-    them.  ``u_phys`` and ``sinr_tensors`` hold each user's tensor in user
-    order; ``u_norm`` holds the game's ``normalized_utility_tensors``, each
-    user's own axis first and the other users after it in ascending order.
-    With one game all three are views of the game's shared tensors, not
-    copies.  Every read of a game's values gathers at the replicate's
-    point: a realized value at a flat offset, the leader target the row
-    ``u_norm[p, 0, a_0]`` and an rla2 follower i's block (leader by other
-    followers) the row ``u_norm[p, i, a_i]``.
+    Each kind's (n, *dims) stack is read once per distinct game (by
+    identity, in order of first appearance, listed in ``games``), and the
+    games' stacks go under a leading point axis: ``u_phys``, ``u_norm``
+    and ``sinr_tensors`` are read-only (P, n, *dims) arrays, and
+    ``points[r]`` is replicate r's index into them.  ``u_phys`` and
+    ``sinr_tensors`` hold each user's tensor in user order; ``u_norm``
+    holds the game's ``normalized_utility_tensors``, each user's own axis
+    first and the other users after it in ascending order.  With one game
+    all three are views of the game's stacks, not copies.  Every read of a
+    game's values gathers at the replicate's point: a realized value at a
+    flat offset, the leader target the row ``u_norm[p, 0, a_0]`` and an
+    rla2 follower i's block (leader by other followers) the row
+    ``u_norm[p, i, a_i]``.
 
     A step does its indexing through tables set up once.  Each of those
     indices, like each Q and estimate cell, is an integer linear function
@@ -222,8 +223,8 @@ class StackelbergLearning:
         r = self.num_replicates = len(self.rngs)
         m = self.num_actions = dims[0]
         profiles = math.prod(dims)
-        u_phys = _point_stack([[utility_tensor(game, i) for i in range(n)] for game in self.games])
-        sinr = _point_stack([[sinr_tensor(game, i) for i in range(n)] for game in self.games])
+        u_phys = _point_stack([utility_tensor(game) for game in self.games])
+        sinr = _point_stack([sinr_tensor(game) for game in self.games])
         u_norm = _point_stack([normalized_utility_tensors(game) for game in self.games])
         self.u_phys, self.u_norm, self.sinr_tensors = u_phys, u_norm, sinr
         self._u_norm_flat = u_norm.reshape(-1)
@@ -474,20 +475,13 @@ class StackelbergLearning:
         return self._traces(steps, actions, strategies)
 
 
-def _point_stack(tensors: list[list[np.ndarray]]) -> np.ndarray:
-    """P games' n per-user tensors as one read-only (P, n, *dims) array: a
-    view when one game's tensors are, in order, the rows of one read-only
-    array (a game's shared stack of one tensor kind), otherwise a copy."""
-    rows, base = tensors[0], tensors[0][0].base
-    if (
-        len(tensors) == 1
-        and isinstance(base, np.ndarray)
-        and not base.flags.writeable
-        and len(base) == len(rows)
-        and [row.__array_interface__ for row in rows] == [row.__array_interface__ for row in base]
-    ):
-        return base[None]
-    out = np.array(tensors)
+def _point_stack(stacks: list[np.ndarray]) -> np.ndarray:
+    """P games' read-only (n, *dims) stacks of one tensor kind as one
+    read-only (P, n, *dims) array: a view of the one game's stack, or a
+    copy of several."""
+    if len(stacks) == 1:
+        return stacks[0][None]
+    out = np.stack(stacks)
     out.setflags(write=False)
     return out
 

@@ -69,7 +69,7 @@ def best_response(i: int, actions: Sequence[int], game: GameInstance) -> int:
 
     ``actions[i]`` is ignored.  Ties break toward the lowest power index.
     """
-    return _best_response(utility_tensor(game, i), i, actions)
+    return _best_response(utility_tensor(game)[i], i, actions)
 
 
 def follower_pure_nash(leader_action: int, game: GameInstance) -> list[tuple[int, ...]]:
@@ -80,7 +80,7 @@ def follower_pure_nash(leader_action: int, game: GameInstance) -> list[tuple[int
     unilateral deviation.  May be empty: the discretized game need not have
     a pure NE.
     """
-    utilities = [utility_tensor(game, i) for i in range(game.num_users)]
+    utilities = list(utility_tensor(game))
     nash = _follower_nash_mask(utilities)[leader_action]
     return [tuple(int(a) for a in fol) for fol in np.argwhere(nash)]
 
@@ -183,7 +183,7 @@ class ReferenceLearner:
         self.settings = settings
         self.dims = game.action_dims
         n = game.num_users
-        self.u_phys = [utility_tensor(game, i) for i in range(n)]
+        self.u_phys = list(utility_tensor(game))
         self.u_norm = [t / (max(float(t.max()), 0.0) or 1.0) for t in self.u_phys]
         self.tau = settings.temperature
         self.q = [np.zeros(m) for m in self.dims]

@@ -159,7 +159,7 @@ def test_criterion_2_leader_convergence(game):
     hits = 0
     ratios = []
     for strategies in _run(game, RLA1):
-        terminal = full_expected_utility(utility_tensor(game, 0), strategies)
+        terminal = full_expected_utility(utility_tensor(game)[0], strategies)
         ratios.append(terminal / target)
         if abs(terminal - target) <= 0.10 * target:
             hits += 1
@@ -180,7 +180,7 @@ ORDER_TIE_REL = 1e-3
 
 def test_criterion_3_scheme_ordering(game):
     n = game.num_users
-    u_phys = [utility_tensor(game, i) for i in range(n)]
+    u_phys = list(utility_tensor(game))
     wins = [0] * n
     terminal = {algo: _run(game, algo) for algo in (RLA1, RLA2, NONCOOP)}
     for r in range(NUM_SEEDS):
@@ -260,7 +260,7 @@ def test_criterion_6_estimator_convergence(game):
     follower = 1
     other = 2
     dims = game.action_dims
-    u = utility_tensor(game, follower)
+    u = utility_tensor(game)[follower]
     u_norm = u / max(float(u.max()), 1e-300)
     y_other = np.full(dims[other], 1.0 / dims[other])  # frozen strategy
 

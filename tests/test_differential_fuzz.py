@@ -119,10 +119,10 @@ def _check_field_and_expectation(game, learner_settings, rng):
     derivs = strategy_derivative(ys, FieldTensors(rows), alpha, temperature)
     assert derivs.tobytes() == per_user_strategy_derivative(ys, rows, alpha, temperature).tobytes()
     for i in range(game.num_users):
-        tensor = utility_tensor(game, i)
+        tensor = utility_tensor(game)[i]
         assert full_expected_utility(tensor, ys).hex() == blocked_expected_utility(tensor, ys).hex()
     # the leader target: one leader action's block against the followers
-    block = utility_tensor(game, 0)[-1]
+    block = utility_tensor(game)[0][-1]
     assert full_expected_utility(block, ys[1:]).hex() == blocked_expected_utility(block, ys[1:]).hex()
 
 

@@ -95,7 +95,7 @@ def test_derivative_rejects_non_positive_temperature(desk_game):
 def test_normalized_tensors_match_learner_scale(desk_game):
     tensors = user_order(normalized_utility_tensors(desk_game))
     for i, t in enumerate(tensors):
-        raw = utility_tensor(desk_game, i)
+        raw = utility_tensor(desk_game)[i]
         m = max(float(raw.max()), 0.0) or 1.0
         assert np.allclose(t, raw / m, rtol=1e-15)
         assert float(t.max()) == pytest.approx(1.0)

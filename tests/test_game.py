@@ -117,8 +117,8 @@ def test_utility_tensor_matches_scalar_op(desk_game):
                 powers = g.powers_from_indices(idx)
                 want_u[idx] = utility(i, powers, g)
                 want_s[idx] = sinr(i, powers, g)
-            assert utility_tensor(g, i).tobytes() == want_u.tobytes()
-            assert sinr_tensor(g, i).tobytes() == want_s.tobytes()
+            assert utility_tensor(g)[i].tobytes() == want_u.tobytes()
+            assert sinr_tensor(g)[i].tobytes() == want_s.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_utility_tensor_matches_scalar_op(desk_game):
 def _tensor_bytes(game):
     normalized = normalized_utility_tensors(game)
     return [
-        (sinr_tensor(game, i).tobytes(), utility_tensor(game, i).tobytes(), normalized[i].tobytes())
+        (sinr_tensor(game)[i].tobytes(), utility_tensor(game)[i].tobytes(), normalized[i].tobytes())
         for i in range(game.num_users)
     ]
 
@@ -170,27 +170,65 @@ def test_shared_tensors_are_built_once_and_read_only(monkeypatch):
 
         return build
 
-    for kind in ("utility", "normalized"):
+    for kind in ("sinr", "utility", "normalized"):
         name = f"_build_{kind}_tensor"
         monkeypatch.setattr(game_mod, name, counting(kind, getattr(game_mod, name)))
     g = random_game(np.random.default_rng(5))
-    first = utility_tensor(g, 1)
-    again = utility_tensor(g, 1)
-    assert np.shares_memory(first, again) and builds == [("utility", i) for i in range(3)]
-    tensors = [first, again] + [f(g, i) for f in (sinr_tensor, utility_tensor) for i in range(3)]
-    assert builds == [("utility", i) for i in range(3)]
-    rows = normalized_utility_tensors(g)
-    assert builds[3:] == [("normalized", i) for i in range(3)]
-    for row, later in zip(rows, normalized_utility_tensors(g)):
-        assert np.shares_memory(row, later)
-    assert len(builds) == 6
-    tensors += rows
-    for tensor in tensors:
-        with pytest.raises(ValueError):
-            tensor[0, 0, 0] = 1.0
-        # once every user's tensor is built, the shared array is read-only too
-        with pytest.raises(ValueError):
-            tensor.setflags(write=True)
+    stacks = []
+    for kind, accessor in (
+        ("sinr", sinr_tensor),
+        ("utility", utility_tensor),
+        ("normalized", normalized_utility_tensors),
+    ):
+        first = accessor(g)
+        assert builds[-3:] == [(kind, i) for i in range(3)]
+        assert accessor(g) is first
+        assert isinstance(first, np.ndarray) and first.shape == (3,) + g.action_dims
+        stacks.append(first)
+    assert len(builds) == 9
+    for stack in stacks:
+        for tensor in (stack, stack[1]):
+            with pytest.raises(ValueError):
+                tensor[0, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                tensor.setflags(write=True)
+
+
+def test_log2_has_libm_bits():
+    # numpy's AVX-512 log2 loop differs from libm in the last ulp on a few
+    # of these, with or without ``out=``; a reversed input runs libm's
+    x = 1.0 + np.random.default_rng(16).random(10**6) * 1e6
+    got = game_mod._log2(x)
+    want = np.fromiter(map(math.log2, x), float, x.size)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_engine_and_field_read_the_game_stacks_in_place():
+    g, other = (random_game(np.random.default_rng(seed)) for seed in (8, 9))
+    rng = np.random.default_rng(1)
+    one = sl.StackelbergLearning([g], sl.RLA1, [rng], sl.LearnerSettings())
+    for got, stack in (
+        (one.u_phys, utility_tensor(g)),
+        (one.sinr_tensors, sinr_tensor(g)),
+        (one.u_norm, normalized_utility_tensors(g)),
+    ):
+        assert got.shape == (1,) + stack.shape and np.shares_memory(got[0], stack)
+    normalized = normalized_utility_tensors(g)
+    assert np.shares_memory(FieldTensors(normalized).stack, normalized)
+    two = sl.StackelbergLearning([g, other], sl.RLA1, [rng, rng], sl.LearnerSettings())
+    for got, accessor in (
+        (two.u_phys, utility_tensor),
+        (two.sinr_tensors, sinr_tensor),
+        (two.u_norm, normalized_utility_tensors),
+    ):
+        assert not got.flags.writeable
+        for p, game in enumerate((g, other)):
+            assert got[p].tobytes() == accessor(game).tobytes()
+            assert not np.shares_memory(got, accessor(game))
+    field = FieldTensors(list(normalized))
+    assert not np.shares_memory(field.stack, normalized)
+    with pytest.raises(ValueError):
+        field.stack[0, 0, 0, 0] = 1.0
 
 
 def test_feasibility_adjusted_game_builds_its_own_tensors(desk_game):
@@ -218,8 +256,8 @@ def test_silenced_game_builds_its_own_tensors(monkeypatch):
     assert full.num_users == 3 and checked[-1] is prepared.game
     assert _tensor_bytes(prepared.game) == _tensor_bytes(_never_queried(prepared.game))
     # the leader sees less interference than with the silenced femtocell at min power
-    at_min = np.take(sinr_tensor(full, 0), 0, axis=silenced)
-    assert np.all(sinr_tensor(prepared.game, 0) > at_min)
+    at_min = np.take(sinr_tensor(full)[0], 0, axis=silenced)
+    assert np.all(sinr_tensor(prepared.game)[0] > at_min)
 
 
 def test_replaced_game_builds_its_own_tensors(desk_game):
@@ -231,7 +269,7 @@ def test_replaced_game_builds_its_own_tensors(desk_game):
         # twice the bandwidth doubles every utility exactly, and its maximum
         assert s == s0 and u != u0 and un == un0
     assert _tensor_bytes(same) == before
-    assert not np.shares_memory(utility_tensor(same, 0), utility_tensor(desk_game, 0))
+    assert not np.shares_memory(utility_tensor(same)[0], utility_tensor(desk_game)[0])
     assert not np.shares_memory(
         normalized_utility_tensors(same)[0], normalized_utility_tensors(desk_game)[0]
     )
@@ -244,7 +282,7 @@ def test_normalized_rows_are_own_axis_first_and_read_in_place(desk_game):
     for g in games:
         rows = normalized_utility_tensors(g)
         for i, row in enumerate(rows):
-            want = np.moveaxis(normalize_utility(utility_tensor(g, i)), i, 0)
+            want = np.moveaxis(normalize_utility(utility_tensor(g)[i]), i, 0)
             assert row.tobytes() == want.tobytes()
         # the learner and the field read the rows, not copies of them
         settings = sl.LearnerSettings()
@@ -377,8 +415,8 @@ def _install_tables(monkeypatch, tables):
     import stackelearn.game as game_mod
     import stackelearn.harness as harness_mod
 
-    def table_tensor(game, i):
-        out = tables[i].copy()
+    def table_tensor(game):
+        out = np.array(tables)
         out.setflags(write=False)
         return out
 

@@ -949,7 +949,7 @@ def test_allocation_memory_errors_are_config_errors(monkeypatch):
     tensors = FieldTensors(game_mod.normalized_utility_tensors(build_game(default_config()).game))
     monkeypatch.setattr(np, "empty", refuse)
     with pytest.raises(ConfigError, match="^network.num_femtocells: the tensors of 3 users on a 3-level"):
-        game_mod.utility_tensor(game, 0)
+        game_mod.utility_tensor(game)
     assert game._tensors == {}
     with pytest.raises(ConfigError, match=r"^dynamics --steps: 5 steps of \(3, 3\) profiles"):
         integrate_dynamics(np.full((3, 3), 1 / 3), tensors, 0.1, 0.05, 0.01, 5)

@@ -170,7 +170,7 @@ def test_leader_expected_utility_matches_enumeration():
     rng = np.random.default_rng(9)
     for _ in range(50):
         g = random_game(rng, num_users=3, num_actions=3)
-        u0 = utility_tensor(g, 0)
+        u0 = utility_tensor(g)[0]
         follower_ys = [random_simplex(rng, m) for m in g.action_dims[1:]]
         for j0 in range(g.action_dims[0]):
             leader_y = np.zeros(g.action_dims[0])
@@ -185,7 +185,7 @@ def test_action_expected_utilities_matches_enumeration():
     for _ in range(50):
         g = random_game(rng, num_users=3, num_actions=3)
         ys = np.array([random_simplex(rng, m) for m in g.action_dims])
-        tensors = [utility_tensor(g, i) for i in range(g.num_users)]
+        tensors = list(utility_tensor(g))
         field = FieldTensors([np.moveaxis(t, i, 0) for i, t in enumerate(tensors)])
         batched = field.expected_utilities(ys)
         for i, t in enumerate(tensors):
@@ -240,7 +240,7 @@ def test_rla2_estimate_matches_enumeration():
     for _ in range(50):
         g = random_game(rng, num_users=3, num_actions=3)
         i = int(rng.integers(1, g.num_users))
-        t = utility_tensor(g, i)
+        t = utility_tensor(g)[i]
         leader_y = random_simplex(rng, g.action_dims[0])
         other = [k for k in range(1, g.num_users) if k != i]
         belief_shape = tuple(g.action_dims[k] for k in other)
@@ -262,7 +262,7 @@ def test_rla2_estimate_matches_enumeration():
 def test_rla2_estimate_scalar_belief_single_follower():
     rng = np.random.default_rng(12)
     g = random_game(rng, num_users=2, num_actions=3)
-    t = utility_tensor(g, 1)
+    t = utility_tensor(g)[1]
     leader_y = random_simplex(rng, 3)
     belief = np.array(1.0)  # zero-dimensional: no other followers
     for a in range(3):

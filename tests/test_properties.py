@@ -121,7 +121,7 @@ def test_leader_expectation_equivalence():
         leader_y = np.zeros(g.action_dims[0])
         leader_y[j0] = 1.0
         ref = expected_utility(0, [leader_y] + follower_ys, g)
-        got = full_expected_utility(utility_tensor(g, 0)[j0], follower_ys)
+        got = full_expected_utility(utility_tensor(g)[0][j0], follower_ys)
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-9)
 
 
@@ -159,7 +159,7 @@ def test_normalization_preserves_argmax_structure():
     rng = np.random.default_rng(108)
     for _ in range(100):
         g = random_game(rng, num_users=3)
-        tensors = [utility_tensor(g, i) for i in range(3)]
+        tensors = list(utility_tensor(g))
         normed = user_order(normalized_utility_tensors(g))
         i = int(rng.integers(0, 3))
         idx = tuple(rng.integers(0, m) for m in g.action_dims)
