@@ -34,7 +34,7 @@ from .learning import (
     RLA2,
     StackelbergLearning,
     Trace,
-    full_expected_utility,
+    _expected_rows,
 )
 
 
@@ -207,10 +207,11 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
 
     Each point's game is built once.  One engine per (point, algorithm)
     runs the point's replicates in lockstep, replicate r drawing from the
-    ``learning_rng(base_seed, algo, r)`` stream.  A point where every
-    femtocell is silenced has no FU SINR to learn: it runs no engine and
-    reports zeros.  More replicates than one list of games can hold are a
-    ``ConfigError`` on ``sweep.replicates``.
+    ``learning_rng(base_seed, algo, r)`` stream; one ``_expected_rows``
+    readout of the game's SINR stack gives every replicate's expected SINRs.
+    A point where every femtocell is silenced has no FU SINR to learn: it
+    runs no engine and reports zeros.  More replicates than one list of
+    games can hold are a ``ConfigError`` on ``sweep.replicates``.
     """
     replicates = config.sweep.replicates
     results = []
@@ -232,12 +233,10 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
                     config.learning,
                 )
                 engine.run(config.learning.num_steps, log_every=config.learning.num_steps)
-                for strategies in engine.strategies:
-                    for reduced_idx in range(1, prepared.game.num_users):
-                        original = prepared.user_ids[reduced_idx]
-                        sums[original - 1] += full_expected_utility(
-                            sinr_tensor(prepared.game)[reduced_idx], strategies
-                        )
+                expected = _expected_rows(sinr_tensor(prepared.game), engine.strategy_batch)
+                followers = np.array(prepared.user_ids[1:]) - 1
+                for row in expected:  # one row at a time: a one-call sum may reorder the adds
+                    sums[followers] += row[1:]
             results.append(
                 SweepResult(
                     gamma0_db=float(gamma0_db),

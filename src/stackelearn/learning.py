@@ -25,10 +25,10 @@ generator, and to the scalar reference semantics in ``tests/reference.py``.
 
 Each user's utilities are rescaled by that user's own maximum pure-profile
 utility before learning, so one default temperature works across users and
-instances (leader and follower utilities differ by orders of magnitude); the
-engine reads the game's shared normalized stack
-(``game.normalized_utility_tensors``, each user's own axis first) in place,
-and traces report physical units.
+instances (leader and follower utilities differ by orders of magnitude).
+The engine learns on the game's normalized stack alone
+(``game.normalized_utility_tensors``, each user's own axis first); traces
+read the game's own SINR and utility stacks in place, in physical units.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _expect(out: np.ndarray, y: np.ndarray, plan: list[tuple], into=None, bound=
     cells, then one dot per row.  Every value has the bits of
     ``blocked_expected_utility`` in ``tests/reference.py``.  It is the
     package's one expected-utility chain: the learners' leader targets,
-    the traces, ``full_expected_utility`` and the strategy field
+    ``_expected_rows``, ``full_expected_utility`` and the strategy field
     (``dynamics.FieldTensors``) all contract through it.
 
     The last product writes into ``into`` (shaped (*batch, *rows, 1, 1))
@@ -90,6 +90,22 @@ def _expect(out: np.ndarray, y: np.ndarray, plan: list[tuple], into=None, bound=
         if bound is not None:
             bound.append((operand, column, out))
     return out[..., 0, 0] if plan else out.copy()
+
+
+def _expected_rows(stack: np.ndarray, profiles: np.ndarray) -> np.ndarray:
+    """The (B, *rows) expected values of a (*rows, M, ..., M) ``stack`` under
+    B (n, M) ``profiles``, for the traces and the sweep.  ``np.matmul``
+    broadcasts the stack over the profiles, so it is read in place; the
+    profiles go in blocks whose first product holds no more cells than the
+    larger of the stack and the profiles."""
+    count, n, m = profiles.shape
+    rows = stack.shape[: stack.ndim - n]
+    plan = _chain_plan((-1,), rows, range(n), m)
+    block = max(1, max(stack.size, profiles.size) * m // stack.size)
+    out = np.empty((count,) + rows)
+    for k in range(0, count, block):
+        out[k : k + block] = _expect(stack, profiles[k : k + block], plan)
+    return out
 
 
 @dataclass
@@ -147,19 +163,18 @@ class StackelbergLearning:
     its own game, so its results do not depend on the replicates run beside
     it.
 
-    Each kind's (n, *dims) stack is read once per distinct game (by
-    identity, in order of first appearance, listed in ``games``), and the
-    games' stacks go under a leading point axis: ``u_phys``, ``u_norm``
-    and ``sinr_tensors`` are read-only (P, n, *dims) arrays, and
-    ``points[r]`` is replicate r's index into them.  ``u_phys`` and
-    ``sinr_tensors`` hold each user's tensor in user order; ``u_norm``
-    holds the game's ``normalized_utility_tensors``, each user's own axis
-    first and the other users after it in ascending order.  With one game
-    all three are views of the game's stacks, not copies.  Every read of a
-    game's values gathers at the replicate's point: a realized value at a
-    flat offset, the leader target the row ``u_norm[p, 0, a_0]`` and an
-    rla2 follower i's block (leader by other followers) the row
-    ``u_norm[p, i, a_i]``.
+    The engine learns on one stack alone.  The distinct games (by
+    identity, in order of first appearance, listed in ``games``) put their
+    ``normalized_utility_tensors`` under a leading point axis: ``u_norm``
+    is a read-only (P, n, *dims) array, each user's own axis first and the
+    other users after it in ascending order, and ``points[r]`` is replicate
+    r's index into it.  With one game it is a view of the game's stack, not
+    a copy.  Every read of a game's values gathers at the replicate's
+    point: a realized value at a flat offset, the leader target the row
+    ``u_norm[p, 0, a_0]`` and an rla2 follower i's block (leader by other
+    followers) the row ``u_norm[p, i, a_i]``.  The physical SINR and
+    utility stacks are read only after the loop, in place, by each
+    replicate's ``_read_trace``.
 
     A step does its indexing through tables set up once.  Each of those
     indices, like each Q and estimate cell, is an integer linear function
@@ -176,10 +191,10 @@ class StackelbergLearning:
     (R, n-1, M, M), and ``belief_batch`` (R, n-1, M^(n-2)), every rla2
     follower using ``settings.belief_factor``.
     ``step`` returns a new (R, n) array of the actions it sampled, which no
-    later step changes, and ``run`` one ``Trace`` per replicate.  The
-    properties ``q`` and ``strategies`` return (R, n, M) copies,
-    ``estimates`` copies of ``(u_hat_batch, count_batch)`` and ``beliefs``
-    a copy of ``belief_batch``.
+    later step changes, and ``run`` one ``Trace`` per replicate, in
+    physical units.  The properties ``q`` and ``strategies`` return
+    (R, n, M) copies, ``estimates`` copies of ``(u_hat_batch,
+    count_batch)`` and ``beliefs`` a copy of ``belief_batch``.
 
     Each replicate is bitwise equal to a run of the scalar reference
     helpers in ``tests/reference.py``: every batched product computes each
@@ -223,22 +238,12 @@ class StackelbergLearning:
         r = self.num_replicates = len(self.rngs)
         m = self.num_actions = dims[0]
         profiles = math.prod(dims)
-        u_phys = _point_stack([utility_tensor(game) for game in self.games])
-        sinr = _point_stack([sinr_tensor(game) for game in self.games])
-        u_norm = _point_stack([normalized_utility_tensors(game) for game in self.games])
-        self.u_phys, self.u_norm, self.sinr_tensors = u_phys, u_norm, sinr
+        u_norm = self.u_norm = _point_stack([normalized_utility_tensors(g) for g in self.games])
         self._u_norm_flat = u_norm.reshape(-1)
-        self._u_phys_flat = u_phys.reshape(-1)
-        self._sinr_flat = sinr.reshape(-1)
-        # flat offset of each (replicate, user) tensor in those stacks: a
+        # flat offset of each (replicate, user) tensor in ``u_norm``: a
         # realized value is one gather at this base plus the profile offset
         tensor_of = self.points[:, None] * n + np.arange(n)  # (R, n) row of each user's tensor
-        self._user_base = tensor_of * profiles
-        self._profile_strides = np.array([math.prod(dims[i + 1 :]) for i in range(n)])
-        # (P, M) power of every action in dBm
-        self._powers_dbm = np.array(
-            [[watt_to_dbm(w) for w in game.action_set.levels_w] for game in self.games]
-        )
+        user_base = tensor_of * profiles
 
         self.temperature = self.settings.temperature
         self.q_batch = np.zeros((r, n, m))
@@ -258,7 +263,6 @@ class StackelbergLearning:
         # uniforms drawn ahead by ``run``, (steps, R, n, 1), and the next one
         self._uniforms = np.empty((0, r, n, 1))
         self._next_uniform = 0
-        self._trace_plan = _chain_plan((-1, r), (n,), range(n), m)
 
         # Action a_j is the number of user j's inner CDF points at or below
         # its uniform, so the (R, n(M-1)) 0/1 mask of those comparisons times
@@ -272,7 +276,7 @@ class StackelbergLearning:
         own_strides = m ** np.where(j == i, n - 1, n - 2 - j + (j > i))
         est_rows = np.arange(r * k).reshape(r, k) * m
         columns = [
-            (eye, 0), (own_strides, self._user_base), (eye, np.arange(r * n).reshape(r, n) * m),
+            (eye, 0), (own_strides, user_base), (eye, np.arange(r * n).reshape(r, n) * m),
             (m * eye[:, 1:] + eye[:, :1], est_rows * m), (eye[:, 1:], est_rows),
             (eye[:, :1], tensor_of[:, :1] * m), (eye[:, 1:], tensor_of[:, 1:] * m),
         ]
@@ -340,32 +344,6 @@ class StackelbergLearning:
         """Uniforms for ``steps`` steps, shaped (steps, R, n, 1)."""
         n = self.num_users
         return np.stack([g.random((steps, n)) for g in self.rngs], axis=1)[..., None]
-
-    def _traces(self, steps: np.ndarray, actions: np.ndarray, strategies: np.ndarray) -> list[Trace]:
-        """One ``Trace`` per replicate from the kept steps' (K, R, n)
-        actions and (K, R, n, M) strategies: every other column is one
-        gather or one flat-row contraction over all of them, the expected
-        utilities over one gathered (R, n, *dims) ``u_phys[points]`` copy."""
-        flat = self._user_base + (actions @ self._profile_strides)[..., None]  # (K, R, n)
-        sinr = self._sinr_flat[flat]
-        utilities = self._u_phys_flat[flat]
-        powers = self._powers_dbm[self.points[:, None], actions]
-        # each user's expected utility under each kept step's strategies, in
-        # blocks of kept steps whose first product holds no more cells than
-        # the larger of the ``u_phys`` stack and the strategy buffer
-        tensors = self.u_phys[self.points]
-        budget = max(self.u_phys.size, strategies.size)
-        block = max(1, budget * self.num_actions // tensors.size)
-        expected = np.empty(actions.shape)
-        for k in range(0, len(strategies), block):
-            y = strategies[k : k + block]
-            stack = np.broadcast_to(tensors, (len(y),) + tensors.shape)
-            expected[k : k + block] = _expect(stack, y, self._trace_plan)
-        return [
-            Trace(steps, actions[:, r], powers[:, r], sinr[:, r], utilities[:, r],
-                  expected[:, r], strategies[:, r])
-            for r in range(self.num_replicates)
-        ]
 
     def _update(self) -> None:
         """Realize utilities, update estimators and Q-values, then regenerate
@@ -438,7 +416,7 @@ class StackelbergLearning:
         """Run ``num_steps`` iterations, keeping every ``log_every``-th step
         plus the final one.  Returns one ``Trace`` of the kept steps per
         replicate; a kept step only stores its strategies and actions, and
-        the other columns are derived after the loop.  Kept steps that
+        ``_read_trace`` reads the rest after the loop.  Kept steps that
         numpy cannot hold in one array are a ``ConfigError`` on
         ``learning.num_steps``, raised before the first step."""
         if num_steps < 1:
@@ -472,7 +450,25 @@ class StackelbergLearning:
                     k += 1
                 else:
                     self.step()
-        return self._traces(steps, actions, strategies)
+        return [
+            _read_trace(self.games[p], steps, actions[:, r], strategies[:, r])
+            for r, p in enumerate(self.points)
+        ]
+
+
+def _read_trace(
+    game: GameInstance, steps: np.ndarray, actions: np.ndarray, strategies: np.ndarray
+) -> Trace:
+    """One replicate's ``Trace`` from its kept steps' (K, n) ``actions`` and
+    (K, n, M) ``strategies``, read from its game's physical stacks in place:
+    the SINRs and realized utilities are gathers at the sampled profiles,
+    and the expected utilities ``_expected_rows`` of the utility stack."""
+    utilities = utility_tensor(game)
+    users = np.arange(game.num_users)
+    cells = np.ravel_multi_index((users, *actions.T[..., None]), utilities.shape)  # (K, n)
+    powers_dbm = np.array([watt_to_dbm(w) for w in game.action_set.levels_w])
+    return Trace(steps, actions, powers_dbm[actions], sinr_tensor(game).take(cells),
+                 utilities.take(cells), _expected_rows(utilities, strategies), strategies)
 
 
 def _point_stack(stacks: list[np.ndarray]) -> np.ndarray:

@@ -23,6 +23,7 @@ from stackelearn.learning import (
     StackelbergLearning,
     _chain_plan,
     _expect,
+    _expected_rows,
     full_expected_utility,
 )
 
@@ -253,21 +254,19 @@ def test_batch_rejects_one_game_per_generator_mismatch(desk_game):
 def test_flat_chain_matches_blocked_reference_bitwise(n, m):
     # each flat row's products must have the bits of the blocked ``out @ s`` chain
     rng = np.random.default_rng(100 * n + m)
-    steps, replicates = 3, 2
+    steps, replicates = 7, 2
     scales = 10.0 ** rng.integers(-3, 4, (n,) + (1,) * n)  # each user's own magnitude
     tensors = rng.random((replicates, n) + (m,) * n) * scales
     y = rng.dirichlet(np.ones(m), size=(steps, replicates, n))
 
-    # trace rows: every user's tensor under every kept step's strategies, the
-    # step axis a zero-stride broadcast as in ``_traces``
-    stack = np.broadcast_to(tensors, (steps,) + tensors.shape)
-    got = _expect(stack, y, _chain_plan((-1, replicates), (n,), range(n), m))
-    want = [
-        [[blocked_expected_utility(tensors[r, i], y[k, r]) for i in range(n)]
-         for r in range(replicates)]
-        for k in range(steps)
-    ]
-    assert got.tobytes() == np.array(want).tobytes()
+    # trace and sweep rows: every user's tensor under each of the 7 profiles,
+    # the stack read in place; at n = m = 3 the profiles go in blocks of 3
+    for r in range(replicates):
+        got = _expected_rows(tensors[r], y[:, r])
+        want = [
+            [blocked_expected_utility(tensors[r, i], y[k, r]) for i in range(n)] for k in range(steps)
+        ]
+        assert got.tobytes() == np.array(want).tobytes()
 
     # leader targets: one leader action's block per replicate, followers' strategies
     blocks = tensors[:, 0, -1]

@@ -207,24 +207,21 @@ def test_engine_and_field_read_the_game_stacks_in_place():
     g, other = (random_game(np.random.default_rng(seed)) for seed in (8, 9))
     rng = np.random.default_rng(1)
     one = sl.StackelbergLearning([g], sl.RLA1, [rng], sl.LearnerSettings())
-    for got, stack in (
-        (one.u_phys, utility_tensor(g)),
-        (one.sinr_tensors, sinr_tensor(g)),
-        (one.u_norm, normalized_utility_tensors(g)),
-    ):
-        assert got.shape == (1,) + stack.shape and np.shares_memory(got[0], stack)
     normalized = normalized_utility_tensors(g)
+    assert one.u_norm.shape == (1,) + normalized.shape
+    assert np.shares_memory(one.u_norm[0], normalized)
     assert np.shares_memory(FieldTensors(normalized).stack, normalized)
     two = sl.StackelbergLearning([g, other], sl.RLA1, [rng, rng], sl.LearnerSettings())
-    for got, accessor in (
-        (two.u_phys, utility_tensor),
-        (two.sinr_tensors, sinr_tensor),
-        (two.u_norm, normalized_utility_tensors),
-    ):
-        assert not got.flags.writeable
-        for p, game in enumerate((g, other)):
-            assert got[p].tobytes() == accessor(game).tobytes()
-            assert not np.shares_memory(got, accessor(game))
+    assert not two.u_norm.flags.writeable
+    for p, game in enumerate((g, other)):
+        assert two.u_norm[p].tobytes() == normalized_utility_tensors(game).tobytes()
+        assert not np.shares_memory(two.u_norm, normalized_utility_tensors(game))
+    # each replicate's trace reads its own game's physical stacks
+    for trace, game in zip(two.run(4), (g, other)):
+        profiles = tuple(trace.actions.T)
+        for i in range(game.num_users):
+            assert trace.utilities[:, i].tobytes() == utility_tensor(game)[i][profiles].tobytes()
+            assert trace.sinr_lin[:, i].tobytes() == sinr_tensor(game)[i][profiles].tobytes()
     field = FieldTensors(list(normalized))
     assert not np.shares_memory(field.stack, normalized)
     with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from stackelearn.harness import (
     run_experiment,
     sweep_gamma0,
 )
-from stackelearn.game import leader_feasible, utility
+from stackelearn.game import leader_feasible, sinr_tensor, utility
 from stackelearn.learning import full_expected_utility
 
 from reference import best_response
@@ -457,15 +457,18 @@ def test_sweep_flags_unresolved_points(tmp_path):
     assert [(row[0], row[-1]) for row in rows] == [("0.0", "0")] * 4 + [("60.0", "1")] * 4
 
 
-def test_sweep_replicates_match_separate_runs():
+@pytest.mark.parametrize("replicates", [2, 17])
+def test_sweep_replicates_match_separate_runs(replicates):
     cfg = default_config(
         learning={"num_steps": 80},
-        sweep={"gamma0_grid_db": [0.0], "replicates": 2},
+        sweep={"gamma0_grid_db": [0.0], "replicates": replicates},
     )
     prepared = build_game(cfg, gamma0_db=0.0)
     sums = np.zeros(cfg.network.num_femtocells)
-    # replicate r draws stream r; the mean divides by the 2 replicates run
-    for r in (0, 1):
+    # replicate r draws stream r, and the sums add the replicates in order
+    # (17 rows summed in another order change the bits); the mean divides
+    # by the replicates run
+    for r in range(replicates):
         engine = sl.StackelbergLearning(
             [prepared.game],
             sl.RLA2,
@@ -475,10 +478,10 @@ def test_sweep_replicates_match_separate_runs():
         engine.run(80, log_every=80)
         for reduced in range(1, prepared.game.num_users):
             sums[prepared.user_ids[reduced] - 1] += full_expected_utility(
-                engine.sinr_tensors[0, reduced], engine.strategies[0]
+                sinr_tensor(prepared.game)[reduced], engine.strategies[0]
             )
     result = sweep_gamma0(cfg, algorithms=(sl.RLA2,))[0]
-    assert result.fu_expected_sinr_lin == tuple(sums / 2)
+    assert result.fu_expected_sinr_lin == tuple(sums / replicates)
 
 
 def test_sweep_runs_no_engine_at_leader_only_points(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import stackelearn as sl
 from stackelearn.config import LearningConfig
 from stackelearn.dynamics import FieldTensors, logit_residual, strategy_derivative
-from stackelearn.game import normalized_utility_tensors, utility_tensor
+from stackelearn.game import normalized_utility_tensors, sinr_tensor, utility_tensor
 from stackelearn.learning import (
     NONCOOP,
     RLA1,
@@ -369,8 +370,8 @@ def test_engine_trace_record_contents(desk_game):
         for i in range(g.num_users):
             p_w = g.action_set.levels_w[idx[i]]
             assert trace.powers_dbm[k, i] == pytest.approx(sl.watt_to_dbm(p_w), rel=1e-12)
-            assert trace.utilities[k, i] == eng.u_phys[0, i][idx]
-            assert trace.sinr_lin[k, i] == eng.sinr_tensors[0, i][idx]
+            assert trace.utilities[k, i] == utility_tensor(g)[i][idx]
+            assert trace.sinr_lin[k, i] == sinr_tensor(g)[i][idx]
     # logged strategies are the pre-update (uniform) ones
     for y, m in zip(trace.strategies[0], g.action_dims):
         assert np.allclose(y, 1.0 / m)
@@ -392,9 +393,30 @@ def test_engine_run_rejects_nonpositive_log_every(desk_game, log_every):
     assert eng.t == 0
 
 
+def test_run_reads_the_physical_stacks_in_place():
+    # 6 femtocells x 5 levels: one utility stack is 4.4 MB, far above a
+    # trace's own arrays, so a gathered copy of it would show in the peak
+    cfg = sl.default_config(
+        network={"num_femtocells": 6},
+        users={"action_set_dbm": [14.0, 18.0, 22.0, 26.0, 30.0], "mu_sinr_target_db": -20.0},
+    )
+    g = sl.build_game(cfg).game
+    assert g.num_users == 7
+    stack = utility_tensor(g)
+    sinr_tensor(g), normalized_utility_tensors(g)  # every kind built before tracing
+    eng = StackelbergLearning([g], RLA1, [np.random.default_rng(0)], sl.LearnerSettings())
+    tracemalloc.start()
+    try:
+        eng.run(20, log_every=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack.nbytes
+
+
 def test_engine_per_user_normalization(desk_game):
     eng = _engine(desk_game, RLA1)
-    rows = zip(eng.u_phys[0], eng.u_norm[0], normalized_utility_tensors(desk_game))
+    rows = zip(utility_tensor(desk_game), eng.u_norm[0], normalized_utility_tensors(desk_game))
     for i, (t, tn, want) in enumerate(rows):
         assert tn.tobytes() == want.tobytes()
         # own axis first
