@@ -12,7 +12,6 @@ from .channel import (
 )
 from .config import ConfigError, ExperimentConfig, default_config, load_config, parse_config
 from .dynamics import (
-    DynamicsDivergence,
     FieldTensors,
     integrate_dynamics,
     logit_residual,

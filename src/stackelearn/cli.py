@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import watt_to_dbm
 from .config import ConfigError, load_config
-from .dynamics import DynamicsDivergence, FieldTensors, integrate_dynamics
+from .dynamics import FieldTensors, integrate_dynamics
 from .game import normalized_utility_tensors, stackelberg_oracle
 from .harness import (
     build_game,
@@ -179,20 +179,14 @@ def _cmd_dynamics(args, config) -> int:
     game = prepared.game
     m = len(game.action_set)
     initial = np.full((game.num_users, m), 1.0 / m)
-    try:
-        trajectory = integrate_dynamics(
-            initial,
-            FieldTensors(normalized_utility_tensors(game)),
-            config.learning.alpha,
-            config.learning.temperature,
-            args.step_size,
-            args.steps,
-        )
-    except DynamicsDivergence as exc:
-        raise ConfigError(
-            f"dynamics --step-size: {args.step_size!r} diverges or overshoots"
-            f" at step {exc.step_index}"
-        ) from None
+    trajectory = integrate_dynamics(
+        initial,
+        FieldTensors(normalized_utility_tensors(game)),
+        config.learning.alpha,
+        config.learning.temperature,
+        args.step_size,
+        args.steps,
+    )
     path = os.path.join(config.output.directory, "dynamics.csv")
     emit_dynamics_csv(trajectory, args.step_size, path, user_ids=prepared.user_ids)
     print(f"wrote {path} ({len(trajectory)} profiles)")

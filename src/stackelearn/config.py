@@ -5,7 +5,9 @@ this boundary.  Unknown keys are rejected with the offending field path so
 typos fail loudly.
 
 Each section dataclass owns its defaults and range checks; its
-``__post_init__`` raises ``ValueError("<field>: ...")``.  ``parse_config``
+``__post_init__`` raises ``ValueError("<field>: ...")``.  The ``network``
+and ``learning`` sections live beside the code that reads them
+(``channel.NetworkConfig``, ``learning.LearnerSettings``).  ``parse_config``
 checks only the keys and the JSON type of each field against the field's
 annotation, then builds the sections, so a value is checked the same way
 whether it comes from a file or from a ``dataclasses.replace`` override.
@@ -18,11 +20,9 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .channel import ConfigError, NetworkConfig, _to_linear, db_to_linear, dbm_to_watt
 from .game import ActionSet
-from .learning import ALGORITHMS, LearnerSettings
+from .learning import LearnerSettings
 
 
 @dataclass
@@ -42,31 +42,6 @@ class UserConfig:
             ActionSet(levels_w)
         except ValueError as exc:
             raise ValueError(f"action_set_dbm: {exc}") from None
-
-
-@dataclass
-class LearningConfig(LearnerSettings):
-    num_steps: int = 5000
-    algorithms: tuple[str, ...] = ("rla1", "rla2", "noncoop")
-    trace_decimation: int = 10
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.num_steps < 1:
-            raise ValueError("num_steps: must be >= 1")
-        # the Boltzmann step divides Q-values in [0, 1] by the temperature
-        tiny = np.finfo(float).tiny
-        if not self.temperature * self.temperature_decay**self.num_steps >= tiny:
-            raise ValueError(
-                f"temperature: temperature * temperature_decay ** num_steps must be >= {tiny:g}"
-            )
-        for k, name in enumerate(self.algorithms):
-            if name not in ALGORITHMS:
-                raise ValueError(f"algorithms: unknown algorithm {name!r}")
-            if name in self.algorithms[:k]:
-                raise ValueError(f"algorithms: {name!r} is listed twice")
-        if self.trace_decimation < 1:
-            raise ValueError("trace_decimation: must be >= 1")
 
 
 @dataclass
@@ -102,7 +77,7 @@ class OutputConfig:
 class ExperimentConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     users: UserConfig = field(default_factory=UserConfig)
-    learning: LearningConfig = field(default_factory=LearningConfig)
+    learning: LearnerSettings = field(default_factory=LearnerSettings)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     seeds: SeedConfig = field(default_factory=SeedConfig)
     output: OutputConfig = field(default_factory=OutputConfig)

@@ -21,20 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ConfigError
+from .channel import ConfigError
 from .learning import _chain_plan, _expect, _softmax_rows
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
 # singularities; strategies are renormalized after flooring.
 PROB_FLOOR = 1e-12
-
-
-class DynamicsDivergence(RuntimeError):
-    """Raised when integration produces a non-finite or negative strategy entry."""
-
-    def __init__(self, step_index: int):
-        super().__init__(f"dynamics diverged at integration step {step_index}")
-        self.step_index = step_index
 
 
 class FieldTensors:
@@ -112,10 +104,11 @@ def integrate_dynamics(
     Each accepted step renormalizes every strategy back onto its simplex.
     Returns the (num_steps + 1, n, M) trajectory, the initial profile
     first.  A step that leaves a non-finite or negative entry before the
-    floor (a divergence, or an overshoot past the simplex boundary) aborts
-    with the offending step index; numpy's floating-point warnings on the way
-    there are silenced, since the check reports the step.  A trajectory
-    numpy cannot allocate is a ``ConfigError`` on ``dynamics --steps``.
+    floor (a divergence, or an overshoot past the simplex boundary) is a
+    ``ConfigError`` on ``dynamics --step-size`` that names the offending
+    step index; numpy's floating-point warnings on the way there are
+    silenced, since the error reports the step.  A trajectory numpy cannot
+    allocate is a ``ConfigError`` on ``dynamics --steps``.
     """
     if not step_size > 0:
         raise ValueError("step_size must be > 0")
@@ -143,7 +136,9 @@ def integrate_dynamics(
             k4 = field(current + h * k3)
             nxt = current + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if not (np.all(np.isfinite(nxt)) and nxt.min() >= 0):
-                raise DynamicsDivergence(step)
+                raise ConfigError(
+                    f"dynamics --step-size: {step_size!r} diverges or overshoots at step {step}"
+                )
             current = trajectory[step + 1] = _floor_profile(nxt)
     return trajectory
 

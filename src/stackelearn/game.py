@@ -159,15 +159,15 @@ def _power_grids(game: GameInstance) -> list[np.ndarray]:
 def _shared_stack(game: GameInstance, kind: str, build) -> np.ndarray:
     """The game's read-only (n, *dims) ``kind`` stack, built whole on the
     kind's first use: row i is ``build(game, i)``.  A stack numpy cannot
-    allocate, or cannot give two more axes, is a ``ConfigError`` on
+    allocate, or cannot give one more axis, is a ``ConfigError`` on
     ``network.num_femtocells``."""
     stack = game._tensors.get(kind)
     if stack is None:
         n = game.num_users
         try:
-            # one axis for the engine's point stack and one spare that keeps the
-            # documented bound of 61 users; an empty array checks the count alone
-            np.empty((0, 0, n) + game.action_dims)
+            # one more axis for the engine's point stack; an empty array
+            # checks the count alone
+            np.empty((0, n) + game.action_dims)
             stack = np.empty((n,) + game.action_dims)
         except (ValueError, MemoryError) as exc:
             raise ConfigError(

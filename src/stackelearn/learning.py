@@ -110,8 +110,8 @@ def _expected_rows(stack: np.ndarray, profiles: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LearnerSettings:
-    """Hyperparameters shared by all schemes (``config.LearningConfig``
-    extends them with the run length and the schemes to run).
+    """The ``learning`` config section: the hyperparameters shared by all
+    schemes, the run length, the schemes to run and the trace decimation.
 
     ``temperature`` is expressed in post-normalization utility units (the
     learner rescales utilities to [0, 1]); it defaults to 0.05 of that
@@ -122,6 +122,9 @@ class LearnerSettings:
     temperature: float = 0.05
     temperature_decay: float = 1.0
     belief_factor: float = 2.0
+    num_steps: int = 5000
+    algorithms: tuple[str, ...] = ALGORITHMS
+    trace_decimation: int = 10
 
     def __post_init__(self):
         if not 0 <= self.alpha < 1:
@@ -132,6 +135,21 @@ class LearnerSettings:
             raise ValueError("temperature_decay: must lie in (0, 1]")
         if not self.belief_factor >= 0:
             raise ValueError("belief_factor: must be >= 0")
+        if self.num_steps < 1:
+            raise ValueError("num_steps: must be >= 1")
+        # the Boltzmann step divides Q-values in [0, 1] by the temperature
+        tiny = np.finfo(float).tiny
+        if not self.temperature * self.temperature_decay**self.num_steps >= tiny:
+            raise ValueError(
+                f"temperature: temperature * temperature_decay ** num_steps must be >= {tiny:g}"
+            )
+        for k, name in enumerate(self.algorithms):
+            if name not in ALGORITHMS:
+                raise ValueError(f"algorithms: unknown algorithm {name!r}")
+            if name in self.algorithms[:k]:
+                raise ValueError(f"algorithms: {name!r} is listed twice")
+        if self.trace_decimation < 1:
+            raise ValueError("trace_decimation: must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)

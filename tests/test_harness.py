@@ -811,11 +811,11 @@ def test_cli_grid_too_large_for_one_array_is_config_error(tmp_path, capsys, comm
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize(("femtocells", "code"), [(32, 0), (60, 0), (61, 1), (62, 1)])
+@pytest.mark.parametrize(("femtocells", "code"), [(32, 0), (60, 0), (61, 0), (62, 1)])
 @pytest.mark.parametrize("command", ["oracle", "run", "dynamics"])
 def test_cli_many_femtocells_run_or_are_config_errors(tmp_path, capsys, command, femtocells, code):
-    # a 1-level grid keeps the tensors one cell each; the learners add two
-    # axes to a game's (n, *dims) stack, so up to 61 users fit numpy's 64
+    # a 1-level grid keeps the tensors one cell each; the learners add one
+    # axis to a game's (n, *dims) stack, so up to 62 users fit numpy's 64
     cfg = _write_cfg(
         tmp_path,
         network={"num_femtocells": femtocells},

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import stackelearn as sl
-from stackelearn.config import LearningConfig
 from stackelearn.dynamics import FieldTensors, logit_residual, strategy_derivative
 from stackelearn.game import normalized_utility_tensors, sinr_tensor, utility_tensor
 from stackelearn.learning import (
@@ -433,12 +432,16 @@ def test_learner_settings_validation():
         sl.LearnerSettings(temperature_decay=0.0)
     with pytest.raises(ValueError):
         sl.LearnerSettings(belief_factor=-0.5)
-    # the config section shares the learner's fields and checks
+    # the settings are the config's learning section, with all its checks
     with pytest.raises(ValueError, match="alpha"):
-        LearningConfig(alpha=1.0)
+        sl.LearnerSettings(alpha=1.0)
     with pytest.raises(ValueError, match="num_steps"):
-        LearningConfig(num_steps=0)
-    assert LearningConfig().temperature == sl.LearnerSettings().temperature
+        sl.LearnerSettings(num_steps=0)
+    with pytest.raises(ValueError, match="temperature"):
+        sl.LearnerSettings(temperature=1e-320)
+    with pytest.raises(ValueError, match="algorithms"):
+        sl.LearnerSettings(algorithms=("rla1", "rla1"))
+    assert sl.default_config().learning == sl.LearnerSettings()
 
 
 def test_temperature_decay_applied(desk_game):
