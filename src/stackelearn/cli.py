@@ -78,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _override(config, section: str, flag: str, **changes) -> None:
-    """Replace fields of a config section, through the section's own checks."""
+    """Replace fields of a config section, through the section's own checks:
+    the CLI's one way to change a setting (the sections are frozen)."""
     try:
         setattr(config, section, dataclasses.replace(getattr(config, section), **changes))
     except ValueError as exc:
@@ -102,7 +103,7 @@ def _cmd_run(args, config) -> int:
     if args.seed is not None:
         _override(config, "seeds", "run --seed", base_seed=args.seed)
     if args.algo is not None:
-        config.learning.algorithms = (args.algo,)
+        _override(config, "learning", "run --algo", algorithms=(args.algo,))
 
     prepared = _resolved_game(config)
     result = run_experiment(config, prepared)
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = load_config(args.config)
         if getattr(args, "out", None) is not None:  # oracle has no --out
-            config.output.directory = args.out
+            _override(config, "output", "--out", directory=args.out)
         return handlers[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

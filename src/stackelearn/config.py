@@ -4,13 +4,13 @@ Radio quantities are configured in dB/dBm and converted to linear units at
 this boundary.  Unknown keys are rejected with the offending field path so
 typos fail loudly.
 
-Each section dataclass owns its defaults and range checks; its
-``__post_init__`` raises ``ValueError("<field>: ...")``.  The ``network``
-and ``learning`` sections live beside the code that reads them
+Each section is a frozen dataclass that owns its defaults and range
+checks; its ``__post_init__`` raises ``ValueError("<field>: ...")``.  The
+``network`` and ``learning`` sections live beside the code that reads them
 (``channel.NetworkConfig``, ``learning.LearnerSettings``).  ``parse_config``
 checks only the keys and the JSON type of each field against the field's
-annotation, then builds the sections, so a value is checked the same way
-whether it comes from a file or from a ``dataclasses.replace`` override.
+annotation, then builds the sections; a value changes only through
+``dataclasses.replace``, which runs the same checks as a file does.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .game import ActionSet
 from .learning import LearnerSettings
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserConfig:
     mu_sinr_target_db: float = 3.0
     fu_sinr_target_db: float = 5.0
@@ -44,7 +44,7 @@ class UserConfig:
             raise ValueError(f"action_set_dbm: {exc}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     gamma0_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
     replicates: int = 3
@@ -59,7 +59,7 @@ class SweepConfig:
             raise ValueError("replicates: must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeedConfig:
     base_seed: int = 44
 
@@ -68,7 +68,7 @@ class SeedConfig:
             raise ValueError("base_seed: must fit in an unsigned 64-bit integer")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
 
@@ -83,24 +83,10 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-# section name -> section class, in order
+# section name -> section class, in order, and each section's field
+# annotations, resolved once
 _SECTIONS = typing.get_type_hints(ExperimentConfig)
-
-
-def _json_type(hint) -> tuple[type, bool]:
-    """(element type, is a list) of an annotated field type: float, int or
-    str, or a tuple of one of these."""
-    if typing.get_origin(hint) is tuple:
-        return typing.get_args(hint)[0], True
-    return hint, False
-
-
-def _field_types(cls) -> dict:
-    return {key: _json_type(hint) for key, hint in typing.get_type_hints(cls).items()}
-
-
-# JSON types per section, resolved once
-_FIELD_TYPES = {name: _field_types(cls) for name, cls in _SECTIONS.items()}
+_FIELD_TYPES = {name: typing.get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
 
 def _check_keys(section: dict, allowed, path: str) -> None:
@@ -109,25 +95,25 @@ def _check_keys(section: dict, allowed, path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
-def _typed(value, json_type: tuple[type, bool], path: str):
-    """``value`` checked against a field's JSON type (see ``_json_type``):
-    no field takes a bool, and integers become floats where a float is
-    expected."""
-    kind, is_list = json_type
-    if is_list:
+def _typed(value, hint, path: str):
+    """``value`` checked against a field's annotation ``hint``: float, int
+    or str, or a tuple of one of these, which JSON gives as a non-empty
+    list.  No field takes a bool, and integers become floats where a float
+    is expected."""
+    if typing.get_origin(hint) is tuple:
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path}: expected a non-empty list")
-        return tuple(_typed(x, (kind, False), path) for x in value)
+        return tuple(_typed(x, typing.get_args(hint)[0], path) for x in value)
     if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
-    if kind is float and isinstance(value, int):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    if hint is float and isinstance(value, int):
         try:
             value = float(value)
         except OverflowError:
             raise ConfigError(f"{path}: must be finite") from None
-    if not isinstance(value, kind):
-        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
-    if kind is float and not math.isfinite(value):
+    if not isinstance(value, hint):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    if hint is float and not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite")
     return value
 

@@ -34,7 +34,7 @@ read the game's own SINR and utility stacks in place, in physical units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,14 +108,16 @@ def _expected_rows(stack: np.ndarray, profiles: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearnerSettings:
     """The ``learning`` config section: the hyperparameters shared by all
     schemes, the run length, the schemes to run and the trace decimation.
 
     ``temperature`` is expressed in post-normalization utility units (the
     learner rescales utilities to [0, 1]); it defaults to 0.05 of that
-    scale.  ``temperature_decay`` < 1 anneals geometrically.
+    scale.  ``temperature_decay`` < 1 anneals geometrically; the temperature
+    after ``num_steps`` steps must stay a normal float, and
+    ``StackelbergLearning.run`` checks its own length here.
     """
 
     alpha: float = 0.1
@@ -418,7 +420,8 @@ class StackelbergLearning:
 
     def step(self) -> np.ndarray:
         """One iteration.  Returns a new (R, n) array of the actions it
-        sampled (``sample_action`` for every replicate and user)."""
+        sampled (``sample_action`` for every replicate and user).  The
+        unchecked primitive: unlike ``run``, it skips the temperature floor."""
         if self._next_uniform == len(self._uniforms):
             self._uniforms, self._next_uniform = self._draw(1), 0
         u = self._uniforms[self._next_uniform]
@@ -434,11 +437,13 @@ class StackelbergLearning:
         """Run ``num_steps`` iterations, keeping every ``log_every``-th step
         plus the final one.  Returns one ``Trace`` of the kept steps per
         replicate; a kept step only stores its strategies and actions, and
-        ``_read_trace`` reads the rest after the loop.  Kept steps that
-        numpy cannot hold in one array are a ``ConfigError`` on
-        ``learning.num_steps``, raised before the first step."""
-        if num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
+        ``_read_trace`` reads the rest after the loop.  Before the first
+        step, ``LearnerSettings`` checks ``num_steps`` from the engine's
+        current temperature (a ``ValueError``), so a run in several chunks
+        meets the same temperature floor as one run.  Kept steps that numpy
+        cannot hold in one array are a ``ConfigError`` on
+        ``learning.num_steps``, also raised before the first step."""
+        replace(self.settings, temperature=self.temperature, num_steps=num_steps)
         if log_every < 1:
             raise ValueError("log_every must be >= 1")
         # every log_every-th step and the last one, counted without ``len``

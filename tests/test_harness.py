@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -224,6 +225,18 @@ def test_default_config_overrides():
     cfg = default_config(network={"num_femtocells": 3}, learning={"num_steps": 7})
     assert cfg.network.num_femtocells == 3
     assert cfg.learning.num_steps == 7
+
+
+def test_config_sections_are_frozen():
+    cfg = default_config()
+    for section in dataclasses.fields(cfg):
+        value = getattr(cfg, section.name)
+        name = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    # a section changes only through replace, which runs its checks
+    with pytest.raises(ValueError, match="temperature"):
+        dataclasses.replace(cfg.learning, temperature_decay=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,25 @@ def test_engine_run_rejects_nonpositive_log_every(desk_game, log_every):
     assert eng.t == 0
 
 
+def test_engine_run_checks_its_length_against_the_temperature_floor(desk_game):
+    # 0.05 * 0.9 ** t stays a normal float up to t = 6696: 8000 steps would
+    # anneal to a subnormal temperature and turn every strategy into NaN
+    eng = _engine(desk_game, RLA1, settings=sl.LearnerSettings(temperature_decay=0.9))
+    with pytest.raises(ValueError, match="temperature"):
+        eng.run(8000)
+    assert eng.t == 0
+    for y, m in zip(eng.strategies[0], desk_game.action_dims):
+        assert np.all(y == 1.0 / m)
+    # checked from the engine's current temperature, so chunks add up
+    eng.run(6000, log_every=6000)
+    with pytest.raises(ValueError, match="temperature"):
+        eng.run(1000)
+    assert eng.t == 6000
+    assert np.isfinite(eng.strategies).all()
+    with pytest.raises(ValueError, match="num_steps"):
+        eng.run(0)
+
+
 def test_run_reads_the_physical_stacks_in_place():
     # 6 femtocells x 5 levels: one utility stack is 4.4 MB, far above a
     # trace's own arrays, so a gathered copy of it would show in the peak
