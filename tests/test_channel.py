@@ -27,6 +27,14 @@ def test_conversions_reject_non_finite(bad):
         sl.db_to_linear(bad)
 
 
+def test_dbm_conversions_keep_their_bits():
+    # each is the dB conversion shifted by 30 dB, the same expression as before
+    for x_dbm in np.linspace(-200.0, 200.0, 4001).tolist():
+        assert sl.dbm_to_watt(x_dbm) == 10.0 ** ((x_dbm - 30.0) / 10.0), x_dbm
+    for x_w in np.geomspace(1e-20, 1e3, 4001).tolist():
+        assert sl.watt_to_dbm(x_w) == 10.0 * math.log10(x_w) + 30.0, x_w
+
+
 def test_db_round_trip():
     for x in [1e-14, 1e-9, 1e-3, 1.0, 12.5, 1e3]:
         assert sl.db_to_linear(sl.linear_to_db(x)) == pytest.approx(x, rel=1e-12)

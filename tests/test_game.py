@@ -10,7 +10,6 @@ import stackelearn.game as game_mod
 from stackelearn import harness
 from stackelearn.dynamics import FieldTensors
 from stackelearn.game import (
-    energy_efficiency,
     leader_feasible,
     normalize_utility,
     normalized_utility_tensors,
@@ -47,11 +46,14 @@ def test_sinr_hand_computed():
 
 
 def test_energy_efficiency_hand_computed():
+    # a met target: the utility is the energy efficiency, libm's log2 and all
     g = _two_user_game()
     powers = [0.1, 1.0]
     gamma = sinr(0, powers, g)
+    assert gamma >= 1.0
     expected = 1e6 * math.log2(1.0 + gamma) / (0.01 + 0.1)
-    assert energy_efficiency(0, powers, g) == expected
+    got = utility(0, powers, g)
+    assert isinstance(got, float) and got == expected
 
 
 def test_utility_threshold_is_exact_zero():
@@ -61,7 +63,8 @@ def test_utility_threshold_is_exact_zero():
     assert sinr(0, powers, g) < 1e12
     assert utility(0, powers, g) == 0.0
     # and met targets return the energy efficiency itself
-    assert utility(1, powers, g) == energy_efficiency(1, powers, g)
+    gamma = sinr(1, powers, g)
+    assert utility(1, powers, g) == 1e6 * math.log2(1.0 + gamma) / (0.01 + 0.1)
 
 
 def test_sinr_monotonicity():
@@ -201,6 +204,13 @@ def test_log2_has_libm_bits():
     got = game_mod._log2(x)
     want = np.fromiter(map(math.log2, x), float, x.size)
     assert got.tobytes() == want.tobytes()
+    # any shape in, that shape out: a 3-d grid, and a number as scalar utility passes
+    cube = x.reshape(100, 100, 100)
+    got = game_mod._log2(cube)
+    assert got.shape == cube.shape and got.tobytes() == want.tobytes()
+    for v in x[:2000].tolist():
+        got = game_mod._log2(v)
+        assert np.shape(got) == () and float(got) == math.log2(v), v
 
 
 def test_engine_and_field_read_the_game_stacks_in_place():

@@ -117,6 +117,8 @@ def test_parse_config_rejects_unknown_keys():
         ("learning", "algorithms", ["rla2", "noncoop", "rla2"], "learning.algorithms"),
         # a femto user's offset rounds away against coordinates this large
         ("network", "macro_radius_m", 1e20, "network.macro_radius_m"),
+        # os.path.join("", name) would write into the working directory
+        ("output", "directory", "", "^output.directory: must not be empty$"),
     ],
 )
 def test_parse_config_validates_values(section, key, value, match):
@@ -531,8 +533,8 @@ def test_sweep_runs_no_engine_at_leader_only_points(monkeypatch):
 
 
 def _counting_builds(monkeypatch) -> dict[str, list]:
-    """Record the (game, user) of every SINR and utility tensor build."""
-    builds = {"sinr": [], "utility": []}
+    """Record the (game, user) of every tensor build, by kind."""
+    builds = {"sinr": [], "utility": [], "normalized": []}
     for kind, seen in builds.items():
         real = getattr(game_mod, f"_build_{kind}_tensor")
 
@@ -644,14 +646,36 @@ def test_cli_help_exit_code(capsys):
 
 @pytest.mark.parametrize("argv", [["run"], ["oracle"], ["dynamics", "--steps", "5"]])
 def test_cli_builds_each_tensor_once_per_game(tmp_path, capsys, monkeypatch, argv):
-    # the engines, the oracle, the reference and the dynamics share one build
+    # the engines, the oracle, the reference and the dynamics share one build,
+    # and a command builds only the kinds it reads
+    read = {
+        "run": {"sinr", "utility", "normalized"},
+        "oracle": {"utility"},
+        "dynamics": {"normalized"},
+    }[argv[0]]
     builds = _counting_builds(monkeypatch)
     cfg = _write_cfg(
         tmp_path, learning={"num_steps": 20}, output={"directory": str(tmp_path / "out")}
     )
     assert cli_main(argv + ["--config", cfg]) == 0
     for kind, calls in builds.items():
-        assert _users_built_per_game(calls) == [[0, 1, 2]], kind  # the prepared 3-user game
+        # the prepared 3-user game
+        assert _users_built_per_game(calls) == ([[0, 1, 2]] if kind in read else []), kind
+
+
+@pytest.mark.parametrize(
+    "argv", [["run"], ["sweep", "--replicates", "1"], ["dynamics", "--steps", "5"]]
+)
+def test_cli_empty_output_directory_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    # an empty directory would put every CSV into the working directory
+    cfg = _write_cfg(tmp_path, learning={"num_steps": 10})
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv + ["--config", cfg, "--out", ""]) == 1
+    assert capsys.readouterr().err == "config error: --out: directory: must not be empty\n"
+    empty = _write_cfg(tmp_path, "empty.json", output={"directory": ""})
+    assert cli_main(argv + ["--config", empty]) == 1
+    assert capsys.readouterr().err == "config error: output.directory: must not be empty\n"
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "empty.json"]
 
 
 def test_cli_missing_config_io_exit_code(tmp_path, capsys):
