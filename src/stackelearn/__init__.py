@@ -24,7 +24,6 @@ from .game import (
     EquilibriumResult,
     GameInstance,
     UserParams,
-    energy_efficiency,
     normalized_utility_tensors,
     sinr,
     sinr_tensor,

@@ -18,19 +18,6 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the field path."""
 
 
-def dbm_to_watt(x_dbm: float) -> float:
-    """Convert a power from dBm to watts."""
-    if not math.isfinite(x_dbm):
-        raise ValueError(f"dBm value must be finite, got {x_dbm!r}")
-    return 10.0 ** ((x_dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(x_w: float) -> float:
-    if not (math.isfinite(x_w) and x_w > 0):
-        raise ValueError(f"power must be finite and > 0, got {x_w!r}")
-    return 10.0 * math.log10(x_w) + 30.0
-
-
 def db_to_linear(x_db: float) -> float:
     """Convert a dB ratio to linear scale."""
     if not math.isfinite(x_db):
@@ -42,6 +29,15 @@ def linear_to_db(x: float) -> float:
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"linear value must be finite and > 0, got {x!r}")
     return 10.0 * math.log10(x)
+
+
+def dbm_to_watt(x_dbm: float) -> float:
+    """Convert a power from dBm to watts."""
+    return db_to_linear(x_dbm - 30.0)
+
+
+def watt_to_dbm(x_w: float) -> float:
+    return linear_to_db(x_w) + 30.0
 
 
 def _to_linear(convert, value: float, name: str) -> float:

@@ -72,6 +72,10 @@ class SeedConfig:
 class OutputConfig:
     directory: str = "out"
 
+    def __post_init__(self):
+        if not self.directory:  # os.path.join would write into the working directory
+            raise ValueError("directory: must not be empty")
+
 
 @dataclass
 class ExperimentConfig:

@@ -6,18 +6,21 @@ watt when the user's SINR target is met, zero otherwise.  Every user picks
 from one finite power grid, so equilibria can be found by exhaustive
 enumeration.
 
-Scalar operations (`sinr`, `energy_efficiency`, `utility`) are deliberately
-written in plain Python with a fixed summation order so that independent
-re-enumerations reproduce them bit-for-bit.  They are the reference
-semantics: `sinr_tensor` is `sinr` on broadcast power grids, `utility_tensor`
-broadcasts `utility`'s operations, and the oracle and iterated best response
-read those tensors (the tests' scalar enumerations are in `tests/reference.py`).
+The two formulas, `sinr` and `utility`, take one power per user and run
+elementwise, in a fixed order, on numbers or on power grids that broadcast
+together, so a profile's scalar value and its tensor entry have the same
+bits.  They are the reference semantics: each kind of tensor is its own
+formula on the broadcast power grids (`sinr_tensor` is `sinr`,
+`utility_tensor` is `utility`, and the normalized kind the learners and the
+dynamics read is `normalize_utility` of `utility`), and the oracle and
+iterated best response read those tensors (the tests' scalar enumerations
+are in `tests/reference.py`).
 
 Each kind of tensor is built once per `GameInstance`, on first use, as one
 read-only (n, *dims) array whose row i is user i's tensor; its accessor
 returns that array, which the learners, the oracle, the references and the
-dynamics share.  So is the normalized kind the learners and the dynamics
-read (`normalized_utility_tensors`), each row with its user's axis first.
+dynamics share.  No build reads another kind's stack, so a command holds
+only the kinds it reads.
 """
 
 from __future__ import annotations
@@ -132,20 +135,23 @@ def sinr(i: int, powers_w: Sequence[float], game: GameInstance) -> float:
     return h[i, i] * powers_w[i] / (interference + game.noise_power_w)
 
 
-def energy_efficiency(i: int, powers_w: Sequence[float], game: GameInstance) -> float:
-    """Achievable rate per consumed watt (transmit + circuit), bit/s/W."""
-    total_power = game.users[i].circuit_power_w + powers_w[i]
-    if total_power <= 0:
-        raise ValueError("total consumed power must be > 0")
-    gamma = sinr(i, powers_w, game)
-    return game.bandwidth_hz * math.log2(1.0 + gamma) / total_power
-
-
 def utility(i: int, powers_w: Sequence[float], game: GameInstance) -> float:
-    """Energy efficiency when the SINR target is met, exactly zero otherwise."""
-    if sinr(i, powers_w, game) >= game.users[i].sinr_target_lin:
-        return energy_efficiency(i, powers_w, game)
-    return 0.0
+    """Energy efficiency of user i, rate per consumed watt (bit/s/W), when
+    its SINR target is met and exactly zero otherwise; elementwise, as
+    `sinr`, on broadcast power grids (`utility_tensor`).  A number in gives a
+    numpy float with libm's log2 bits (see `_log2`)."""
+    user = game.users[i]
+    gamma = sinr(i, powers_w, game)
+    efficiency = game.bandwidth_hz * _log2(1.0 + gamma) / (user.circuit_power_w + powers_w[i])
+    return np.where(gamma >= user.sinr_target_lin, efficiency, 0.0)[()]
+
+
+def _log2(x):
+    """``np.log2`` of a number or an array, in its shape, with libm's bits:
+    numpy runs a reversed input through libm, not its AVX-512 loop, which
+    can differ.  A flat view, not ``.flat``: numpy's flat iterator takes at
+    most 32 axes."""
+    return np.log2(np.reshape(x, -1)[::-1])[::-1].reshape(np.shape(x))
 
 
 def _power_grids(game: GameInstance) -> list[np.ndarray]:
@@ -194,11 +200,11 @@ def sinr_tensor(game: GameInstance) -> np.ndarray:
 
 def utility_tensor(game: GameInstance) -> np.ndarray:
     """Utility of every user tabulated over the full joint action grid: the
-    game's one read-only (n, *dims) array, built on first use from
-    `sinr_tensor`, whose row i is user i's tensor.
+    game's one read-only (n, *dims) array, built on first use, whose row i
+    is user i's tensor.
 
-    Bit-exact to `utility`: the logarithm has `math.log2`'s bits per entry
-    (see `_log2`).
+    Row i is `utility` itself evaluated on the broadcast power grids, so
+    every entry equals the scalar value bit for bit.
     """
     return _shared_stack(game, "utility", _build_utility_tensor)
 
@@ -207,21 +213,8 @@ def _build_sinr_tensor(game: GameInstance, i: int) -> np.ndarray:
     return sinr(i, _power_grids(game), game)
 
 
-def _log2(x: np.ndarray) -> np.ndarray:
-    """``np.log2`` of a 1-d array with ``math.log2``'s bits: numpy runs a
-    reversed input through libm, not its AVX-512 loop, which can differ."""
-    return np.log2(x[::-1])[::-1]
-
-
 def _build_utility_tensor(game: GameInstance, i: int) -> np.ndarray:
-    gamma = sinr_tensor(game)[i]
-    user = game.users[i]
-    # a flat view, not ``.flat``: numpy's flat iterator takes at most 32 axes
-    out = _log2((1.0 + gamma).reshape(-1)).reshape(gamma.shape)
-    out *= game.bandwidth_hz
-    out /= user.circuit_power_w + _power_grids(game)[i]
-    out[gamma < user.sinr_target_lin] = 0.0
-    return out
+    return utility(i, _power_grids(game), game)
 
 
 def normalize_utility(tensor: np.ndarray) -> np.ndarray:
@@ -237,13 +230,14 @@ def normalized_utility_tensors(game: GameInstance) -> np.ndarray:
     read-only (n, *dims) array, built on first use.
 
     The learners and the dynamics read it in place.  Row i at (a_i, a_-i)
-    equals ``normalize_utility(utility_tensor(game)[i])`` at that profile.
+    equals ``normalize_utility(utility_tensor(game)[i])`` at that profile,
+    but is built from `utility` on the grids, not from that stack.
     """
     return _shared_stack(game, "normalized", _build_normalized_tensor)
 
 
 def _build_normalized_tensor(game: GameInstance, i: int) -> np.ndarray:
-    return np.moveaxis(normalize_utility(utility_tensor(game)[i]), i, 0)
+    return np.moveaxis(normalize_utility(utility(i, _power_grids(game), game)), i, 0)
 
 
 def _best_response(u_i: np.ndarray, i: int, profile: Sequence[int]) -> int:

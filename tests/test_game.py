@@ -110,7 +110,7 @@ def test_utility_tensor_matches_scalar_op(desk_game):
     rng = np.random.default_rng(12)
     games = [desk_game]
     for n in (3, 5):
-        # enough 5-level grids that np.log2 in place of math.log2 shows
+        # enough 5-level grids that a last-bit drift of the grid build shows
         games += [random_game(rng, num_users=n, num_actions=n) for _ in range(3)]
     for g in games:
         for i in range(g.num_users):
