@@ -556,9 +556,11 @@ def _users_built_per_game(calls) -> list[list[int]]:
 def test_sweep_builds_each_tensor_once_per_point(monkeypatch):
     builds = _counting_builds(monkeypatch)
     sweep_gamma0(default_config(learning={"num_steps": 20}, sweep={"replicates": 2}))
-    # the points keep 2, 2, 1, 1, 0, 0, 0 femtocells; leader-only points build nothing
+    # the points keep 2, 2, 1, 1, 0, 0, 0 femtocells; leader-only points build
+    # nothing, and the sweep reads no utility stack
     for kind, calls in builds.items():
-        assert _users_built_per_game(calls) == [[0, 1], [0, 1], [0, 1, 2], [0, 1, 2]], kind
+        expected = [] if kind == "utility" else [[0, 1], [0, 1], [0, 1, 2], [0, 1, 2]]
+        assert _users_built_per_game(calls) == expected, kind
 
 
 # ---------------------------------------------------------------------------
