@@ -51,7 +51,7 @@ from .learning import (
     LearnerSettings,
     StackelbergLearning,
     Trace,
-    full_expected_utility,
+    read_trace,
 )
 
 __version__ = "0.1.0"

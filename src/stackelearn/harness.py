@@ -35,6 +35,7 @@ from .learning import (
     StackelbergLearning,
     Trace,
     _expected_rows,
+    read_trace,
 )
 
 
@@ -185,9 +186,10 @@ def run_experiment(config: ExperimentConfig, prepared: PreparedGame) -> Experime
     traces: dict[str, Trace] = {}
     for algo in config.learning.algorithms:
         # no name holds the engine, so it is freed before the next one is built
-        traces[algo] = StackelbergLearning(
+        (kept,) = StackelbergLearning(
             [prepared.game], algo, [learning_rng(config.seeds.base_seed, algo)], config.learning
-        ).run(config.learning.num_steps, log_every=config.learning.trace_decimation)[0]
+        ).run(config.learning.num_steps, log_every=config.learning.trace_decimation)
+        traces[algo] = read_trace(prepared.game, *kept)
     return ExperimentResult(
         prepared=prepared,
         traces=traces,
@@ -207,8 +209,10 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
 
     Each point's game is built once.  One engine per (point, algorithm)
     runs the point's replicates in lockstep, replicate r drawing from the
-    ``learning_rng(base_seed, algo, r)`` stream; one ``_expected_rows``
-    readout of the game's SINR stack gives every replicate's expected SINRs.
+    ``learning_rng(base_seed, algo, r)`` stream.  The sweep reads no trace:
+    one ``_expected_rows`` readout of the game's SINR stack under the
+    engine's terminal ``strategy_batch`` gives every replicate's expected
+    SINRs, so a point builds only its SINR and normalized stacks.
     A point where every femtocell is silenced has no FU SINR to learn: it
     runs no engine and reports zeros.  More replicates than one list of
     games can hold are a ``ConfigError`` on ``sweep.replicates``.

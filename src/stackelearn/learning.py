@@ -27,8 +27,10 @@ Each user's utilities are rescaled by that user's own maximum pure-profile
 utility before learning, so one default temperature works across users and
 instances (leader and follower utilities differ by orders of magnitude).
 The engine learns on the game's normalized stack alone
-(``game.normalized_utility_tensors``, each user's own axis first); traces
-read the game's own SINR and utility stacks in place, in physical units.
+(``game.normalized_utility_tensors``, each user's own axis first), and
+``run`` returns the steps it kept as actions and strategies.
+``read_trace`` reads them in physical units afterwards, from the game's
+own SINR and utility stacks in place, for the callers that ask for it.
 """
 
 from __future__ import annotations
@@ -45,15 +47,6 @@ RLA1 = "rla1"
 RLA2 = "rla2"
 NONCOOP = "noncoop"
 ALGORITHMS = (RLA1, RLA2, NONCOOP)
-
-
-def full_expected_utility(tensor: np.ndarray, strategies) -> float:
-    """Expected value of a joint-action tensor under a full strategy profile.
-
-    ``full_expected_utility(u0[j0], follower_strategies)`` is the leader's
-    exact expected utility of action ``j0``, the rla1/rla2 leader target."""
-    y = np.asarray(strategies, dtype=float)
-    return float(_expect(tensor, y, _chain_plan((), (), range(len(y)), y.shape[-1])))
 
 
 def _chain_plan(batch: tuple, rows: tuple, users: range, m: int) -> list[tuple]:
@@ -77,8 +70,8 @@ def _expect(out: np.ndarray, y: np.ndarray, plan: list[tuple], into=None, bound=
     cells, then one dot per row.  Every value has the bits of
     ``blocked_expected_utility`` in ``tests/reference.py``.  It is the
     package's one expected-utility chain: the learners' leader targets,
-    ``_expected_rows``, ``full_expected_utility`` and the strategy field
-    (``dynamics.FieldTensors``) all contract through it.
+    ``_expected_rows`` (``read_trace`` and the sweep) and the strategy
+    field (``dynamics.FieldTensors``) all contract through it.
 
     The last product writes into ``into`` (shaped (*batch, *rows, 1, 1))
     when given.  ``bound``, a list, receives each product's (operand,
@@ -192,9 +185,9 @@ class StackelbergLearning:
     a copy.  Every read of a game's values gathers at the replicate's
     point: a realized value at a flat offset, the leader target the row
     ``u_norm[p, 0, a_0]`` and an rla2 follower i's block (leader by other
-    followers) the row ``u_norm[p, i, a_i]``.  The physical SINR and
-    utility stacks are read only after the loop, in place, by each
-    replicate's ``_read_trace``.
+    followers) the row ``u_norm[p, i, a_i]``.  The engine reads no
+    physical stack: ``read_trace`` reads a replicate's kept steps from its
+    game's SINR and utility stacks, for the callers that want a ``Trace``.
 
     A step does its indexing through tables set up once.  Each of those
     indices, like each Q and estimate cell, is an integer linear function
@@ -211,10 +204,11 @@ class StackelbergLearning:
     (R, n-1, M, M), and ``belief_batch`` (R, n-1, M^(n-2)), every rla2
     follower using ``settings.belief_factor``.
     ``step`` returns a new (R, n) array of the actions it sampled, which no
-    later step changes, and ``run`` one ``Trace`` per replicate, in
-    physical units.  The properties ``q`` and ``strategies`` return
-    (R, n, M) copies, ``estimates`` copies of ``(u_hat_batch,
-    count_batch)`` and ``beliefs`` a copy of ``belief_batch``.
+    later step changes, and ``run`` one ``(steps, actions, strategies)``
+    tuple of kept steps per replicate.  The properties ``q`` and
+    ``strategies`` return (R, n, M) copies, ``estimates`` copies of
+    ``(u_hat_batch, count_batch)`` and ``beliefs`` a copy of
+    ``belief_batch``.
 
     Each replicate is bitwise equal to a run of the scalar reference
     helpers in ``tests/reference.py``: every batched product computes each
@@ -433,11 +427,13 @@ class StackelbergLearning:
         self._update()
         return self._actions.copy()
 
-    def run(self, num_steps: int, log_every: int = 1) -> list[Trace]:
+    def run(self, num_steps: int, log_every: int = 1) -> list[tuple]:
         """Run ``num_steps`` iterations, keeping every ``log_every``-th step
-        plus the final one.  Returns one ``Trace`` of the kept steps per
-        replicate; a kept step only stores its strategies and actions, and
-        ``_read_trace`` reads the rest after the loop.  Before the first
+        plus the final one.  Returns one ``(steps, actions, strategies)``
+        tuple per replicate: the kept steps' (K,) engine step indices, (K, n)
+        sampled actions and (K, n, M) strategies sampled from (before the
+        step's update).  ``read_trace(game, *kept)`` reads them in physical
+        units; the engine itself reads no physical stack.  Before the first
         step, ``LearnerSettings`` checks ``num_steps`` from the engine's
         current temperature (a ``ValueError``), so a run in several chunks
         meets the same temperature floor as one run.  Kept steps that numpy
@@ -473,19 +469,18 @@ class StackelbergLearning:
                     k += 1
                 else:
                     self.step()
-        return [
-            _read_trace(self.games[p], steps, actions[:, r], strategies[:, r])
-            for r, p in enumerate(self.points)
-        ]
+        return [(steps, actions[:, r], strategies[:, r]) for r in range(self.num_replicates)]
 
 
-def _read_trace(
+def read_trace(
     game: GameInstance, steps: np.ndarray, actions: np.ndarray, strategies: np.ndarray
 ) -> Trace:
-    """One replicate's ``Trace`` from its kept steps' (K, n) ``actions`` and
-    (K, n, M) ``strategies``, read from its game's physical stacks in place:
-    the SINRs and realized utilities are gathers at the sampled profiles,
-    and the expected utilities ``_expected_rows`` of the utility stack."""
+    """One replicate's ``Trace`` from the kept steps ``run`` returns for it,
+    (K, n) ``actions`` and (K, n, M) ``strategies``, read from its game's
+    physical stacks in place: the SINRs and realized utilities are gathers
+    at the sampled profiles, and the expected utilities ``_expected_rows``
+    of the utility stack.  Replicate r of an engine played
+    ``engine.games[engine.points[r]]``."""
     utilities = utility_tensor(game)
     users = np.arange(game.num_users)
     cells = np.ravel_multi_index((users, *actions.T[..., None]), utilities.shape)  # (K, n)

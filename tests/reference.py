@@ -7,7 +7,8 @@ enumerate the joint action grid one profile at a time, the learning helpers
 advance one user of one replicate at a time (the expected-utility chain one
 M x M block at a time) and ``ReferenceLearner`` chains them into one run,
 and the field helpers run that blocked chain one user and one action at a
-time.
+time.  ``full_expected_utility`` is the one exception: it is the engine's
+own chain on one tensor, for the tests that call it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from stackelearn.game import (
     utility,
     utility_tensor,
 )
-from stackelearn.learning import NONCOOP, RLA2
+from stackelearn.learning import NONCOOP, RLA2, _chain_plan, _expect
 
 
 def joint_action_space(game: GameInstance):
@@ -62,6 +63,18 @@ def blocked_expected_utility(tensor: np.ndarray, strategies) -> float:
     for s in reversed(strategies):
         out = out @ s
     return float(out)
+
+
+def full_expected_utility(tensor: np.ndarray, strategies) -> float:
+    """The engine's expected-utility chain, ``learning._expect``, on one
+    joint-action tensor and a full strategy profile, with no batch axis.
+
+    Not a reference: it is the chain under test, which the tests check
+    against ``blocked_expected_utility`` and against the learners' leader
+    targets (``full_expected_utility(u0[j0], follower_strategies)`` is the
+    leader's exact expected utility of action ``j0``)."""
+    y = np.asarray(strategies, dtype=float)
+    return float(_expect(tensor, y, _chain_plan((), (), range(len(y)), y.shape[-1])))
 
 
 def best_response(i: int, actions: Sequence[int], game: GameInstance) -> int:

@@ -30,10 +30,10 @@ from stackelearn.learning import (
     RLA2,
     LearnerSettings,
     StackelbergLearning,
-    full_expected_utility,
+    read_trace,
 )
 
-from reference import JointEstimate
+from reference import JointEstimate, full_expected_utility
 
 ALPHA = 0.1
 NUM_STEPS = 5000
@@ -229,8 +229,8 @@ def test_criterion_4_target_sweep_trend(cfg):
 
 def test_criterion_5_dynamics_stationarity(game):
     engine = StackelbergLearning([game], RLA1, [learning_rng(44, RLA1)], LearnerSettings(alpha=ALPHA))
-    trace = engine.run(NUM_STEPS, log_every=10)[0]
-    tail = trace.strategies[math.ceil(len(trace.steps) * 0.9) - 1 :]
+    ((steps, _, strategies),) = engine.run(NUM_STEPS, log_every=10)
+    tail = strategies[math.ceil(len(steps) * 0.9) - 1 :]
     profile = [np.mean(tail[:, i, :m], axis=0) for i, m in enumerate(game.action_dims)]
     profile = [y / y.sum() for y in profile]
 
@@ -296,7 +296,8 @@ def test_criterion_7_zero_delta_reduction(game):
     )
     steps = 1000
     for _ in range(steps):
-        (ra,), (rb,) = a.run(1), b.run(1)
+        (ka,), (kb,) = a.run(1), b.run(1)
+        ra, rb = read_trace(game, *ka), read_trace(game, *kb)
         assert np.array_equal(ra.actions, rb.actions)
         assert np.array_equal(ra.powers_dbm, rb.powers_dbm)
         assert np.array_equal(ra.sinr_lin, rb.sinr_lin)

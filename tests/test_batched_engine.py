@@ -24,11 +24,11 @@ from stackelearn.learning import (
     _chain_plan,
     _expect,
     _expected_rows,
-    full_expected_utility,
+    read_trace,
 )
 
 from conftest import random_game
-from reference import ReferenceLearner, blocked_expected_utility
+from reference import ReferenceLearner, blocked_expected_utility, full_expected_utility
 
 SEEDS = (11, 12, 13)
 
@@ -94,7 +94,8 @@ def test_batch_matches_reference_bitwise(desk_game, algorithm, belief_factor, ga
                     actions = ref.step()
                     if kept:
                         ref_rows.append((start + t, actions, expected))
-            for trace, ref_rows in zip(runs, rows):
+            for kept, ref_rows in zip(runs, rows):
+                trace = read_trace(game, *kept)
                 assert trace.steps.tolist() == [t for t, _, _ in ref_rows]
                 assert [tuple(a) for a in trace.actions.tolist()] == [a for _, a, _ in ref_rows]
                 assert [tuple(e) for e in trace.expected_utilities.tolist()] == [
@@ -135,8 +136,9 @@ def test_single_generator_matches_one_replicate_of_a_batch(desk_game):
     batch = StackelbergLearning(
         [desk_game] * len(SEEDS), RLA2, [np.random.default_rng(s) for s in SEEDS], settings
     )
-    (trace,) = single.run(300, log_every=7)
-    batch_trace = batch.run(300, log_every=7)[1]
+    (kept,) = single.run(300, log_every=7)
+    trace = read_trace(desk_game, *kept)
+    batch_trace = read_trace(desk_game, *batch.run(300, log_every=7)[1])
     assert trace.actions.tolist() == batch_trace.actions.tolist()
     assert trace.expected_utilities.tolist() == batch_trace.expected_utilities.tolist()
     assert _bytes(single.q[0]) == _bytes(batch.q[1])
@@ -164,12 +166,12 @@ def test_interleaved_engines_match_solo_runs(desk_game, algorithm):
     for t in range(400):
         for engine, steps, kept in zip(together, returned, copies):
             if t == 200:
-                steps.extend(trace.actions for trace in engine.run(3))
+                steps.extend(actions for _, actions, _ in engine.run(3))
             steps.append(engine.step())
             kept.append(steps[-1].copy())
     for engine, steps, kept in zip(alone, returned, copies):
         expected = [engine.step().copy() for _ in range(200)]
-        expected += [trace.actions for trace in engine.run(3)]
+        expected += [actions for _, actions, _ in engine.run(3)]
         expected += [engine.step().copy() for _ in range(200)]
         assert _bytes(steps) == _bytes(expected)
         assert _bytes(kept[:200] + kept[-200:]) == _bytes(expected[:200] + expected[-200:])
@@ -218,9 +220,12 @@ def test_mixed_point_batch_matches_single_point_runs(algorithm):
             assert engine.step().tolist() == [single.step()[0].tolist() for single in singles]
         else:
             runs = engine.run(chunk, log_every=max(1, chunk // 3))
-            assert [_trace_fields(trace) for trace in runs] == [
-                _trace_fields(single.run(chunk, log_every=max(1, chunk // 3))[0])
-                for single in singles
+            assert [
+                _trace_fields(read_trace(engine.games[p], *kept))
+                for kept, p in zip(runs, engine.points)
+            ] == [
+                _trace_fields(read_trace(g, *single.run(chunk, log_every=max(1, chunk // 3))[0]))
+                for g, single in zip(games, singles)
             ]
         for r, single in enumerate(singles):
             assert _bytes(engine.q[r]) == _bytes(single.q[0])

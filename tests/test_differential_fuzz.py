@@ -30,13 +30,14 @@ from hypothesis import strategies as st
 import stackelearn as sl
 from stackelearn.dynamics import FieldTensors, strategy_derivative
 from stackelearn.game import normalized_utility_tensors, stackelberg_oracle, utility, utility_tensor
-from stackelearn.learning import ALGORITHMS, StackelbergLearning, full_expected_utility
+from stackelearn.learning import ALGORITHMS, StackelbergLearning, read_trace
 
 from conftest import random_game
 from reference import (
     ReferenceLearner,
     blocked_expected_utility,
     follower_pure_nash,
+    full_expected_utility,
     per_user_strategy_derivative,
 )
 
@@ -74,8 +75,9 @@ def _check_engine(games, algorithm, learner_settings, batch, schedule):
             assert engine.step().tolist() == [list(ref.step()) for ref in refs]
         else:
             start = engine.t
-            traces = engine.run(chunk, log_every=log_every)
-            for trace, ref in zip(traces, refs):
+            runs = engine.run(chunk, log_every=log_every)
+            for kept, (g, _), ref in zip(runs, batch, refs):
+                trace = read_trace(games[g], *kept)
                 rows = []
                 for t in range(chunk):
                     expected = ref.expected_utilities()

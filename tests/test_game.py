@@ -227,7 +227,8 @@ def test_engine_and_field_read_the_game_stacks_in_place():
         assert two.u_norm[p].tobytes() == normalized_utility_tensors(game).tobytes()
         assert not np.shares_memory(two.u_norm, normalized_utility_tensors(game))
     # each replicate's trace reads its own game's physical stacks
-    for trace, game in zip(two.run(4), (g, other)):
+    for kept, p, game in zip(two.run(4), two.points, (g, other)):
+        trace = sl.read_trace(two.games[p], *kept)
         profiles = tuple(trace.actions.T)
         for i in range(game.num_users):
             assert trace.utilities[:, i].tobytes() == utility_tensor(game)[i][profiles].tobytes()

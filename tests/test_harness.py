@@ -27,9 +27,8 @@ from stackelearn.harness import (
     sweep_gamma0,
 )
 from stackelearn.game import leader_feasible, sinr_tensor, utility
-from stackelearn.learning import full_expected_utility
 
-from reference import best_response
+from reference import best_response, full_expected_utility
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from stackelearn.learning import (
     RLA1,
     RLA2,
     StackelbergLearning,
-    full_expected_utility,
+    read_trace,
 )
 
 from conftest import random_game, random_simplex
@@ -22,6 +22,7 @@ from reference import (
     boltzmann_strategy,
     conjecture_adjust,
     expected_utility,
+    full_expected_utility,
     per_user_logit_residual,
     per_user_strategy_derivative,
     q_update,
@@ -351,7 +352,8 @@ def test_engine_determinism_same_seed(desk_game):
     a = _engine(desk_game, RLA2, seed=5)
     b = _engine(desk_game, RLA2, seed=5)
     for _ in range(100):
-        (ra,), (rb,) = a.run(1), b.run(1)
+        (ka,), (kb,) = a.run(1), b.run(1)
+        ra, rb = read_trace(desk_game, *ka), read_trace(desk_game, *kb)
         assert ra.actions.tolist() == rb.actions.tolist()
         assert ra.utilities.tolist() == rb.utilities.tolist()
     for qa, qb in zip(a.q[0], b.q[0]):
@@ -360,8 +362,9 @@ def test_engine_determinism_same_seed(desk_game):
 
 def test_engine_trace_record_contents(desk_game):
     eng = _engine(desk_game, RLA1, seed=6)
-    (trace,) = eng.run(5)
+    (kept,) = eng.run(5)
     g = desk_game
+    trace = read_trace(g, *kept)
     assert trace.steps.tolist() == [0, 1, 2, 3, 4]
     for k in range(5):
         idx = tuple(trace.actions[k].tolist())
@@ -378,10 +381,10 @@ def test_engine_trace_record_contents(desk_game):
 
 def test_engine_run_log_decimation(desk_game):
     eng = _engine(desk_game, NONCOOP, seed=7)
-    (trace,) = eng.run(10, log_every=3)
-    assert trace.steps.tolist() == [0, 3, 6, 9]
-    (trace,) = _engine(desk_game, NONCOOP, seed=7).run(10, log_every=4)
-    assert trace.steps.tolist() == [0, 4, 8, 9]
+    ((steps, _, _),) = eng.run(10, log_every=3)
+    assert steps.tolist() == [0, 3, 6, 9]
+    ((steps, _, _),) = _engine(desk_game, NONCOOP, seed=7).run(10, log_every=4)
+    assert steps.tolist() == [0, 4, 8, 9]
 
 
 @pytest.mark.parametrize("log_every", [0, -1])
@@ -477,8 +480,8 @@ def test_leader_update_uses_exact_expectation(desk_game):
     # after one step the leader's Q entry equals alpha * U_0(a0, uniform followers)
     eng = _engine(desk_game, RLA1, seed=8)
     uniform = [np.full(m, 1.0 / m) for m in desk_game.action_dims[1:]]
-    (trace,) = eng.run(1)
-    a0 = trace.actions[0, 0]
+    ((_, actions, _),) = eng.run(1)
+    a0 = actions[0, 0]
     expected_q = 0.1 * full_expected_utility(eng.u_norm[0, 0][a0], uniform)
     q0 = eng.q[0][0]
     assert q0[a0] == pytest.approx(expected_q, rel=1e-12)

@@ -15,7 +15,6 @@ from stackelearn.game import (
     utility,
     utility_tensor,
 )
-from stackelearn.learning import full_expected_utility
 
 from conftest import random_game, random_simplex
 from reference import (
@@ -23,6 +22,7 @@ from reference import (
     conjecture_adjust,
     expected_utility,
     follower_pure_nash,
+    full_expected_utility,
     q_update,
     user_order,
 )
