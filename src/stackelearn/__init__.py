@@ -15,7 +15,6 @@ from .dynamics import (
     FieldTensors,
     integrate_dynamics,
     logit_residual,
-    stationarity_check,
     strategy_derivative,
     total_variation,
 )

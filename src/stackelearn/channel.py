@@ -9,6 +9,7 @@ in linear units (metres, watts); dB/dBm conversions live here.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,18 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Invalid configuration; the message carries the field path."""
+
+
+@contextmanager
+def sized_by(field: str, what: str):
+    """Run a block that only allocates what the config field or CLI flag
+    ``field`` sizes: a size numpy refuses, no index holds or the host
+    cannot back is a ``ConfigError`` naming ``field`` and ``what``."""
+    try:
+        yield
+    except (ValueError, OverflowError, MemoryError) as exc:
+        detail = str(exc) or type(exc).__name__
+        raise ConfigError(f"{field}: {what} do not fit in one array: {detail}") from None
 
 
 def db_to_linear(x_db: float) -> float:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .channel import watt_to_dbm
+from .channel import sized_by, watt_to_dbm
 from .config import ConfigError, load_config
 from .dynamics import FieldTensors, integrate_dynamics
 from .game import normalized_utility_tensors, stackelberg_oracle
@@ -136,12 +136,8 @@ def _cmd_sweep(args, config) -> int:
             raise ConfigError("sweep --points: must be >= 2")
         if not (math.isfinite(args.from_db) and math.isfinite(args.to_db)):
             raise ConfigError("sweep --from/--to: must be finite")
-        try:
+        with sized_by("sweep --from/--to/--points", f"{args.points} points"):
             grid = tuple(np.linspace(args.from_db, args.to_db, args.points).tolist())
-        except (ValueError, MemoryError) as exc:
-            raise ConfigError(
-                f"sweep --from/--to/--points: {args.points} points do not fit in one array: {exc}"
-            ) from None
         _override(config, "sweep", "sweep --from/--to/--points", gamma0_grid_db=grid)
     if args.replicates is not None:
         _override(config, "sweep", "sweep --replicates", replicates=args.replicates)

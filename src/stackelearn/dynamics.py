@@ -1,15 +1,20 @@
-"""Mean-field strategy dynamics of the learning process.
+"""Strategy dynamics with the learners' rest points.
 
-In the small-learning-rate limit the Boltzmann Q-learners follow a
-replicator-style vector field with an entropy (exploration) term:
+A replicator-style vector field with an entropy (exploration) term:
 
     dy_{i,j}/dt = (alpha / tau) * y_{i,j} * (
         [U_i(j, Y_-i) - sum_l y_{i,l} U_i(l, Y_-i)]
         - tau * sum_l y_{i,l} * ln(y_{i,j} / y_{i,l}) )
 
 with U_i the exact expected utility of action j against the other users'
-mixed strategies.  Stationary points of this field are the candidate
-equilibria the learners settle on.  Every function takes a ``FieldTensors``:
+mixed strategies.  This is the form Tuyls, Verbeeck & Lenaerts (AAMAS 2003)
+derive for Boltzmann Q-learning that updates every action's Q-value.  Its
+rest points, the logit fixed points, are those of the package's learners,
+but it is not their mean field: they update only the played action's
+Q-value, so their transients differ.  Over noncoop replicates on the
+default game at alpha = 0.01, the replicate mean strayed up to 0.32 in
+total variation from this field, and 0.055 from the played-action
+Q-field.  Every function takes a ``FieldTensors``:
 the per-user utility tensors on the normalized scale the learners use, read
 in place from the game's shared own-axis-first stack
 (``game.normalized_utility_tensors``), so residuals are comparable to learner
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ConfigError
+from .channel import ConfigError, sized_by
 from .learning import _chain_plan, _expect, _softmax_rows
 
 # Floor applied inside the ln(y_j / y_l) terms to dodge simplex-boundary
@@ -119,13 +124,8 @@ def integrate_dynamics(
         return strategy_derivative(profile, tensors, alpha, temperature)
 
     current = _floor_profile(initial)
-    try:
+    with sized_by("dynamics --steps", f"{num_steps} steps of {current.shape} profiles"):
         trajectory = np.empty((num_steps + 1,) + current.shape)
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(
-            f"dynamics --steps: {num_steps} steps of {current.shape} profiles"
-            f" do not fit in one array: {exc}"
-        ) from None
     trajectory[0] = current
     h = step_size
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -143,24 +143,13 @@ def integrate_dynamics(
     return trajectory
 
 
-def stationarity_check(
-    profile, tensors: FieldTensors, alpha: float, temperature: float, tolerance: float
-) -> tuple[bool, float]:
-    """Max-norm of the field at a profile and whether it is below tolerance."""
-    if not tolerance > 0:
-        raise ValueError("tolerance must be > 0")
-    derivs = strategy_derivative(profile, tensors, alpha, temperature)
-    residual = float(np.max(np.abs(derivs)))
-    return residual < tolerance, residual
-
-
 def logit_residual(profile, tensors: FieldTensors, temperature: float) -> float:
     """Max over users of ||y_i - softmax(U_i(., y_-i) / temperature)||_1 at
     an (n, M) profile.
 
     Interior rest points of the field are logit (quantal-response) fixed
-    points, where this residual is 0.  Unlike ``stationarity_check``, whose
-    max-norm carries a factor y and so reads ~0 at every vertex, it stays
+    points, where this residual is 0.  Unlike the field's max-norm, which
+    carries a factor y and so reads ~0 at every vertex, it stays
     large at a vertex that is not a smoothed best response.
     """
     if not temperature > 0:

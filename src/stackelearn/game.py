@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ConfigError, dbm_to_watt
+from .channel import dbm_to_watt, sized_by
 
 MAX_SWEEPS = 1000  # Gauss-Seidel sweeps before ``iterated_best_response`` stops
 
@@ -170,16 +170,12 @@ def _shared_stack(game: GameInstance, kind: str, build) -> np.ndarray:
     stack = game._tensors.get(kind)
     if stack is None:
         n = game.num_users
-        try:
+        grid = f"the tensors of {n} users on a {len(game.action_set)}-level power grid"
+        with sized_by("network.num_femtocells", grid):
             # one more axis for the engine's point stack; an empty array
             # checks the count alone
             np.empty((0, n) + game.action_dims)
             stack = np.empty((n,) + game.action_dims)
-        except (ValueError, MemoryError) as exc:
-            raise ConfigError(
-                f"network.num_femtocells: the tensors of {n} users on a"
-                f" {len(game.action_set)}-level power grid do not fit in one array: {exc}"
-            ) from None
         for i in range(n):
             stack[i] = build(game, i)
         stack.setflags(write=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import db_to_linear, dbm_to_watt, gain_matrix, generate_topology
+from .channel import db_to_linear, dbm_to_watt, gain_matrix, generate_topology, sized_by
 from .config import ConfigError, ExperimentConfig
 from .game import (
     ActionSet,
@@ -224,12 +224,8 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
         for algo in algorithms:
             sums = np.zeros(config.network.num_femtocells)
             if prepared.game.num_followers:
-                try:
+                with sized_by("sweep.replicates", f"{replicates} replicates"):
                     games = [prepared.game] * replicates
-                except (OverflowError, MemoryError):
-                    raise ConfigError(
-                        f"sweep.replicates: a list of {replicates} games does not fit in memory"
-                    ) from None
                 engine = StackelbergLearning(
                     games,
                     algo,

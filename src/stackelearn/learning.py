@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ConfigError, watt_to_dbm
+from .channel import sized_by, watt_to_dbm
 from .game import GameInstance, normalized_utility_tensors, sinr_tensor, utility_tensor
 
 RLA1 = "rla1"
@@ -442,22 +442,14 @@ class StackelbergLearning:
         replace(self.settings, temperature=self.temperature, num_steps=num_steps)
         if log_every < 1:
             raise ValueError("log_every must be >= 1")
-        # every log_every-th step and the last one, counted without ``len``
-        # of a range, which overflows before numpy can refuse the size
-        count = -(-num_steps // log_every) + ((num_steps - 1) % log_every != 0)
-        try:
-            actions = np.empty((count, self.num_replicates, self.num_users), dtype=np.intp)
-            strategies = np.empty((count,) + self.strategy_batch.shape)
-        except (ValueError, MemoryError) as exc:
-            raise ConfigError(
-                f"learning.num_steps: the {count} kept steps of {num_steps} do not fit in one"
-                f" array: {exc}"
-            ) from None
-        kept = list(range(0, num_steps, log_every))
-        if kept[-1] != num_steps - 1:
-            kept.append(num_steps - 1)
-        steps = np.array(kept) + self.t
-        k = 0
+        with sized_by("learning.num_steps", f"the kept steps of {num_steps}"):
+            # every log_every-th step and the last one; ``np.arange`` would
+            # return no steps, not an error, for a stop near 2^63
+            every = range(0, num_steps + log_every - 1, log_every)
+            kept = np.fromiter(every, np.int64, len(every)).clip(max=num_steps - 1)
+            actions = np.empty(kept.shape + (self.num_replicates, self.num_users), dtype=np.intp)
+            strategies = np.empty(kept.shape + self.strategy_batch.shape)
+        steps, k = kept + self.t, 0
         for start in range(0, num_steps, self.DRAW_BLOCK):
             # ``step`` has used up its draws, so the stream stays in order
             self._uniforms = self._draw(min(self.DRAW_BLOCK, num_steps - start))

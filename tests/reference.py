@@ -7,8 +7,9 @@ enumerate the joint action grid one profile at a time, the learning helpers
 advance one user of one replicate at a time (the expected-utility chain one
 M x M block at a time) and ``ReferenceLearner`` chains them into one run,
 and the field helpers run that blocked chain one user and one action at a
-time.  ``full_expected_utility`` is the one exception: it is the engine's
-own chain on one tensor, for the tests that call it.
+time.  ``full_expected_utility`` and ``stationarity_check`` are the
+exceptions: the engine's own chain on one tensor, and the max-norm of the
+package's own field, for the tests that call them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from stackelearn.dynamics import _floor_profile
+from stackelearn.dynamics import _floor_profile, strategy_derivative
 from stackelearn.game import (
     GameInstance,
     _best_response,
@@ -289,3 +290,15 @@ def per_user_logit_residual(profile, rows: list[np.ndarray], temperature: float)
         for i, row in enumerate(rows)
     ]
     return float(np.abs(ys - logits).sum(axis=-1).max())
+
+
+def stationarity_check(
+    profile, tensors, alpha: float, temperature: float, tolerance: float
+) -> tuple[bool, float]:
+    """Max-norm of ``dynamics.strategy_derivative`` at a profile and whether
+    it is below tolerance."""
+    if not tolerance > 0:
+        raise ValueError("tolerance must be > 0")
+    derivs = strategy_derivative(profile, tensors, alpha, temperature)
+    residual = float(np.max(np.abs(derivs)))
+    return residual < tolerance, residual

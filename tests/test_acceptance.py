@@ -19,7 +19,6 @@ from stackelearn.dynamics import (
     FieldTensors,
     integrate_dynamics,
     logit_residual,
-    stationarity_check,
     total_variation,
 )
 from stackelearn.game import normalized_utility_tensors, stackelberg_oracle, utility_tensor
@@ -33,7 +32,7 @@ from stackelearn.learning import (
     read_trace,
 )
 
-from reference import JointEstimate, full_expected_utility
+from reference import JointEstimate, full_expected_utility, stationarity_check
 
 ALPHA = 0.1
 NUM_STEPS = 5000

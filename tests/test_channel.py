@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stackelearn as sl
-from stackelearn.channel import NetworkConfig, gain_matrix, generate_topology
+from stackelearn.channel import ConfigError, NetworkConfig, gain_matrix, generate_topology, sized_by
 
 
 def test_dbm_to_watt_reference_points():
@@ -148,3 +148,35 @@ def test_unplaceable_user_is_config_error():
     config = _config(femto_radius_m=2.0, min_separation_m=2.0 - 1e-8)
     with pytest.raises(sl.ConfigError, match=r"^network\.min_separation_m: no position for user 1 "):
         _topology(config)
+
+
+@pytest.mark.parametrize(
+    ("exc", "detail"),
+    [
+        (ValueError("Maximum allowed dimension exceeded"), "Maximum allowed dimension exceeded"),
+        (OverflowError("cannot fit 'int' into an index-sized integer"),
+         "cannot fit 'int' into an index-sized integer"),
+        (MemoryError("Unable to allocate 8.00 EiB"), "Unable to allocate 8.00 EiB"),
+        # ``[x] * 10**15`` raises a MemoryError without a message
+        (MemoryError(), "MemoryError"),
+        (OverflowError(), "OverflowError"),
+    ],
+    ids=["value", "overflow", "memory", "empty-memory", "empty-overflow"],
+)
+def test_sized_by_reports_an_allocation_error_as_config_error(exc, detail):
+    with pytest.raises(ConfigError) as info:
+        with sized_by("sweep.replicates", "7 replicates"):
+            raise exc
+    assert str(info.value) == f"sweep.replicates: 7 replicates do not fit in one array: {detail}"
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_sized_by_passes_other_errors_and_results_through():
+    error = TypeError("not a size")
+    with pytest.raises(TypeError) as info:
+        with sized_by("dynamics --steps", "3 steps"):
+            raise error
+    assert info.value is error
+    with sized_by("dynamics --steps", "3 steps"):
+        block = np.empty((3, 2))
+    assert block.shape == (3, 2)

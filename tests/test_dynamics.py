@@ -10,14 +10,18 @@ from stackelearn.dynamics import (
     FieldTensors,
     integrate_dynamics,
     logit_residual,
-    stationarity_check,
     strategy_derivative,
     total_variation,
 )
 from stackelearn.game import normalized_utility_tensors, utility_tensor
 
 from conftest import random_game, random_simplex
-from reference import per_user_logit_residual, per_user_strategy_derivative, user_order
+from reference import (
+    per_user_logit_residual,
+    per_user_strategy_derivative,
+    stationarity_check,
+    user_order,
+)
 
 
 def _expected_action_utilities(u_i, ys, i):

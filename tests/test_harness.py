@@ -956,8 +956,9 @@ def test_cli_dynamics_steps_too_many_for_one_array_is_config_error(tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
-# each count needs more bytes than a 2^47-byte address space holds, so no
-# host can allocate it
+# each 10^15 count needs more bytes than a 2^47-byte address space holds,
+# so no host can allocate it; each 10^20 count is more than an index holds;
+# for a stop just under 2^63, ``np.arange`` returns no steps, not an error
 @pytest.mark.parametrize(
     ("argv", "raw", "field"),
     [
@@ -965,8 +966,20 @@ def test_cli_dynamics_steps_too_many_for_one_array_is_config_error(tmp_path, cap
         (["sweep", "--from", "0", "--to", "5", "--points", str(10**15)], {},
          "sweep --from/--to/--points"),
         (["sweep", "--replicates", str(10**15)], {}, "sweep.replicates"),
+        (["run"], {"learning": {"num_steps": 10**20}}, "learning.num_steps"),
+        (["sweep", "--from", "0", "--to", "5", "--points", str(10**20)], {},
+         "sweep --from/--to/--points"),
+        (["sweep", "--replicates", str(10**20)], {}, "sweep.replicates"),
+        (["dynamics", "--steps", str(10**20)], {}, "dynamics --steps"),
+        (["run"], {"learning": {"num_steps": 2**63 - 2**8, "trace_decimation": 1}},
+         "learning.num_steps"),
+        # the sweep keeps 2 steps, but the last step's index is beyond int64
+        (["sweep"], {"learning": {"num_steps": 10**20}}, "learning.num_steps"),
     ],
-    ids=["num-steps", "sweep-points", "sweep-replicates"],
+    ids=[
+        "num-steps", "sweep-points", "sweep-replicates", "num-steps-1e20", "sweep-points-1e20",
+        "sweep-replicates-1e20", "dynamics-steps-1e20", "num-steps-near-2^63", "sweep-num-steps-1e20",
+    ],
 )
 def test_cli_counts_too_large_to_allocate_are_config_errors(tmp_path, capsys, monkeypatch, argv, raw, field):
     def step(self):
@@ -977,6 +990,8 @@ def test_cli_counts_too_large_to_allocate_are_config_errors(tmp_path, capsys, mo
     assert cli_main([*argv, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    # the reason numpy or Python gave, or its exception's type name
+    assert " do not fit in one array: " in err and not err.endswith(": \n")
     assert not (tmp_path / "o").exists()
 
 
@@ -988,12 +1003,19 @@ def test_allocation_memory_errors_are_config_errors(monkeypatch):
 
     game = build_game(default_config()).game  # a new game, no tensor built
     tensors = FieldTensors(game_mod.normalized_utility_tensors(build_game(default_config()).game))
+    engine = sl.StackelbergLearning(
+        [build_game(default_config()).game], sl.RLA1, [np.random.default_rng(0)], sl.LearnerSettings()
+    )
     monkeypatch.setattr(np, "empty", refuse)
     with pytest.raises(ConfigError, match="^network.num_femtocells: the tensors of 3 users on a 3-level"):
         game_mod.utility_tensor(game)
     assert game._tensors == {}
     with pytest.raises(ConfigError, match=r"^dynamics --steps: 5 steps of \(3, 3\) profiles"):
         integrate_dynamics(np.full((3, 3), 1 / 3), tensors, 0.1, 0.05, 0.01, 5)
+    message = "^learning.num_steps: the kept steps of 5 do not fit in one array: Unable to allocate$"
+    with pytest.raises(ConfigError, match=message):
+        engine.run(5)
+    assert engine.t == 0  # refused before the first step
 
 
 def test_cli_sweep_zero_replicates_is_config_error(tmp_path, capsys):

@@ -18,6 +18,14 @@ scale exactly with the utility stack.
 A normalization by a fixed scale, a learner that reads physical utilities,
 or a noise term that does not scale with the powers breaks these
 relations.
+
+Relabeling the two followers of a 3-user game permutes its SINR and utility
+stacks exactly: each interference sum there has two terms, and two terms
+add to the same bits in either order.  So a tie-free oracle profile
+permutes too.  The strategy field and the learners are not relabeled here:
+``learning._expect`` contracts the other users in index order, and 50 RK4
+steps from the uniform profile, at the learners' default rate and
+temperature, differed in their last bits on 5 of the 11 games below.
 """
 
 import math
@@ -26,6 +34,7 @@ import numpy as np
 import pytest
 
 import stackelearn as sl
+from stackelearn.dynamics import FieldTensors, integrate_dynamics
 from stackelearn.game import (
     ActionSet,
     GameInstance,
@@ -38,6 +47,7 @@ from stackelearn.game import (
 from stackelearn.learning import ALGORITHMS, StackelbergLearning, read_trace
 
 STEPS = 300
+RK4_STEPS = 50
 
 # (k_pow, k_gain, k_bw): powers and circuit power x 2^k_pow, gains x
 # 2^k_gain, bandwidth x 2^k_bw, noise x 2^(k_pow + k_gain)
@@ -121,3 +131,63 @@ def test_power_of_two_rescaling_is_exact(game, k_pow, k_gain, k_bw):
         ), algorithm
         # the learners moved off the uniform start
         assert len({row.tobytes() for row in base.strategies}) > 1, algorithm
+
+
+@pytest.mark.parametrize(("k_pow", "k_gain", "k_bw"), RESCALINGS)
+def test_power_of_two_rescaling_keeps_rk4_bits(game, k_pow, k_gain, k_bw):
+    settings = sl.LearnerSettings()
+    trajectories = []
+    for g in (game, _rescaled(game, k_pow, k_gain, k_bw)):
+        m = len(g.action_set)
+        initial = np.full((g.num_users, m), 1 / m)
+        tensors = FieldTensors(normalized_utility_tensors(g))
+        trajectories.append(
+            integrate_dynamics(initial, tensors, settings.alpha, settings.temperature, 0.01, RK4_STEPS)
+        )
+    base, scaled = trajectories
+    assert scaled.tobytes() == base.tobytes()
+    assert base[-1].tobytes() != base[0].tobytes()  # the field moved the profile
+
+
+# (topology seed, leader target in dB) of the 3-user games among seeds 0..6
+# at 3 and -20 dB: at 3 dB, seeds 0, 2 and 6 lose a femtocell
+THREE_USER_GAMES = [(0, -20.0), (2, -20.0), (6, -20.0)] + [
+    (seed, target) for seed in (1, 3, 4, 5) for target in (3.0, -20.0)
+]
+
+
+def _relabeled(game: GameInstance, order: tuple[int, ...]) -> GameInstance:
+    """The game whose user k is the given game's user ``order[k]``."""
+    return GameInstance(
+        gains=game.gains[np.ix_(order, order)],
+        users=tuple(game.users[i] for i in order),
+        action_set=game.action_set,
+        bandwidth_hz=game.bandwidth_hz,
+        noise_power_w=game.noise_power_w,
+    )
+
+
+@pytest.mark.parametrize(
+    ("seed", "target_db"), THREE_USER_GAMES, ids=[f"seed{s}-{t:g}dB" for s, t in THREE_USER_GAMES]
+)
+def test_follower_relabeling_permutes_stacks_and_oracle(seed, target_db):
+    prepared = sl.build_game(
+        sl.default_config(network={"rng_seed": seed}, users={"mu_sinr_target_db": target_db})
+    )
+    game = prepared.game
+    assert game.num_users == 3 and all(prepared.active)
+    order = (0, 2, 1)
+    swapped = _relabeled(game, order)
+
+    for stack in (sinr_tensor, utility_tensor):
+        ours, theirs = stack(swapped), stack(game)
+        for k, i in enumerate(order):
+            assert ours[k].tobytes() == theirs[i].transpose(order).tobytes()
+    # the followers' SINRs differ, so the relation is not a symmetric game's
+    assert sinr_tensor(game)[1].tobytes() != sinr_tensor(game)[2].transpose(order).tobytes()
+
+    ours, theirs = stackelberg_oracle(swapped), stackelberg_oracle(game)
+    profile = (theirs.leader_action_index, *theirs.follower_action_indices)
+    assert (ours.leader_action_index, *ours.follower_action_indices) == tuple(profile[i] for i in order)
+    assert ours.utilities == tuple(theirs.utilities[i] for i in order)
+    assert ours.is_pure_se == theirs.is_pure_se
