@@ -11,6 +11,8 @@ schedule of ``step`` and ``run(log_every)`` calls.  It checks, bit for bit:
   ``ReferenceLearner``: the actions, the kept steps and their expected
   utilities, and the Q-values, strategies, estimates and beliefs after
   every call;
+* each kept step's SINRs and realized utilities against the game's SINR
+  and utility stacks at the sampled profile;
 * ``stackelberg_oracle`` against the scalar ``follower_pure_nash``;
 * the strategy field against ``per_user_strategy_derivative``;
 * ``full_expected_utility`` against ``blocked_expected_utility``.
@@ -29,7 +31,13 @@ from hypothesis import strategies as st
 
 import stackelearn as sl
 from stackelearn.dynamics import FieldTensors, strategy_derivative
-from stackelearn.game import normalized_utility_tensors, stackelberg_oracle, utility, utility_tensor
+from stackelearn.game import (
+    normalized_utility_tensors,
+    sinr_tensor,
+    stackelberg_oracle,
+    utility,
+    utility_tensor,
+)
 from stackelearn.learning import ALGORITHMS, StackelbergLearning, read_trace
 
 from conftest import random_game
@@ -87,6 +95,11 @@ def _check_engine(games, algorithm, learner_settings, batch, schedule):
                 assert trace.steps.tolist() == [t for t, _, _ in rows]
                 assert [tuple(a) for a in trace.actions.tolist()] == [a for _, a, _ in rows]
                 assert [tuple(e) for e in trace.expected_utilities.tolist()] == [e for _, _, e in rows]
+                # the sampled profiles' entries of the game's stacks
+                profiles = tuple(trace.actions.T)
+                for i in range(games[g].num_users):
+                    assert trace.sinr_lin[:, i].tobytes() == sinr_tensor(games[g])[i][profiles].tobytes()
+                    assert trace.utilities[:, i].tobytes() == utility_tensor(games[g])[i][profiles].tobytes()
         u_hat, counts = engine.estimates
         for r, ref in enumerate(refs):
             assert _bytes(engine.q[r]) == _bytes(ref.q)

@@ -650,7 +650,7 @@ def test_cli_builds_each_tensor_once_per_game(tmp_path, capsys, monkeypatch, arg
     # the engines, the oracle, the reference and the dynamics share one build,
     # and a command builds only the kinds it reads
     read = {
-        "run": {"sinr", "utility", "normalized"},
+        "run": {"utility", "normalized"},
         "oracle": {"utility"},
         "dynamics": {"normalized"},
     }[argv[0]]
