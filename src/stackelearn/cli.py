@@ -10,10 +10,10 @@ unresolved infeasibility, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -77,11 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override(config, section: str, flag: str, **changes) -> None:
-    """Replace fields of a config section, through the section's own checks:
-    the CLI's one way to change a setting (the sections are frozen)."""
+def _override(config, section: str, flag: str, **changes):
+    """The config with fields of one section replaced, through the section's
+    own checks: the CLI's one way to change a setting (the config and its
+    sections are frozen)."""
     try:
-        setattr(config, section, dataclasses.replace(getattr(config, section), **changes))
+        return replace(config, **{section: replace(getattr(config, section), **changes)})
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
 
@@ -101,9 +102,9 @@ def _resolved_game(config):
 
 def _cmd_run(args, config) -> int:
     if args.seed is not None:
-        _override(config, "seeds", "run --seed", base_seed=args.seed)
+        config = _override(config, "seeds", "run --seed", base_seed=args.seed)
     if args.algo is not None:
-        _override(config, "learning", "run --algo", algorithms=(args.algo,))
+        config = _override(config, "learning", "run --algo", algorithms=(args.algo,))
 
     prepared = _resolved_game(config)
     result = run_experiment(config, prepared)
@@ -137,10 +138,12 @@ def _cmd_sweep(args, config) -> int:
         if not (math.isfinite(args.from_db) and math.isfinite(args.to_db)):
             raise ConfigError("sweep --from/--to: must be finite")
         with sized_by("sweep --from/--to/--points", f"{args.points} points"):
+            # near 2^63 points ``np.linspace`` raises an IndexError, not a size error
+            np.empty((args.points, 0))
             grid = tuple(np.linspace(args.from_db, args.to_db, args.points).tolist())
-        _override(config, "sweep", "sweep --from/--to/--points", gamma0_grid_db=grid)
+        config = _override(config, "sweep", "sweep --from/--to/--points", gamma0_grid_db=grid)
     if args.replicates is not None:
-        _override(config, "sweep", "sweep --replicates", replicates=args.replicates)
+        config = _override(config, "sweep", "sweep --replicates", replicates=args.replicates)
     results = sweep_gamma0(config)
     path = os.path.join(config.output.directory, "sweep_gamma0.csv")
     emit_sweep_csv(results, path)
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = load_config(args.config)
         if getattr(args, "out", None) is not None:  # oracle has no --out
-            _override(config, "output", "--out", directory=args.out)
+            config = _override(config, "output", "--out", directory=args.out)
         return handlers[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -77,7 +77,7 @@ class OutputConfig:
             raise ValueError("directory: must not be empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     users: UserConfig = field(default_factory=UserConfig)

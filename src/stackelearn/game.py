@@ -12,9 +12,9 @@ together, so a profile's scalar value and its tensor entry have the same
 bits.  They are the reference semantics: each kind of tensor is its own
 formula on the broadcast power grids (`sinr_tensor` is `sinr`,
 `utility_tensor` is `utility`, and the normalized kind the learners and the
-dynamics read is `normalize_utility` of `utility`), and the oracle and
-iterated best response read those tensors (the tests' scalar enumerations
-are in `tests/reference.py`).
+dynamics read is `normalize_utility` of `utility`), the oracle and iterated
+best response read those tensors, and a learning trace is the two formulas
+on its sampled powers (the tests' scalar enumerations: `tests/reference.py`).
 
 Each kind of tensor is built once per `GameInstance`, on first use, as one
 read-only (n, *dims) array whose row i is user i's tensor; its accessor

@@ -226,12 +226,8 @@ def sweep_gamma0(config: ExperimentConfig, algorithms=(RLA1, RLA2)) -> list[Swee
             if prepared.game.num_followers:
                 with sized_by("sweep.replicates", f"{replicates} replicates"):
                     games = [prepared.game] * replicates
-                engine = StackelbergLearning(
-                    games,
-                    algo,
-                    [learning_rng(config.seeds.base_seed, algo, r) for r in range(replicates)],
-                    config.learning,
-                )
+                rngs = [learning_rng(config.seeds.base_seed, algo, r) for r in range(replicates)]
+                engine = StackelbergLearning(games, algo, rngs, config.learning)
                 engine.run(config.learning.num_steps, log_every=config.learning.num_steps)
                 expected = _expected_rows(sinr_tensor(prepared.game), engine.strategy_batch)
                 followers = np.array(prepared.user_ids[1:]) - 1

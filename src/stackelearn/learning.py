@@ -28,9 +28,9 @@ utility before learning, so one default temperature works across users and
 instances (leader and follower utilities differ by orders of magnitude).
 The engine learns on the game's normalized stack alone
 (``game.normalized_utility_tensors``, each user's own axis first), and
-``run`` returns the steps it kept as actions and strategies.
-``read_trace`` reads them in physical units afterwards, from the game's
-own SINR and utility stacks in place, for the callers that ask for it.
+``run`` returns the steps it kept.  ``read_trace`` reads them in physical
+units for the callers that ask for it: the game's two formulas on the
+sampled powers, and the expected utilities from its utility stack in place.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import sized_by, watt_to_dbm
-from .game import GameInstance, normalized_utility_tensors, sinr_tensor, utility_tensor
+from .game import GameInstance, normalized_utility_tensors, sinr, utility, utility_tensor
 
 RLA1 = "rla1"
 RLA2 = "rla2"
@@ -186,8 +186,8 @@ class StackelbergLearning:
     point: a realized value at a flat offset, the leader target the row
     ``u_norm[p, 0, a_0]`` and an rla2 follower i's block (leader by other
     followers) the row ``u_norm[p, i, a_i]``.  The engine reads no
-    physical stack: ``read_trace`` reads a replicate's kept steps from its
-    game's SINR and utility stacks, for the callers that want a ``Trace``.
+    physical stack: ``read_trace`` reads a replicate's kept steps in
+    physical units, for the callers that want a ``Trace``.
 
     A step does its indexing through tables set up once.  Each of those
     indices, like each Q and estimate cell, is an integer linear function
@@ -467,18 +467,18 @@ class StackelbergLearning:
 def read_trace(
     game: GameInstance, steps: np.ndarray, actions: np.ndarray, strategies: np.ndarray
 ) -> Trace:
-    """One replicate's ``Trace`` from the kept steps ``run`` returns for it,
-    (K, n) ``actions`` and (K, n, M) ``strategies``, read from its game's
-    physical stacks in place: the SINRs and realized utilities are gathers
-    at the sampled profiles, and the expected utilities ``_expected_rows``
-    of the utility stack.  Replicate r of an engine played
-    ``engine.games[engine.points[r]]``."""
-    utilities = utility_tensor(game)
-    users = np.arange(game.num_users)
-    cells = np.ravel_multi_index((users, *actions.T[..., None]), utilities.shape)  # (K, n)
+    """Replicate r's ``Trace`` (its game is ``engine.games[engine.points[r]]``)
+    from the kept steps ``run`` returns for it, (K, n) ``actions`` and
+    (K, n, M) ``strategies``, in physical units: ``sinr`` and ``utility`` on the
+    sampled powers, with their stack entries' bits, and the expected
+    utilities, ``_expected_rows`` of the utility stack read in place."""
+    powers_w = np.array(game.action_set.levels_w)[actions.T]  # (n, K)
+    users = range(game.num_users)
     powers_dbm = np.array([watt_to_dbm(w) for w in game.action_set.levels_w])
-    return Trace(steps, actions, powers_dbm[actions], sinr_tensor(game).take(cells),
-                 utilities.take(cells), _expected_rows(utilities, strategies), strategies)
+    return Trace(steps, actions, powers_dbm[actions],
+                 np.stack([sinr(i, powers_w, game) for i in users], axis=1),
+                 np.stack([utility(i, powers_w, game) for i in users], axis=1),
+                 _expected_rows(utility_tensor(game), strategies), strategies)
 
 
 def _point_stack(stacks: list[np.ndarray]) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,14 @@ def random_game(rng: np.random.Generator, num_users: int = 3, num_actions: int =
     return sl.GameInstance(
         gains=gains, users=users, action_set=levels, bandwidth_hz=1e6, noise_power_w=1e-14
     )
+
+
+def raised_targets(game: sl.GameInstance, factor: float) -> sl.GameInstance:
+    """The game with every user's SINR target multiplied by ``factor``: the
+    higher it is, the more profiles pay a user 0, which brings ties into the
+    oracle and users whose utilities are 0 everywhere."""
+    users = tuple(replace(u, sinr_target_lin=u.sinr_target_lin * factor) for u in game.users)
+    return replace(game, users=users)
 
 
 def random_simplex(rng: np.random.Generator, m: int) -> np.ndarray:

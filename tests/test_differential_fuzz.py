@@ -23,8 +23,6 @@ around them.  The examples are derandomized, so every run checks the same
 cases.
 """
 
-from dataclasses import replace
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +38,7 @@ from stackelearn.game import (
 )
 from stackelearn.learning import ALGORITHMS, StackelbergLearning, read_trace
 
-from conftest import random_game
+from conftest import raised_targets, random_game
 from reference import (
     ReferenceLearner,
     blocked_expected_utility,
@@ -141,20 +139,12 @@ def _check_field_and_expectation(game, learner_settings, rng):
     assert full_expected_utility(block, ys[1:]).hex() == blocked_expected_utility(block, ys[1:]).hex()
 
 
-def _raised_targets(game, factor):
-    """The game with every user's SINR target multiplied by ``factor``: the
-    higher it is, the more profiles pay a user 0, which brings ties into the
-    oracle and users whose utilities are 0 everywhere."""
-    users = tuple(replace(u, sinr_target_lin=u.sinr_target_lin * factor) for u in game.users)
-    return replace(game, users=users)
-
-
 @st.composite
 def cases(draw):
     n = draw(st.integers(1, 5))
     m = draw(st.integers(2, 5))
     games = [
-        _raised_targets(random_game(np.random.default_rng(s), n, m), factor)
+        raised_targets(random_game(np.random.default_rng(s), n, m), factor)
         for s, factor in draw(st.lists(st.tuples(SEEDS, st.sampled_from([1.0, 1e2, 1e4])), min_size=1, max_size=2))
     ]
     batch = draw(st.lists(st.tuples(st.integers(0, len(games) - 1), SEEDS), min_size=1, max_size=3))

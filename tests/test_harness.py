@@ -230,6 +230,8 @@ def test_default_config_overrides():
 
 def test_config_sections_are_frozen():
     cfg = default_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.learning = cfg.learning
     for section in dataclasses.fields(cfg):
         value = getattr(cfg, section.name)
         name = dataclasses.fields(value)[0].name
@@ -958,7 +960,9 @@ def test_cli_dynamics_steps_too_many_for_one_array_is_config_error(tmp_path, cap
 
 # each 10^15 count needs more bytes than a 2^47-byte address space holds,
 # so no host can allocate it; each 10^20 count is more than an index holds;
-# for a stop just under 2^63, ``np.arange`` returns no steps, not an error
+# for a stop just under 2^63, ``np.arange`` returns no steps, not an error,
+# and for a point count there or just over it ``np.linspace`` fails on an
+# index, not a size
 @pytest.mark.parametrize(
     ("argv", "raw", "field"),
     [
@@ -969,6 +973,10 @@ def test_cli_dynamics_steps_too_many_for_one_array_is_config_error(tmp_path, cap
         (["run"], {"learning": {"num_steps": 10**20}}, "learning.num_steps"),
         (["sweep", "--from", "0", "--to", "5", "--points", str(10**20)], {},
          "sweep --from/--to/--points"),
+        (["sweep", "--from", "0", "--to", "5", "--points", str(2**63 - 512)], {},
+         "sweep --from/--to/--points"),
+        (["sweep", "--from", "0", "--to", "5", "--points", str(2**63)], {},
+         "sweep --from/--to/--points"),
         (["sweep", "--replicates", str(10**20)], {}, "sweep.replicates"),
         (["dynamics", "--steps", str(10**20)], {}, "dynamics --steps"),
         (["run"], {"learning": {"num_steps": 2**63 - 2**8, "trace_decimation": 1}},
@@ -978,7 +986,8 @@ def test_cli_dynamics_steps_too_many_for_one_array_is_config_error(tmp_path, cap
     ],
     ids=[
         "num-steps", "sweep-points", "sweep-replicates", "num-steps-1e20", "sweep-points-1e20",
-        "sweep-replicates-1e20", "dynamics-steps-1e20", "num-steps-near-2^63", "sweep-num-steps-1e20",
+        "sweep-points-near-2^63", "sweep-points-2^63", "sweep-replicates-1e20", "dynamics-steps-1e20",
+        "num-steps-near-2^63", "sweep-num-steps-1e20",
     ],
 )
 def test_cli_counts_too_large_to_allocate_are_config_errors(tmp_path, capsys, monkeypatch, argv, raw, field):

@@ -11,9 +11,17 @@ relations hold bit for bit:
 Each user's normalized utilities are its utilities over its own maximum,
 so they keep their bits under all three, and so do the oracle's profile
 and everything the learners do: they learn on the normalized stack alone.
-The traces read the physical stacks after the run (``read_trace``), so
-their SINRs keep their bits and their realized and expected utilities
-scale exactly with the utility stack.
+The traces take their SINRs and realized utilities from the two formulas
+on the sampled powers and their expected utilities from the utility stack
+(``read_trace``), so their SINRs keep their bits and both utility columns
+scale exactly with the utility stack.  So do the summary's terminal and
+reference utilities, and its ratios and convergence steps keep their bits.
+
+The relations are checked on two fixed games and on games drawn as the
+differential fuzz draws them (``conftest.random_game``: 1 to 5 users, 2 to
+5 levels, targets raised so that some or all utilities are 0).  The
+summary is built from a ``GameInstance``, not a config: the config gives
+powers in dBm and targets in dB, and 10 log10(2) is no exact float offset.
 
 A normalization by a fixed scale, a learner that reads physical utilities,
 or a noise term that does not scale with the powers breaks these
@@ -27,11 +35,12 @@ permutes too.  The strategy field and the learners are not relabeled here:
 steps from the uniform profile, at the learners' default rate and
 temperature, differed in their last bits on 5 of the 11 games below.
 """
-
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stackelearn as sl
 from stackelearn.dynamics import FieldTensors, integrate_dynamics
@@ -44,21 +53,31 @@ from stackelearn.game import (
     stackelberg_oracle,
     utility_tensor,
 )
+from stackelearn.harness import (
+    ExperimentResult,
+    PreparedGame,
+    compare_summary,
+    complete_information_reference,
+)
 from stackelearn.learning import ALGORITHMS, StackelbergLearning, read_trace
 
+from conftest import raised_targets, random_game
+
 STEPS = 300
+DRAWN_STEPS = 60
 RK4_STEPS = 50
 
 # (k_pow, k_gain, k_bw): powers and circuit power x 2^k_pow, gains x
 # 2^k_gain, bandwidth x 2^k_bw, noise x 2^(k_pow + k_gain)
-RESCALINGS = [
-    pytest.param(3, 0, 0, id="powers-x2^3"),
-    pytest.param(-7, 0, 0, id="powers-x2^-7"),
-    pytest.param(0, 5, 0, id="gains-x2^5"),
-    pytest.param(0, -9, 0, id="gains-x2^-9"),
-    pytest.param(0, 0, 4, id="bandwidth-x2^4"),
-    pytest.param(-7, 5, 4, id="all"),
-]
+SCALES = {
+    "powers-x2^3": (3, 0, 0),
+    "powers-x2^-7": (-7, 0, 0),
+    "gains-x2^5": (0, 5, 0),
+    "gains-x2^-9": (0, -9, 0),
+    "bandwidth-x2^4": (0, 0, 4),
+    "all": (-7, 5, 4),
+}
+RESCALINGS = [pytest.param(*scale, id=name) for name, scale in SCALES.items()]
 
 
 @pytest.fixture(scope="module", params=["default", "six_users"])
@@ -93,16 +112,27 @@ def _scaled_bytes(values: np.ndarray, k: int) -> bytes:
     return np.ascontiguousarray(np.ldexp(values, k)).tobytes()
 
 
-@pytest.mark.parametrize(("k_pow", "k_gain", "k_bw"), RESCALINGS)
-def test_power_of_two_rescaling_is_exact(game, k_pow, k_gain, k_bw):
+def _summary(game: GameInstance, traces: dict) -> list[dict]:
+    """``compare_summary`` of the given traces on a game no femtocell of
+    which was silenced."""
+    n = game.num_users
+    prepared = PreparedGame(game, (True,) * (n - 1), tuple(range(n)), unresolved=False)
+    result = ExperimentResult(
+        prepared, traces, stackelberg_oracle(game), complete_information_reference(game)
+    )
+    return compare_summary(result)
+
+
+def _check_rescaling(game: GameInstance, k_pow: int, k_gain: int, k_bw: int, steps: int) -> dict:
+    """Assert every relation of ``game`` rescaled by (k_pow, k_gain, k_bw)
+    for the stacks, the oracle, ``steps`` steps of each scheme and their
+    summary; returns the unscaled game's traces by scheme."""
     scaled = _rescaled(game, k_pow, k_gain, k_bw)
     k = k_bw - k_pow  # the utilities' exponent
 
     assert sinr_tensor(scaled).tobytes() == sinr_tensor(game).tobytes()
     assert normalized_utility_tensors(scaled).tobytes() == normalized_utility_tensors(game).tobytes()
     assert utility_tensor(scaled).tobytes() == _scaled_bytes(utility_tensor(game), k)
-    # the utilities are nonzero somewhere, so the relation is not 0 == 0
-    assert utility_tensor(game).any()
 
     ours, theirs = stackelberg_oracle(scaled), stackelberg_oracle(game)
     assert ours.leader_action_index == theirs.leader_action_index
@@ -111,17 +141,20 @@ def test_power_of_two_rescaling_is_exact(game, k_pow, k_gain, k_bw):
     assert ours.utilities == tuple(math.ldexp(u, k) for u in theirs.utilities)
 
     settings = sl.LearnerSettings()
+    runs = {}
     for seed, algorithm in enumerate(ALGORITHMS):
         traces, states = [], []
         for g in (game, scaled):
             engine = StackelbergLearning([g], algorithm, [np.random.default_rng(seed)], settings)
-            (kept,) = engine.run(STEPS)
+            (kept,) = engine.run(steps)
             traces.append(read_trace(g, *kept))
             states.append([a.tobytes() for a in (engine.q, *engine.estimates, engine.beliefs)])
+        runs[algorithm] = traces
         base, trace = traces
         # Q-values, estimates and beliefs: a softmax at a low temperature can
         # saturate to the same strategies from Q-values of another scale
         assert states[1] == states[0], algorithm
+        assert trace.steps.tobytes() == base.steps.tobytes(), algorithm
         assert trace.actions.tobytes() == base.actions.tobytes(), algorithm
         assert trace.strategies.tobytes() == base.strategies.tobytes(), algorithm
         assert trace.sinr_lin.tobytes() == base.sinr_lin.tobytes(), algorithm
@@ -129,8 +162,41 @@ def test_power_of_two_rescaling_is_exact(game, k_pow, k_gain, k_bw):
         assert trace.expected_utilities.tobytes() == _scaled_bytes(
             base.expected_utilities, k
         ), algorithm
+
+    base_rows = _summary(game, {a: base for a, (base, _) in runs.items()})
+    scaled_rows = _summary(scaled, {a: trace for a, (_, trace) in runs.items()})
+    for base, row in zip(base_rows, scaled_rows, strict=True):
+        for column in ("terminal_expected_utility", "reference_utility"):
+            assert row[column].hex() == math.ldexp(base[column], k).hex(), (row, column)
+        assert row["ratio_to_reference"].hex() == base["ratio_to_reference"].hex(), row
+        assert (row["algo"], row["user"], row["steps_to_10pct"]) == (
+            base["algo"], base["user"], base["steps_to_10pct"]
+        )
+    return {algorithm: base for algorithm, (base, _) in runs.items()}
+
+
+@pytest.mark.parametrize(("k_pow", "k_gain", "k_bw"), RESCALINGS)
+def test_power_of_two_rescaling_is_exact(game, k_pow, k_gain, k_bw):
+    traces = _check_rescaling(game, k_pow, k_gain, k_bw, STEPS)
+    # the utilities are nonzero somewhere, so the relation is not 0 == 0
+    assert utility_tensor(game).any()
+    for algorithm, base in traces.items():
         # the learners moved off the uniform start
         assert len({row.tobytes() for row in base.strategies}) > 1, algorithm
+
+
+@st.composite
+def drawn_games(draw):
+    """A game as the differential fuzz draws one."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    seed, factor = draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([1.0, 1e2, 1e4]))
+    return raised_targets(random_game(np.random.default_rng(seed), n, m), factor)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(game=drawn_games(), scale=st.sampled_from(sorted(SCALES)))
+def test_power_of_two_rescaling_is_exact_on_drawn_games(game, scale):
+    _check_rescaling(game, *SCALES[scale], DRAWN_STEPS)
 
 
 @pytest.mark.parametrize(("k_pow", "k_gain", "k_bw"), RESCALINGS)
